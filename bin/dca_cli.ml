@@ -618,8 +618,8 @@ let socket_arg =
 (* dca serve: the persistent analysis daemon.  The common flags apply
    daemon-wide: --jobs is the default pool width for requests that do not
    set their own, --trace/--stats instrument the whole serving run,
-   --faults arms a daemon-wide plan (a request's own plan replaces it for
-   that request and disarms it after). *)
+   --faults arms the daemon's process plan (a request's own plan replaces
+   it within that request only). *)
 let serve_cmd =
   let cache_dir_arg =
     let doc =
@@ -633,12 +633,6 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "cache-capacity" ] ~docv:"N" ~doc:"In-memory verdict-cache entries (default 4096).")
-  in
-  let sessions_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "sessions" ] ~docv:"N"
-          ~doc:"Warm sessions kept alive across requests (LRU-evicted beyond $(docv)).")
   in
   let access_log_arg =
     Arg.(
@@ -706,7 +700,7 @@ let serve_cmd =
             "Mark requests slower than $(docv) in the access log ($(b,\"slow\": true)) and count \
              them in $(b,dca_slow_requests_total).")
   in
-  let run socket cache_dir cache_capacity sessions workers access_log metrics_file max_requests
+  let run socket cache_dir cache_capacity workers access_log metrics_file max_requests
       max_queue request_timeout drain_timeout slow_request common =
     apply_common common;
     let cfg =
@@ -714,7 +708,6 @@ let serve_cmd =
         Dca_serve.Server.sv_socket = socket;
         sv_cache_dir = cache_dir;
         sv_cache_capacity = cache_capacity;
-        sv_sessions = sessions;
         sv_jobs = common.co_jobs;
         sv_workers = workers;
         sv_access_log = access_log;
@@ -744,7 +737,7 @@ let serve_cmd =
          "Run the persistent analysis daemon: JSON-lines requests over a Unix-domain socket, \
           answered from a content-addressed verdict cache when the program has not changed")
     Term.(
-      const run $ socket_arg $ cache_dir_arg $ cache_capacity_arg $ sessions_arg $ workers_arg
+      const run $ socket_arg $ cache_dir_arg $ cache_capacity_arg $ workers_arg
       $ access_log_arg $ metrics_file_arg $ max_requests_arg $ max_queue_arg
       $ request_timeout_arg $ drain_timeout_arg $ slow_request_arg $ common_term)
 

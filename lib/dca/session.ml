@@ -40,56 +40,7 @@ module Options = struct
   let with_hierarchical h t = { t with hierarchical = h }
   let with_static s t = { t with static = s }
   let with_telemetry ctx t = { t with telemetry = Some ctx }
-
-  (* A short deterministic signature of everything that can change an
-     analysis result — what a server may key warm-session reuse on.
-     [jobs] is deliberately included (it selects the pool width of the
-     session) even though results are bit-identical across values.
-     [telemetry] is deliberately *excluded*: where the counters land
-     cannot change a verdict, so two sessions differing only in their
-     pinned context are interchangeable. *)
-  let signature t =
-    let schedules c =
-      String.concat "," (List.map Schedule.to_string c.Commutativity.cc_schedules)
-    in
-    let opt f = function None -> "-" | Some v -> f v in
-    String.concat ";"
-      [
-        opt string_of_int t.jobs;
-        opt
-          (fun c ->
-            Printf.sprintf "%s|%g|%b|%d|%d" (schedules c) c.Commutativity.cc_eps
-              c.Commutativity.cc_escalate c.Commutativity.cc_max_invocations
-              c.Commutativity.cc_promote_rounds)
-          t.config;
-        opt
-          (fun s ->
-            Printf.sprintf "%s|%d|%s|%s"
-              (String.concat "," (List.map string_of_int s.Commutativity.rs_input))
-              s.Commutativity.rs_fuel
-              (opt string_of_int s.Commutativity.rs_deadline_ns)
-              (opt string_of_int s.Commutativity.rs_heap_words))
-          t.spec;
-        opt string_of_int t.deadline_ms;
-        opt string_of_int t.heap_words;
-        string_of_bool t.hierarchical;
-        string_of_bool t.static;
-      ]
 end
-
-(* Fold the deprecated per-field optional arguments over an [Options.t]
-   base: an explicitly passed legacy argument wins over the corresponding
-   options field, so pre-Options embedder code behaves exactly as before. *)
-let fold_legacy ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical options =
-  let base = Option.value options ~default:Options.default in
-  let set v f base = match v with None -> base | Some v -> f v base in
-  base
-  |> set jobs Options.with_jobs
-  |> set config Options.with_config
-  |> set spec Options.with_spec
-  |> set deadline_ms Options.with_deadline_ms
-  |> set heap_words Options.with_heap_words
-  |> set hierarchical Options.with_hierarchical
 
 type t = {
   s_name : string;
@@ -113,8 +64,7 @@ type t = {
   mutable s_plan : Dca_parallel.Plan.t option;
 }
 
-let create ?options ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical origin =
-  let options = fold_legacy ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical options in
+let create ?(options = Options.default) origin =
   let name, file, source, input =
     match origin with
     | Source { file; source; input } -> (Filename.basename file, file, source, input)
@@ -142,9 +92,7 @@ let create ?options ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical o
   (* The session's telemetry context: the one pinned through the options,
      else the creator's ambient (the global context unless the embedder
      scoped one).  Pinning makes the stages run under the context no
-     matter who calls them later — the warm-session case, where stage
-     demand arrives from a different request than the one that created
-     the session, keeps attribution with the pinned owner. *)
+     matter who calls them later. *)
   let tele_ctx, tele_pinned =
     match options.Options.telemetry with
     | Some c -> (c, true)
@@ -182,13 +130,12 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load ?options ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical prog =
-  let options = fold_legacy ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical options in
+let load ?options prog =
   match Dca_progs.Registry.find prog with
-  | Some bm -> Ok (create ~options (Benchmark bm))
+  | Some bm -> Ok (create ?options (Benchmark bm))
   | None ->
       if Sys.file_exists prog then
-        Ok (create ~options (Source { file = prog; source = read_file prog; input = [] }))
+        Ok (create ?options (Source { file = prog; source = read_file prog; input = [] }))
       else Error (Printf.sprintf "'%s' is neither a built-in benchmark nor a file" prog)
 
 let name t = t.s_name
@@ -290,8 +237,6 @@ let plan ?machine ?strategy t =
 let advise t = Advisor.advise (proginfo t) (profile t) (dca_results t)
 let report t = Report.to_string (dca_results t)
 
-let telemetry_global _t = Telemetry.Ctx.counters Telemetry.Ctx.global
-
 (* Counters attributable to this session: the session context's current
    value minus the value at creation.  Counters registered after the
    baseline was taken (first use anywhere in the process) subtract an
@@ -313,7 +258,6 @@ let close t =
       Pool.shutdown p
   | None -> ()
 
-let with_session ?options ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical origin f =
-  let options = fold_legacy ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical options in
-  let t = create ~options origin in
+let with_session ?options origin f =
+  let t = create ?options origin in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)

@@ -33,14 +33,7 @@
       Session.with_session
         ~options:Session.Options.(default |> with_jobs 4 |> with_hierarchical true)
         origin f
-    ]}
-
-    The per-field optional arguments ([?jobs], [?config], [?spec],
-    [?deadline_ms], [?heap_words], [?hierarchical]) still accepted by
-    {!create}, {!load} and {!with_session} are {b deprecated} compatibility
-    shims kept for one release: they are folded over [?options] (an
-    explicit legacy argument wins over the corresponding options field)
-    and will be removed — pass [~options] instead. *)
+    ]} *)
 
 type origin =
   | Source of { file : string; source : string; input : int list }
@@ -49,8 +42,7 @@ type origin =
   | Benchmark of Dca_progs.Benchmark.t  (** a built-in benchmark program *)
 
 (** Session construction options.  Build with {!Options.default} and the
-    [with_*] setters; every field has the same meaning as the historical
-    optional argument of the same name. *)
+    [with_*] setters. *)
 module Options : sig
   type t = {
     jobs : int option;
@@ -95,31 +87,12 @@ module Options : sig
   val with_hierarchical : bool -> t -> t
   val with_static : bool -> t -> t
   val with_telemetry : Dca_support.Telemetry.Ctx.t -> t -> t
-
-  val signature : t -> string
-  (** Deterministic textual signature of every field that can change an
-      analysis result (schedules, tolerances, budgets, inputs, job
-      width).  Two options values with equal signatures configure
-      interchangeable sessions — the serve daemon keys warm-session
-      reuse on this.  [telemetry] is excluded: where counters land
-      cannot change a verdict. *)
 end
 
 type t
 
-val create :
-  ?options:Options.t ->
-  ?jobs:int ->
-  ?config:Commutativity.config ->
-  ?spec:Commutativity.run_spec ->
-  ?deadline_ms:int ->
-  ?heap_words:int ->
-  ?hierarchical:bool ->
-  origin ->
-  t
-(** Build a session from [?options] (see {!Options}).  The remaining
-    optional arguments are the deprecated pre-Options interface; when
-    given they override the corresponding [options] field.
+val create : ?options:Options.t -> origin -> t
+(** Build a session from [?options] (default {!Options.default}).
 
     Creation also arms telemetry from the environment
     ({!Dca_support.Telemetry.init_from_env}: [DCA_TRACE] names a trace
@@ -129,16 +102,7 @@ val create :
     explicitly first, and records the telemetry baseline {!telemetry}
     deltas are computed against. *)
 
-val load :
-  ?options:Options.t ->
-  ?jobs:int ->
-  ?config:Commutativity.config ->
-  ?spec:Commutativity.run_spec ->
-  ?deadline_ms:int ->
-  ?heap_words:int ->
-  ?hierarchical:bool ->
-  string ->
-  (t, string) result
+val load : ?options:Options.t -> string -> (t, string) result
 (** Resolve a program argument the way the CLI does: a built-in benchmark
     name from {!Dca_progs.Registry}, else a path to a [.mc] file.
     Options as in {!create}. *)
@@ -154,8 +118,7 @@ val jobs : t -> int
 (** {1 Resolved configuration} *)
 
 val options : t -> Options.t
-(** The options the session was created with (legacy arguments already
-    folded in). *)
+(** The options the session was created with. *)
 
 val config : t -> Commutativity.config
 val spec : t -> Commutativity.run_spec
@@ -216,11 +179,6 @@ val telemetry : t -> (string * int) list
     exact because nothing else writes into them (the concurrent serve
     daemon relies on this). *)
 
-val telemetry_global : t -> (string * int) list
-(** The historical behavior of [telemetry]: a raw snapshot of the
-    global context's counters — embedders running several sessions see
-    their aggregate. *)
-
 (** {1 Lifecycle} *)
 
 val close : t -> unit
@@ -228,16 +186,6 @@ val close : t -> unit
     memoized stages stay readable after [close], but further stage
     computations run sequentially. *)
 
-val with_session :
-  ?options:Options.t ->
-  ?jobs:int ->
-  ?config:Commutativity.config ->
-  ?spec:Commutativity.run_spec ->
-  ?deadline_ms:int ->
-  ?heap_words:int ->
-  ?hierarchical:bool ->
-  origin ->
-  (t -> 'a) ->
-  'a
+val with_session : ?options:Options.t -> origin -> (t -> 'a) -> 'a
 (** [create], run, then {!close} (also on exception).  Options as in
     {!create}. *)

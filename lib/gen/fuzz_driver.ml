@@ -138,12 +138,12 @@ let witness_schedule why =
 (* Fault-plan containment mode                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* For every loop L of the program, arm a one-shot injected crash scoped
-   to L's test and re-analyze: the session must complete, L must come
-   back [Aborted], and no other loop's verdict may change — an injected
-   fault must never leak across the containment boundary.  [arm] zeroes
-   hit counters, and the plan is dropped before returning, so runs are
-   independent. *)
+(* For every loop L of the program, re-analyze under a fresh plan
+   holding one injected crash scoped to L's test: the session must
+   complete, L must come back [Aborted], and no other loop's verdict may
+   change — an injected fault must never leak across the containment
+   boundary.  Each run has its own plan, scoped to the run, so runs are
+   independent and the process plan is never touched. *)
 let containment_violations ~jobs ~index source =
   let vio detail =
     { vi_program = index; vi_kind = Containment_breach; vi_detail = detail; vi_source = source }
@@ -152,17 +152,19 @@ let containment_violations ~jobs ~index source =
   | exception _ -> [] (* the primary run already reported this as Dca_crash *)
   | base ->
       let check_victim (victim, _, _) =
-        Faultpoint.arm
-          [
-            {
-              Faultpoint.sp_site = "driver.loop";
-              sp_ctx = Some victim;
-              sp_nth = 1;
-              sp_repeat = false;
-              sp_action = Faultpoint.Raise;
-            };
-          ];
-        Fun.protect ~finally:Faultpoint.disarm (fun () ->
+        let plan =
+          Faultpoint.make
+            [
+              {
+                Faultpoint.sp_site = "driver.loop";
+                sp_ctx = Some victim;
+                sp_nth = 1;
+                sp_repeat = false;
+                sp_action = Faultpoint.Raise;
+              };
+            ]
+        in
+        Faultpoint.with_plan plan (fun () ->
             match dca_run_all ~jobs source with
             | exception e ->
                 [

@@ -1,28 +1,31 @@
-(* The serve daemon's analysis core: warm sessions in front of the
-   two-level verdict cache.
+(* The serve daemon's analysis core: a stateless request handler in
+   front of the two-level verdict cache.
 
-   A request is handled in five steps:
+   An analyze request is handled in four steps, all scoped to the
+   request:
 
      1. resolve the program (registry name, server-side file, or inline
-        source) to a source string + input stream;
-     2. find or create a *warm session* — sessions are keyed by
-        (source digest, options signature) and kept in a small LRU, so a
-        repeated or incremental client skips parsing, lowering, the
-        static analyses, and pool startup;
-     3. compute per-loop cache keys (Progdigest) and probe the verdict
+        source) to a source string + input stream, and build a Session
+        over it with the request's options;
+     2. compute per-loop cache keys (Progdigest) and probe the verdict
         cache, building a read-only table of resolved loops;
-     4. run Driver.analyze_program with the table as its [?lookup] — only
-        unresolved loops pay the dynamic stage, on the session's pool,
-        merged deterministically with the cached verdicts;
-     5. store the freshly computed verdicts and assemble the reply.
+     3. run Driver.analyze_program with the table as its [?lookup] — only
+        unresolved loops pay the dynamic stage, on the session's pool
+        (started only when a loop is unresolved), merged
+        deterministically with the cached verdicts;
+     4. store the freshly computed verdicts, close the session, and
+        assemble the reply.
 
    Because cached entries are the exact (decision, outcome) pairs the
    driver would have produced, Report.to_string over the merged result
    list is byte-identical to a cold run — the acceptance criterion the
    serve bench asserts.
 
-   The engine is concurrency-safe: [handle] may be called from many
-   worker domains at once.  Three mechanisms make that sound:
+   [handle] may be called from many worker domains at once.  A verdict
+   depends only on the loop's code, inputs and configuration, so the
+   only state requests share is the content-addressed cache (which
+   serializes internally) and a few atomic counters; two scopes keep
+   concurrent requests apart:
 
      - *Telemetry contexts.*  Each analyze request runs under its own
        Telemetry.Ctx (installed with [with_ctx], propagated into the
@@ -36,18 +39,11 @@
        a whole-daemon artifact, and per-domain event streams must stay
        chronological.
 
-     - *A busy-aware warm-session LRU.*  A session serves one request
-       at a time ([w_busy]); a second request for the same key runs on
-       a transient session that is closed afterwards if the slot was
-       retaken.  Eviction never touches a busy session.
-
-     - *A writer-priority gate for fault injection.*  Faultpoint plans
-       are process-global, so a fault-carrying request takes the gate
-       exclusively while normal requests share it — injected failures
-       can never leak into an innocent request.
-
-   The Vcache serializes internally; the engine's own counters live
-   under one mutex. *)
+     - *Fault plans.*  A request carrying ["faults"] runs under a fresh
+       plan installed with Faultpoint.with_plan (propagated into the
+       session pool the same way), so its injected failures fire in
+       that request only, concurrent requests keep running, and the
+       daemon's own --faults plan is neither consulted nor reset by it. *)
 
 module Session = Dca_core.Session
 module Driver = Dca_core.Driver
@@ -62,32 +58,13 @@ module Telemetry = Dca_support.Telemetry
    exists, and must become an error *reply*, never a dead daemon. *)
 let fp_analyze = Faultpoint.site "engine.analyze"
 
-type warm = {
-  w_session : Session.t;
-  w_digest : Progdigest.t Lazy.t;
-  mutable w_last : int;
-  mutable w_busy : bool;  (* serving a request right now; ineligible for reuse/eviction *)
-}
-
 type t = {
   cache : Vcache.t;
   metrics : Metrics.t;
   tele : Telemetry.Ctx.t;  (* the daemon's aggregate context (ambient at create) *)
-  lock : Mutex.t;  (* sessions table, counters, request ids, the fault gate *)
-  gate_cond : Condition.t;
-  sessions : (string, warm) Hashtbl.t;
-  session_cap : int;
   default_jobs : int option;
-  mutable clock : int;
-  mutable requests : int;
-  mutable session_reuses : int;
-  mutable aborted_requests : int;
-  mutable next_req : int;
-  (* fault gate: shared by normal analyzes, exclusive for fault-carrying
-     ones, writer-priority so a fault request is not starved *)
-  mutable active_shared : int;
-  mutable pending_exclusive : int;
-  mutable exclusive : bool;
+  requests : int Atomic.t;  (* also the last server-assigned request id *)
+  aborted_requests : int Atomic.t;
 }
 
 let metric_names =
@@ -103,10 +80,10 @@ let metric_names =
       "dca_cache_degraded_total";
       "dca_slow_requests_total";
     ],
-    [ "dca_inflight_requests"; "dca_queue_depth"; "dca_warm_sessions" ],
+    [ "dca_inflight_requests"; "dca_queue_depth" ],
     [ "dca_request_duration_seconds" ] )
 
-let create ?cache_dir ?cache_capacity ?(sessions = 8) ?jobs () =
+let create ?cache_dir ?cache_capacity ?jobs () =
   let counters, gauges, histograms = metric_names in
   let metrics = Metrics.create ~counters ~gauges ~histograms () in
   let on_degrade msg =
@@ -118,62 +95,15 @@ let create ?cache_dir ?cache_capacity ?(sessions = 8) ?jobs () =
     cache = Vcache.create ?dir:cache_dir ?capacity:cache_capacity ~on_degrade ();
     metrics;
     tele = Telemetry.current ();
-    lock = Mutex.create ();
-    gate_cond = Condition.create ();
-    sessions = Hashtbl.create 16;
-    session_cap = max 1 sessions;
     default_jobs = jobs;
-    clock = 0;
-    requests = 0;
-    session_reuses = 0;
-    aborted_requests = 0;
-    next_req = 0;
-    active_shared = 0;
-    pending_exclusive = 0;
-    exclusive = false;
+    requests = Atomic.make 0;
+    aborted_requests = Atomic.make 0;
   }
 
 let cache t = t.cache
 let metrics t = t.metrics
 
-let close t =
-  let victims =
-    Mutex.protect t.lock (fun () ->
-        let ws = Hashtbl.fold (fun _ w acc -> w :: acc) t.sessions [] in
-        Hashtbl.reset t.sessions;
-        ws)
-  in
-  List.iter (fun w -> Session.close w.w_session) victims
-
-(* ------------------------------------------------------------------ *)
-(* Fault gate                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let enter_shared t =
-  Mutex.protect t.lock (fun () ->
-      while t.exclusive || t.pending_exclusive > 0 do
-        Condition.wait t.gate_cond t.lock
-      done;
-      t.active_shared <- t.active_shared + 1)
-
-let exit_shared t =
-  Mutex.protect t.lock (fun () ->
-      t.active_shared <- t.active_shared - 1;
-      if t.active_shared = 0 then Condition.broadcast t.gate_cond)
-
-let enter_exclusive t =
-  Mutex.protect t.lock (fun () ->
-      t.pending_exclusive <- t.pending_exclusive + 1;
-      while t.exclusive || t.active_shared > 0 do
-        Condition.wait t.gate_cond t.lock
-      done;
-      t.pending_exclusive <- t.pending_exclusive - 1;
-      t.exclusive <- true)
-
-let exit_exclusive t =
-  Mutex.protect t.lock (fun () ->
-      t.exclusive <- false;
-      Condition.broadcast t.gate_cond)
+let close (_ : t) = ()
 
 (* ------------------------------------------------------------------ *)
 (* Program resolution                                                  *)
@@ -224,85 +154,6 @@ let options_of_request t (rq : Protocol.request) =
   |> set rq.Protocol.rq_heap_words Session.Options.with_heap_words
 
 (* ------------------------------------------------------------------ *)
-(* Warm-session pool                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
-
-(* Evict idle sessions down to capacity, oldest first.  Busy sessions
-   are untouchable — the table may transiently exceed its cap while
-   every resident is mid-request.  Closing (a pool join) happens
-   outside the lock. *)
-let evict_sessions t =
-  let victims = ref [] in
-  Mutex.protect t.lock (fun () ->
-      let continue = ref true in
-      while !continue && Hashtbl.length t.sessions > t.session_cap do
-        let victim = ref None in
-        Hashtbl.iter
-          (fun k w ->
-            if not w.w_busy then
-              match !victim with
-              | Some (_, best) when best.w_last <= w.w_last -> ()
-              | _ -> victim := Some (k, w))
-          t.sessions;
-        match !victim with
-        | Some (k, w) ->
-            Hashtbl.remove t.sessions k;
-            victims := w :: !victims
-        | None -> continue := false
-      done);
-  List.iter (fun w -> Session.close w.w_session) !victims
-
-type slot = Pooled | Fresh of string
-
-(* Claim a warm session for exclusive use, or build a transient one.
-   The transient session joins the table on release if the slot is
-   still free; if a twin claimed it meanwhile, the transient is simply
-   closed — both produced identical replies, one keeps the warmth. *)
-let acquire_session t ~file ~source ~input options =
-  let key = Digest.to_hex (Digest.string source) ^ "|" ^ Session.Options.signature options in
-  let reused =
-    Mutex.protect t.lock (fun () ->
-        match Hashtbl.find_opt t.sessions key with
-        | Some w when not w.w_busy ->
-            w.w_busy <- true;
-            w.w_last <- tick t;
-            t.session_reuses <- t.session_reuses + 1;
-            Some w
-        | _ -> None)
-  in
-  match reused with
-  | Some w -> (w, Pooled)
-  | None ->
-      let s = Session.create ~options (Session.Source { file; source; input }) in
-      let w =
-        { w_session = s; w_digest = lazy (Progdigest.of_program (Session.ir s)); w_last = 0; w_busy = true }
-      in
-      (w, Fresh key)
-
-let release_session t w = function
-  | Pooled ->
-      Mutex.protect t.lock (fun () ->
-          w.w_busy <- false;
-          w.w_last <- tick t)
-  | Fresh key ->
-      let close_me =
-        Mutex.protect t.lock (fun () ->
-            if Hashtbl.mem t.sessions key then true
-            else begin
-              w.w_busy <- false;
-              w.w_last <- tick t;
-              Hashtbl.replace t.sessions key w;
-              false
-            end)
-      in
-      if close_me then Session.close w.w_session;
-      evict_sessions t
-
-(* ------------------------------------------------------------------ *)
 (* Cached analysis                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -313,13 +164,9 @@ type outcome = {
   eo_misses : int;
 }
 
-let subsumed (r : Driver.loop_result) =
-  match r.Driver.lr_decision with Driver.Subsumed _ -> true | _ -> false
-
-let analyze_with_cache t w (rq : Protocol.request) =
-  let s = w.w_session in
+let analyze_with_cache t s (rq : Protocol.request) =
   let info = Session.proginfo s in
-  let pd = Lazy.force w.w_digest in
+  let pd = Progdigest.of_program (Session.ir s) in
   let prog_digest = Progdigest.program_digest pd in
   let static = (Session.options s).Session.Options.static in
   let config_digest =
@@ -331,9 +178,10 @@ let analyze_with_cache t w (rq : Protocol.request) =
       ~loop_id:loop.Dca_analysis.Loops.l_id
   in
   (* A fault-carrying request runs outside the cache entirely: hits would
-     mask the injected failures it exists to exercise, and storing its
-     (possibly Aborted) verdicts would poison later requests. *)
+     mask the injected failures it exists to exercise, and its verdicts
+     may be skewed by them. *)
   let cache_on = rq.Protocol.rq_faults = None in
+  let all_loops = Dca_analysis.Proginfo.all_loops info in
   (* probe phase: sequential, before any parallel work — the resolved
      table is read-only by the time worker domains consult it *)
   let resolved : (string, Driver.loop_result) Hashtbl.t = Hashtbl.create 16 in
@@ -353,35 +201,40 @@ let analyze_with_cache t w (rq : Protocol.request) =
                 lr_provenance = e.Vcache.e_provenance;
               }
         | None -> ())
-      (Dca_analysis.Proginfo.all_loops info);
+      all_loops;
   let lookup _fi (loop : Dca_analysis.Loops.loop) =
     Hashtbl.find_opt resolved loop.Dca_analysis.Loops.l_id
   in
+  (* the pool's domains are worth starting only if some loop needs work *)
+  let pool = if Hashtbl.length resolved < List.length all_loops then Session.pool s else None in
   let results =
     Driver.analyze_program ~config:(Session.config s) ~spec:(Session.spec s)
-      ~hierarchical:(Session.hierarchical s) ~static ?pool:(Session.pool s) ~lookup info
+      ~hierarchical:(Session.hierarchical s) ~static ?pool ~lookup info
   in
-  (* store phase: every freshly computed, non-subsumed verdict.  Subsumed
-     results are skipped — they are free to recompute and derive from
-     sibling verdicts rather than from the loop's own code. *)
   let hits = ref 0 and misses = ref 0 in
   let loops =
     List.map
       (fun (r : Driver.loop_result) ->
-        let id = r.Driver.lr_loop.Dca_analysis.Loops.l_id in
-        let cached = Hashtbl.mem resolved id in
-        if cached then incr hits
-        else if not (subsumed r) then begin
-          incr misses;
-          if cache_on then
-            Vcache.store t.cache (key_of r.Driver.lr_loop)
-            {
-              Vcache.e_decision = r.Driver.lr_decision;
-              e_outcome = r.Driver.lr_outcome;
-              e_provenance = r.Driver.lr_provenance;
-              e_prog_digest = prog_digest;
-            }
-        end;
+        let cached = Hashtbl.mem resolved r.Driver.lr_loop.Dca_analysis.Loops.l_id in
+        (* store phase: every freshly computed verdict that holds for the
+           loop's code and inputs *)
+        (match r.Driver.lr_decision with
+        | _ when cached -> incr hits
+        (* derived from sibling verdicts, and free to recompute *)
+        | Driver.Subsumed _ -> ()
+        (* an injected, deadline or heap abort says nothing about the
+           loop: stored, it would be served forever *)
+        | Driver.Aborted _ -> incr misses
+        | _ ->
+            incr misses;
+            if cache_on then
+              Vcache.store t.cache (key_of r.Driver.lr_loop)
+                {
+                  Vcache.e_decision = r.Driver.lr_decision;
+                  e_outcome = r.Driver.lr_outcome;
+                  e_provenance = r.Driver.lr_provenance;
+                  e_prog_digest = prog_digest;
+                });
         {
           Protocol.li_label = r.Driver.lr_label;
           li_decision = Driver.decision_to_string r.Driver.lr_decision;
@@ -403,15 +256,9 @@ let analyze_with_cache t w (rq : Protocol.request) =
 
 let stats t =
   let c = Vcache.stats t.cache in
-  let requests, aborted, warm, reuses =
-    Mutex.protect t.lock (fun () ->
-        (t.requests, t.aborted_requests, Hashtbl.length t.sessions, t.session_reuses))
-  in
   [
-    ("serve.requests", requests);
-    ("serve.aborted_requests", aborted);
-    ("serve.warm_sessions", warm);
-    ("serve.session_reuses", reuses);
+    ("serve.requests", Atomic.get t.requests);
+    ("serve.aborted_requests", Atomic.get t.aborted_requests);
     ("cache.mem_entries", Vcache.size t.cache);
     ("cache.mem_hits", c.Vcache.st_mem_hits);
     ("cache.disk_hits", c.Vcache.st_disk_hits);
@@ -423,28 +270,29 @@ let stats t =
     ("cache.degraded", if Vcache.degraded t.cache then 1 else 0);
   ]
 
-(* Per-request fault containment: a request's fault plan is armed for
-   exactly that request, under the exclusive side of the gate; whatever
-   escapes every inner containment layer (loop-level Aborted verdicts
-   absorb most injected faults) is caught here and turned into an error
-   *reply* — the daemon survives and the next request starts from a
-   clean faultpoint state. *)
+(* Per-request fault containment: a request's fault plan is installed
+   for exactly that request's scope; whatever escapes every inner
+   containment layer (loop-level Aborted verdicts absorb most injected
+   faults) is caught here and turned into an error *reply* — the daemon
+   survives, and the next request starts from the daemon's own plan,
+   untouched. *)
 let run_analyze t (rq : Protocol.request) =
-  try
-    (match rq.Protocol.rq_faults with
-    | Some plan ->
-        Faultpoint.arm_string plan;
-        Faultpoint.reset_hits ()
-    | None -> ());
+  let analyze () =
     Faultpoint.hit_unit fp_analyze;
     match resolve_program (Option.get rq.Protocol.rq_program) with
     | Error msg -> Error msg
     | Ok (file, source, input) ->
-        let options = options_of_request t rq in
-        let w, slot = acquire_session t ~file ~source ~input options in
-        Fun.protect
-          ~finally:(fun () -> release_session t w slot)
-          (fun () -> Ok (analyze_with_cache t w rq))
+        Session.with_session ~options:(options_of_request t rq)
+          (Session.Source { file; source; input })
+          (fun s -> Ok (analyze_with_cache t s rq))
+  in
+  try
+    match rq.Protocol.rq_faults with
+    | None -> analyze ()
+    | Some text -> (
+        match Faultpoint.parse text with
+        | Ok specs -> Faultpoint.with_plan (Faultpoint.make specs) analyze
+        | Error e -> Error ("invalid fault plan: " ^ e))
   with
   | Faultpoint.Injected msg -> Error ("crash: " ^ msg)
   | Faultpoint.Bad_plan msg -> Error ("invalid fault plan: " ^ msg)
@@ -456,12 +304,7 @@ let run_analyze t (rq : Protocol.request) =
   | e -> Error ("internal error: " ^ Printexc.to_string e)
 
 let handle t (rq : Protocol.request) =
-  let req =
-    Mutex.protect t.lock (fun () ->
-        t.requests <- t.requests + 1;
-        t.next_req <- t.next_req + 1;
-        t.next_req)
-  in
+  let req = 1 + Atomic.fetch_and_add t.requests 1 in
   Metrics.incr t.metrics "dca_requests_total";
   Metrics.gauge_add t.metrics "dca_inflight_requests" 1;
   let id = rq.Protocol.rq_id in
@@ -485,39 +328,23 @@ let handle t (rq : Protocol.request) =
   | Protocol.Shutdown -> finish (Protocol.ok_response ~id)
   | Protocol.Analyze -> (
       Metrics.incr t.metrics "dca_analyze_requests_total";
-      let faulty = rq.Protocol.rq_faults <> None in
-      if faulty then enter_exclusive t else enter_shared t;
-      let result =
-        Fun.protect
-          ~finally:(fun () ->
-            if faulty then begin
-              Faultpoint.disarm ();
-              exit_exclusive t
-            end
-            else exit_shared t)
-          (fun () ->
-            (* Per-request attribution: the analysis runs under its own
-               context (mirroring the daemon's counting flag) and is
-               folded into the daemon context afterwards, so concurrent
-               requests never contaminate each other and the aggregate
-               equals a serial daemon's.  Under tracing the daemon
-               context is used directly — event streams must stay
-               chronological per domain, and a trace is a whole-daemon
-               artifact. *)
-            let rctx =
-              if Telemetry.Ctx.tracing t.tele then t.tele
-              else Telemetry.Ctx.create ~counting:(Telemetry.Ctx.counting t.tele) ()
-            in
-            let r = Telemetry.with_ctx rctx (fun () -> run_analyze t rq) in
-            if rctx != t.tele then Telemetry.Ctx.merge_into ~into:t.tele rctx;
-            r)
+      (* Per-request attribution: the analysis runs under its own
+         context (mirroring the daemon's counting flag) and is folded
+         into the daemon context afterwards, so concurrent requests
+         never contaminate each other and the aggregate equals a serial
+         daemon's.  Under tracing the daemon context is used directly —
+         event streams must stay chronological per domain, and a trace
+         is a whole-daemon artifact. *)
+      let rctx =
+        if Telemetry.Ctx.tracing t.tele then t.tele
+        else Telemetry.Ctx.create ~counting:(Telemetry.Ctx.counting t.tele) ()
       in
+      let result = Telemetry.with_ctx rctx (fun () -> run_analyze t rq) in
+      if rctx != t.tele then Telemetry.Ctx.merge_into ~into:t.tele rctx;
       match result with
       | Ok eo ->
           Metrics.add t.metrics "dca_cache_hits_total" eo.eo_hits;
           Metrics.add t.metrics "dca_cache_misses_total" eo.eo_misses;
-          Metrics.gauge_set t.metrics "dca_warm_sessions"
-            (Mutex.protect t.lock (fun () -> Hashtbl.length t.sessions));
           finish
             {
               (Protocol.ok_response ~id) with
@@ -527,5 +354,5 @@ let handle t (rq : Protocol.request) =
               rp_misses = eo.eo_misses;
             }
       | Error msg ->
-          Mutex.protect t.lock (fun () -> t.aborted_requests <- t.aborted_requests + 1);
+          Atomic.incr t.aborted_requests;
           finish (Protocol.error_response ~id msg))

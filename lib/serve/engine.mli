@@ -1,38 +1,38 @@
-(** The serve daemon's analysis core: a warm-session LRU in front of the
-    two-level verdict cache ({!Vcache}), independent of any transport so
-    tests can drive it directly.
+(** The serve daemon's analysis core: a stateless request handler in
+    front of the two-level verdict cache ({!Vcache}), independent of any
+    transport so tests can drive it directly.
 
     {!handle} is safe to call from many domains at once.  Each analyze
-    request runs under its own {!Dca_support.Telemetry.Ctx} (folded into
-    the daemon's context on completion, so aggregates match a serial
-    daemon's), claims its warm session exclusively (a contended key gets
-    a transient session), and fault-carrying requests hold a
-    writer-priority gate exclusively so process-global faultpoint plans
-    never leak into innocent requests.  Replies are byte-identical to a
-    serial daemon's under any interleaving: the report and its counters
-    footer are pure folds over the per-loop results.  Parallelism also
-    lives inside a request: unresolved loops run on the warm session's
-    worker pool and are merged deterministically with the cached
-    verdicts, so a reply assembled from any mix of cache hits and fresh
-    work is byte-identical to a cold [dca analyze] run. *)
+    request builds its own session, runs under its own
+    {!Dca_support.Telemetry.Ctx} (folded into the daemon's context on
+    completion, so aggregates match a serial daemon's), and a request
+    carrying a fault plan runs under that plan alone
+    ({!Dca_support.Faultpoint.with_plan}), so its injected failures
+    never reach concurrent requests and never disturb the daemon's own
+    plan.  Replies are byte-identical to a serial daemon's under any
+    interleaving: the report and its counters footer are pure folds
+    over the per-loop results.  Parallelism also lives inside a
+    request: unresolved loops run on the session's worker pool and are
+    merged deterministically with the cached verdicts, so a reply
+    assembled from any mix of cache hits and fresh work is
+    byte-identical to a cold [dca analyze] run. *)
 
 type t
 
-val create :
-  ?cache_dir:string -> ?cache_capacity:int -> ?sessions:int -> ?jobs:int -> unit -> t
+val create : ?cache_dir:string -> ?cache_capacity:int -> ?jobs:int -> unit -> t
 (** [cache_dir] enables the persistent cache level (see {!Vcache.create});
-    [sessions] bounds the warm-session LRU (default 8); [jobs] is the
-    default pool width for requests that do not set one.  The creating
-    domain's ambient telemetry context becomes the daemon's aggregate
-    context. *)
+    [jobs] is the default pool width for requests that do not set one.
+    The creating domain's ambient telemetry context becomes the daemon's
+    aggregate context. *)
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Serve one request.  [Analyze] failures of any kind — unknown program,
     parse error, resource-budget exhaustion, an injected fault escaping
-    the per-loop containment — become error {e responses}; the engine
-    survives and the next request starts from a clean faultpoint state.
-    [Shutdown] is answered like [Ping]; stopping the accept loop is the
-    transport's job ({!Server}).  Every response carries the
+    the per-loop containment, a malformed fault plan — become error
+    {e responses}; the engine survives.  Verdicts are cached unless the
+    request carries a fault plan, and [Aborted] verdicts are never
+    cached.  [Shutdown] is answered like [Ping]; stopping the accept
+    loop is the transport's job ({!Server}).  Every response carries the
     server-assigned request id in [rp_req]. *)
 
 val stats : t -> (string * int) list
@@ -40,11 +40,13 @@ val stats : t -> (string * int) list
 
 val metrics : t -> Metrics.t
 (** The engine's metrics plane: request counters, cache hit/miss
-    totals, in-flight/queue-depth/warm-session gauges, and the request
-    latency histogram.  [Stats] replies carry its snapshot as JSON in
+    totals, in-flight/queue-depth gauges, and the request latency
+    histogram.  [Stats] replies carry its snapshot as JSON in
     [rp_metrics].  The [dca_queue_depth] gauge is maintained by the
     transport. *)
 
 val cache : t -> Vcache.t
+
 val close : t -> unit
-(** Close every warm session (releasing their pools). *)
+(** Release the engine's resources: none, since sessions live for one
+    request. *)

@@ -5,10 +5,10 @@
    connections are queued; each worker owns one connection at a time
    and serves its request lines in order, so per-connection replies are
    sequential while the daemon as a whole serves [sv_workers]
-   connections concurrently.  The engine underneath is concurrency-safe
-   (per-request telemetry contexts, a locked verdict cache, a
-   writer-priority gate for fault-carrying requests), so replies are
-   byte-identical to a serial daemon's.
+   connections concurrently.  The engine underneath is stateless apart
+   from its locked verdict cache (each request runs under its own
+   session, telemetry context and, if it carries one, fault plan), so
+   replies are byte-identical to a serial daemon's.
 
    Request admission is a reservation: a worker reserves a budget slot
    under the state lock *before* handing the line to the engine and
@@ -76,7 +76,6 @@ type config = {
   sv_socket : string;
   sv_cache_dir : string option;
   sv_cache_capacity : int option;
-  sv_sessions : int;
   sv_jobs : int option;
   sv_workers : int;  (* concurrent connections served; 1 = the old serial daemon *)
   sv_access_log : string option;
@@ -94,7 +93,6 @@ let default_config socket =
     sv_socket = socket;
     sv_cache_dir = None;
     sv_cache_capacity = None;
-    sv_sessions = 8;
     sv_jobs = None;
     sv_workers = 4;
     sv_access_log = None;
@@ -545,7 +543,7 @@ let run cfg =
   Unix.listen sock 64;
   let engine =
     Engine.create ?cache_dir:cfg.sv_cache_dir ?cache_capacity:cfg.sv_cache_capacity
-      ~sessions:cfg.sv_sessions ?jobs:cfg.sv_jobs ()
+      ?jobs:cfg.sv_jobs ()
   in
   let access =
     Option.map (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path) cfg.sv_access_log

@@ -5,9 +5,9 @@
     owns one connection at a time and answers its request lines in
     order, so per-connection replies stay sequential while the daemon
     serves many connections concurrently.  The engine underneath is
-    concurrency-safe (per-request telemetry contexts, a locked verdict
-    cache, an exclusive gate for fault-carrying requests), so every
-    reply is byte-identical to a serial daemon's.  [sv_workers = 1]
+    stateless apart from its locked verdict cache (per-request
+    sessions, telemetry contexts and fault plans), so every reply is
+    byte-identical to a serial daemon's.  [sv_workers = 1]
     recovers the old one-connection-at-a-time behavior.
 
     Supervision: connections beyond [sv_max_queue] are shed with an
@@ -26,7 +26,6 @@ type config = {
   sv_socket : string;  (** Unix-domain socket path *)
   sv_cache_dir : string option;  (** persistent cache directory ({!Vcache}) *)
   sv_cache_capacity : int option;
-  sv_sessions : int;  (** warm-session LRU bound *)
   sv_jobs : int option;  (** default pool width for requests without one *)
   sv_workers : int;  (** connections served concurrently (default 4) *)
   sv_access_log : string option;
@@ -70,10 +69,9 @@ type config = {
 }
 
 val default_config : string -> config
-(** Defaults for the given socket path: memory-only cache, 8 warm
-    sessions, 4 workers, queue bound 64, no request timeout, 30s drain
-    budget, no access log, no metrics file, no signal handling, serve
-    until [shutdown]. *)
+(** Defaults for the given socket path: memory-only cache, 4 workers,
+    queue bound 64, no request timeout, 30s drain budget, no access
+    log, no metrics file, no signal handling, serve until [shutdown]. *)
 
 val run : config -> int
 (** Bind (reclaiming a stale socket file from a crashed daemon first,
@@ -81,7 +79,6 @@ val run : config -> int
     request budget is exhausted, or a drain signal arrives.  Returns
     the number of requests served (admitted requests exactly — crashed
     and timed-out requests count, shed connections do not).  The socket
-    file is removed and all warm sessions closed on the way out, also
-    on exception.  SIGPIPE is ignored for the daemon's lifetime: a
+    file is removed on the way out, also on exception.  SIGPIPE is ignored for the daemon's lifetime: a
     client hanging up mid-reply surfaces as a swallowed [EPIPE], never
     a dead daemon. *)

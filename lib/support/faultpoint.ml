@@ -116,33 +116,51 @@ let parse text =
   go [] entries
 
 (* ------------------------------------------------------------------ *)
-(* Armed state                                                         *)
+(* Plans: the process plan and scoped ones                             *)
 (* ------------------------------------------------------------------ *)
 
 type armed_spec = { a_spec : spec; mutable a_hits : int }
 
-let armed_flag = Atomic.make false
+(* An armed plan owns the hit counters of its entries; no entries is the
+   disarmed plan.  Counters and [p_fired] change only under [mutex]. *)
+type plan = { p_entries : armed_spec list; mutable p_fired : int }
+
+let make specs = { p_entries = List.map (fun s -> { a_spec = s; a_hits = 0 }) specs; p_fired = 0 }
+
 let mutex = Mutex.create ()
-let plan_state : armed_spec list ref = ref []
-let fired_total = ref 0
+
+(* The process plan ([--faults], [DCA_FAULTS]) and the calling domain's
+   scoped plan.  A domain sees the process plan until [with_plan] scopes
+   another one, so code that never scopes a plan behaves as with a
+   single process-wide plan. *)
+let process = Atomic.make (make [])
+let scoped_key : plan option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let current () =
+  match Domain.DLS.get scoped_key with Some p -> p | None -> Atomic.get process
+
+let with_plan p f =
+  let prev = Domain.DLS.get scoped_key in
+  Domain.DLS.set scoped_key (Some p);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set scoped_key prev) f
+
 let env_inited = ref false
 let explicitly_armed = ref false
 
-let arm plan =
+let arm specs =
   Mutex.protect mutex (fun () ->
-      plan_state := List.map (fun s -> { a_spec = s; a_hits = 0 }) plan;
-      fired_total := 0;
       explicitly_armed := true;
-      Atomic.set armed_flag (plan <> []))
+      Atomic.set process (make specs))
 
 let arm_string text =
-  match parse text with Ok plan -> arm plan | Error e -> raise (Bad_plan e)
+  match parse text with Ok specs -> arm specs | Error e -> raise (Bad_plan e)
 
 let disarm () = arm []
-let armed () = Atomic.get armed_flag
+let armed () = (current ()).p_entries <> []
 
 let reset_hits () =
-  Mutex.protect mutex (fun () -> List.iter (fun a -> a.a_hits <- 0) !plan_state)
+  let p = current () in
+  Mutex.protect mutex (fun () -> List.iter (fun a -> a.a_hits <- 0) p.p_entries)
 
 let init_from_env () =
   let run =
@@ -158,7 +176,9 @@ let init_from_env () =
     | None | Some "" -> ()
     | Some text -> arm_string text
 
-let fired () = Mutex.protect mutex (fun () -> !fired_total)
+let fired () =
+  let p = current () in
+  Mutex.protect mutex (fun () -> p.p_fired)
 
 (* ------------------------------------------------------------------ *)
 (* Sites and hits                                                      *)
@@ -192,7 +212,7 @@ let busy_wait_ms ms =
     Domain.cpu_relax ()
   done
 
-let hit_slow ctx site =
+let hit_slow p ctx site =
   let firing =
     Mutex.protect mutex (fun () ->
         List.fold_left
@@ -207,13 +227,13 @@ let hit_slow ctx site =
                 else a.a_hits = a.a_spec.sp_nth
               in
               if fires then begin
-                incr fired_total;
+                p.p_fired <- p.p_fired + 1;
                 match acc with None -> Some a.a_spec.sp_action | Some _ -> acc
               end
               else acc
             end
             else acc)
-          None !plan_state)
+          None p.p_entries)
   in
   match firing with
   | None -> Pass
@@ -224,7 +244,9 @@ let hit_slow ctx site =
       busy_wait_ms ms;
       Pass
 
-let hit ?ctx site = if not (Atomic.get armed_flag) then Pass else hit_slow ctx site
+let hit ?ctx site =
+  let p = current () in
+  match p.p_entries with [] -> Pass | _ -> hit_slow p ctx site
 
 let hit_unit ?ctx site =
   match hit ?ctx site with

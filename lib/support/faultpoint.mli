@@ -4,11 +4,10 @@
     [eval.step], [store.snapshot], [pool.task], [commutativity.replay],
     [driver.loop]) or the serve plane ([serve.worker] models a worker
     domain crash, [engine.analyze] an engine failure, [vcache.write] a
-    full or read-only cache disk) that consults a process-wide {e fault
-    plan} each time
-    execution passes through it.  A plan entry fires at the Nth hit of a
-    site — optionally filtered to one {e context} (a loop label, a
-    schedule name) — and injects one of four actions:
+    full or read-only cache disk) that consults the ambient {e fault
+    plan} each time execution passes through it.  A plan entry fires at
+    the Nth hit of a site — optionally filtered to one {e context} (a
+    loop label, a schedule name) — and injects one of four actions:
 
     - [raise]: raise {!Injected} at the site (models an analyzer bug);
     - [trap]: ask the caller to raise its domain-specific trap
@@ -18,9 +17,16 @@
     - [delay:MS]: busy-wait MS milliseconds, then continue (models a
       slow dependency; pairs with wall-clock deadline guards).
 
-    The same atomic-flag discipline as {!Telemetry} applies: with no
-    plan armed (the default) {!hit} is one atomic load plus a branch and
-    allocates nothing.
+    The ambient plan follows {!Telemetry}'s context model: it is
+    domain-local, defaults to the {e process plan} ([--faults],
+    [DCA_FAULTS], {!arm}) on every domain, and {!with_plan} scopes
+    another one for a dynamic extent — the serve daemon runs a
+    fault-carrying request under its own plan while concurrent requests
+    keep the process plan.  {!Dca_support.Pool.map} captures the
+    caller's plan and reinstalls it in whichever domain runs a task, so
+    scoping an analysis scopes its whole pool.  With an empty plan (the
+    default) {!hit} is a domain-local read plus a branch and allocates
+    nothing.
 
     {2 Determinism}
 
@@ -71,22 +77,43 @@ val parse : string -> (spec list, string) result
 val spec_to_string : spec -> string
 val plan_to_string : spec list -> string
 
-(** {1 Arming} *)
+(** {1 Plans} *)
+
+type plan
+(** An armed plan: its entries and their hit counters. *)
+
+val make : spec list -> plan
+(** A plan over [specs] with every hit counter zeroed.  [make []] never
+    fires. *)
+
+val current : unit -> plan
+(** The calling domain's ambient plan: the innermost {!with_plan} scope,
+    else the process plan. *)
+
+val with_plan : plan -> (unit -> 'a) -> 'a
+(** [with_plan p f] runs [f] with [p] as the calling domain's ambient
+    plan, restoring the previous one afterwards (also on exception).
+    Hits inside the scope count against [p] only; the process plan and
+    other domains are untouched. *)
+
+(** {1 The process plan} *)
 
 val arm : spec list -> unit
-(** Install a plan (replacing any previous one) with all hit counters
-    zeroed.  An empty list disarms. *)
+(** Install the process plan (replacing any previous one) with all hit
+    counters zeroed.  An empty list disarms. *)
 
 val arm_string : string -> unit
 (** [parse] + {!arm}; raises {!Bad_plan} on a parse error. *)
 
 val disarm : unit -> unit
+
 val armed : unit -> bool
+(** Does the ambient plan have any entries? *)
 
 val reset_hits : unit -> unit
-(** Zero every entry's hit counter without changing the plan — called
-    between programs of a batch sweep so a one-shot plan applies to each
-    program independently. *)
+(** Zero every hit counter of the ambient plan without changing it —
+    called between programs of a batch sweep so a one-shot plan applies
+    to each program independently. *)
 
 val init_from_env : unit -> unit
 (** One-shot environment wiring: the first call arms the [DCA_FAULTS]
@@ -95,7 +122,7 @@ val init_from_env : unit -> unit
     front end's [--faults] always wins. *)
 
 val fired : unit -> int
-(** Total plan-entry firings since the last {!arm}. *)
+(** Total entry firings of the ambient plan since it was made. *)
 
 (** {1 Sites} *)
 
@@ -115,11 +142,12 @@ type fire =
   | Fire_fuel  (** caller should raise its fuel-exhaustion exception *)
 
 val hit : ?ctx:string -> site -> fire
-(** Pass through the site.  Disarmed: one atomic load, returns [Pass],
-    allocates nothing.  Armed: bumps matching entries' hit counters and
-    performs the first firing action — [Raise] raises {!Injected} right
-    here, [Delay_ms] sleeps then returns [Pass], [Trap]/[Fuel] are
-    returned for the caller to map onto its own exceptions. *)
+(** Pass through the site under the ambient plan.  Empty plan: returns
+    [Pass], allocates nothing.  Otherwise: bumps matching entries' hit
+    counters and performs the first firing action — [Raise] raises
+    {!Injected} right here, [Delay_ms] sleeps then returns [Pass],
+    [Trap]/[Fuel] are returned for the caller to map onto its own
+    exceptions. *)
 
 val hit_unit : ?ctx:string -> site -> unit
 (** Like {!hit} for sites with no evaluator to interpret [trap]/[fuel]:

@@ -63,15 +63,17 @@ let map t f xs =
         let n = Array.length items in
         let results = Array.make n None in
         let remaining = ref n in
-        (* Tasks run under the submitter's telemetry context, whichever
-           domain picks them up: counters and spans land in the scope
-           that requested the work, not in the worker's own ambient.
-           Captured once per map — a drain loop stealing a task from a
-           sibling map still installs *that* map's context. *)
-        let tele = Telemetry.current () in
+        (* Tasks run under the submitter's telemetry context and fault
+           plan, whichever domain picks them up: counters and spans land
+           in the scope that requested the work, and injected faults
+           fire only in it.  Captured once per map — a drain loop
+           stealing a task from a sibling map still installs *that*
+           map's scope. *)
+        let tele = Telemetry.current () and faults = Faultpoint.current () in
         let run i () =
           let r =
-            Telemetry.with_ctx tele (fun () ->
+            Telemetry.with_ctx tele @@ fun () ->
+            Faultpoint.with_plan faults (fun () ->
                 (* span per task, on whichever domain executes it: the
                    trace's per-tid lanes show worker utilization directly *)
                 Telemetry.begin_span ~cat:"pool" "task";

@@ -26,6 +26,9 @@ let light_config =
     cc_max_invocations = 2;
   }
 
+(* Session options at [jobs] with [light_config]. *)
+let light_options jobs = Session.Options.(default |> with_jobs jobs |> with_config light_config)
+
 (* ------------------------------------------------------------------ *)
 (* Fault-plan parsing                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -131,6 +134,31 @@ let test_ctx_scoping_and_actions () =
           Alcotest.(check bool) "message is recognizable" true (FP.is_injected_message msg)
       | () -> Alcotest.fail "hit_unit must raise on a firing site")
 
+(* A scoped plan follows its Pool.map into whichever domain runs a task,
+   and only there: a concurrent map outside the scope, on the same pool,
+   never fires — even for tasks the scoped caller steals while it
+   drains. *)
+let test_scoped_plan_follows_pool () =
+  let s = FP.site "test.pool_scoped" in
+  let task _ =
+    Unix.sleepf 0.002;
+    ((match FP.hit s with FP.Pass -> false | _ -> true), Domain.self ())
+  in
+  let items = List.init 64 Fun.id in
+  Dca_support.Pool.with_pool ~jobs:2 (fun pool ->
+      let outside = Domain.spawn (fun () -> Dca_support.Pool.map pool task items) in
+      let inside =
+        FP.with_plan
+          (FP.make [ spec "test.pool_scoped" ~repeat:true FP.Trap ])
+          (fun () -> Dca_support.Pool.map pool task items)
+      in
+      let outside = Domain.join outside in
+      Alcotest.(check bool) "every scoped task fired" true (List.for_all fst inside);
+      Alcotest.(check bool) "another domain ran a scoped task" true
+        (List.exists (fun (_, d) -> d <> Domain.self ()) inside);
+      Alcotest.(check bool) "no unscoped task fired" false (List.exists fst outside);
+      Alcotest.(check bool) "the scope ended with the map" false (FP.armed ()))
+
 (* ------------------------------------------------------------------ *)
 (* Evaluator resource guards                                           *)
 (* ------------------------------------------------------------------ *)
@@ -218,8 +246,11 @@ let test_fuel_exhaustion_untestable () =
     Fun.protect
       ~finally:(fun () -> Unix.putenv "DCA_CHECKPOINT" "")
       (fun () ->
-        Session.with_session ~jobs ~config:light_config
-          ~spec:(Commutativity.make_run_spec ~fuel:2_000 [])
+        Session.with_session
+          ~options:
+            (Session.Options.with_spec
+               (Commutativity.make_run_spec ~fuel:2_000 [])
+               (light_options jobs))
           (Session.Source { file = "<fuel>"; source = long_loop_src; input = [] })
           (fun s ->
             (match Session.dca_results s with
@@ -324,7 +355,7 @@ let three_loops_src =
   |}
 
 let session_lines jobs =
-  Session.with_session ~jobs ~config:light_config
+  Session.with_session ~options:(light_options jobs)
     (Session.Source { file = "<fault>"; source = three_loops_src; input = [] })
     (fun s ->
       let report = Session.report s in
@@ -434,6 +465,7 @@ let suites =
         Alcotest.test_case "disarmed sites pass" `Quick test_disarmed_is_pass;
         Alcotest.test_case "one-shot vs repeating" `Quick test_one_shot_vs_repeat;
         Alcotest.test_case "ctx scoping and actions" `Quick test_ctx_scoping_and_actions;
+        Alcotest.test_case "scoped plan follows the pool" `Quick test_scoped_plan_follows_pool;
       ] );
     ( "fault.guards",
       [

@@ -601,6 +601,8 @@ let test_engine_corrupt_entry_recomputes () =
       let corrupt = List.assoc "cache.corrupt" (Engine.stats engine) in
       Alcotest.(check bool) "corruption detected" true (corrupt > 0))
 
+let is_aborted li = has_prefix "aborted" li.Protocol.li_decision
+
 (* A fault-carrying request aborts its own loops, bypasses the cache both
    ways, and leaves the daemon and the cache clean for the next request. *)
 let test_engine_fault_request_contained () =
@@ -614,9 +616,6 @@ let test_engine_fault_request_contained () =
           (analyze_rq ~no_static:true ~faults:"commutativity.replay@1=raise" (two_funcs 2))
       in
       Alcotest.(check int) "fault request skips the cache" 0 faulty.Protocol.rp_hits;
-      let is_aborted li =
-        String.length li.Protocol.li_decision >= 7 && String.sub li.Protocol.li_decision 0 7 = "aborted"
-      in
       Alcotest.(check bool) "a loop aborted" true (List.exists is_aborted faulty.Protocol.rp_loops);
       let after = handle_ok engine (analyze_rq ~no_static:true (two_funcs 2)) in
       Alcotest.(check int) "cache not poisoned" 2 after.Protocol.rp_hits;
@@ -680,6 +679,74 @@ let test_engine_analyze_crash_is_a_reply () =
       let after = handle_ok engine (analyze_rq (two_funcs 2)) in
       Alcotest.(check int) "next request computes cleanly" 2
         (after.Protocol.rp_hits + after.Protocol.rp_misses))
+
+(* An aborted verdict says nothing about the loop, so it is never
+   stored: after the daemon's own plan aborts a loop, the next clean
+   request recomputes it and replies exactly what a clean cold run
+   does. *)
+let test_engine_aborts_never_cached () =
+  let rq = analyze_rq ~jobs:1 (two_funcs 2) in
+  let clean =
+    let engine = Engine.create () in
+    Fun.protect
+      ~finally:(fun () -> Engine.close engine)
+      (fun () -> report_of (handle_ok engine rq))
+  in
+  let engine = Engine.create () in
+  Fun.protect
+    ~finally:(fun () -> Engine.close engine)
+    (fun () ->
+      Faultpoint.arm_string "driver.loop@1=raise";
+      let faulted = Fun.protect ~finally:Faultpoint.disarm (fun () -> handle_ok engine rq) in
+      Alcotest.(check bool) "the daemon plan aborted a loop" true
+        (List.exists is_aborted faulted.Protocol.rp_loops);
+      let after = handle_ok engine rq in
+      Alcotest.(check int) "the aborted loop was recomputed" 1 after.Protocol.rp_misses;
+      Alcotest.(check bool) "no aborted verdict served" false
+        (List.exists is_aborted after.Protocol.rp_loops);
+      Alcotest.(check string) "identical to a clean cold report" clean (report_of after))
+
+(* A request's plan is scoped to that request: the daemon's own plan
+   keeps counting across a fault-carrying request, so its second
+   [engine.analyze] hit fires on the second clean request. *)
+let test_engine_request_plan_leaves_daemon_plan () =
+  let engine = Engine.create () in
+  Faultpoint.arm_string "engine.analyze@2=raise";
+  Fun.protect
+    ~finally:(fun () ->
+      Faultpoint.disarm ();
+      Engine.close engine)
+    (fun () ->
+      ignore (handle_ok engine (analyze_rq (two_funcs 2)));
+      ignore (handle_ok engine (analyze_rq ~faults:"commutativity.replay@1=raise" (two_funcs 2)));
+      let rp = Engine.handle engine (analyze_rq (two_funcs 2)) in
+      Alcotest.(check (option string)) "the daemon plan fired on its second hit"
+        (Some "crash: injected fault at engine.analyze") rp.Protocol.rp_error)
+
+(* Fault-carrying requests do not exclude others: a clean request
+   completes while a faulted one is parked in its injected delay. *)
+let test_engine_fault_request_runs_concurrently () =
+  let engine = Engine.create () in
+  Fun.protect
+    ~finally:(fun () -> Engine.close engine)
+    (fun () ->
+      let parked_done = Atomic.make false in
+      let parked =
+        Domain.spawn (fun () ->
+            let rp =
+              Engine.handle engine
+                (analyze_rq ~jobs:1 ~faults:"engine.analyze@1=delay:2000" (two_funcs 2))
+            in
+            Atomic.set parked_done true;
+            rp)
+      in
+      Unix.sleepf 0.2 (* the faulted request is now inside its delay *);
+      let clean = handle_ok engine (analyze_rq ~jobs:1 (two_funcs 2)) in
+      Alcotest.(check bool) "clean request done while the faulted one is parked" false
+        (Atomic.get parked_done);
+      Alcotest.(check int) "clean request analyzed every loop" 2
+        (clean.Protocol.rp_hits + clean.Protocol.rp_misses);
+      Alcotest.(check bool) "the parked request completes" true (Protocol.ok (Domain.join parked)))
 
 (* The serve-plane fault sites exist under their documented names — a
    fault plan naming them is exercising real code, not a typo. *)
@@ -1241,29 +1308,14 @@ let test_client_retry_waits_for_daemon () =
 (* Session.Options                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_options_setters_and_signature () =
+let test_options_setters () =
   let open Session.Options in
   let o = default |> with_jobs 4 |> with_hierarchical true |> with_deadline_ms 250 in
   Alcotest.(check bool) "jobs set" true (o.jobs = Some 4);
   Alcotest.(check bool) "hierarchical set" true o.hierarchical;
-  Alcotest.(check string) "signature is deterministic" (signature o) (signature o);
-  Alcotest.(check bool) "signature separates options" true
-    (signature o <> signature default);
-  Alcotest.(check bool) "equal options, equal signatures" true
-    (signature (default |> with_jobs 4) = signature (default |> with_jobs 4))
-
-(* The deprecated per-field arguments still work and win over the
-   corresponding options field — embedders migrate at their own pace. *)
-let test_options_legacy_override () =
-  let bm = Dca_progs.Registry.find_exn "DC" in
-  let s = Session.create ~options:Session.Options.(default |> with_jobs 2) ~jobs:1 (Session.Benchmark bm) in
-  Alcotest.(check int) "legacy ~jobs wins" 1 (Session.jobs s);
-  Alcotest.(check bool) "resolved options reflect the override" true
-    ((Session.options s).Session.Options.jobs = Some 1);
-  Session.close s;
-  let s2 = Session.create ~options:Session.Options.(default |> with_jobs 2) (Session.Benchmark bm) in
-  Alcotest.(check int) "options field used when no legacy arg" 2 (Session.jobs s2);
-  Session.close s2
+  Alcotest.(check bool) "deadline set" true (o.deadline_ms = Some 250);
+  Alcotest.(check bool) "others keep their defaults" true
+    (o.config = None && o.spec = None && o.heap_words = None && o.static)
 
 (* Per-session telemetry: a session's delta covers its own work only;
    the global snapshot keeps accumulating across sessions. *)
@@ -1287,7 +1339,9 @@ let test_options_telemetry_delta () =
           let second = Session.telemetry s in
           Alcotest.(check int) "second session sees only its own work" golden1
             (List.assoc "dca.golden_runs" second);
-          let global = List.assoc "dca.golden_runs" (Session.telemetry_global s) in
+          let global =
+            List.assoc "dca.golden_runs" (Telemetry.Ctx.counters Telemetry.Ctx.global)
+          in
           Alcotest.(check bool) "global snapshot accumulates" true (global >= 2 * golden1)))
 
 let suites =
@@ -1337,6 +1391,11 @@ let suites =
         Alcotest.test_case "degraded cache still serves" `Quick
           test_engine_degraded_cache_still_serves;
         Alcotest.test_case "analyze crash is a reply" `Quick test_engine_analyze_crash_is_a_reply;
+        Alcotest.test_case "aborts never cached" `Quick test_engine_aborts_never_cached;
+        Alcotest.test_case "request plan leaves the daemon plan" `Quick
+          test_engine_request_plan_leaves_daemon_plan;
+        Alcotest.test_case "fault request runs concurrently" `Quick
+          test_engine_fault_request_runs_concurrently;
         Alcotest.test_case "serve fault sites registered" `Quick test_fault_sites_registered;
       ] );
     ( "serve.server",
@@ -1362,8 +1421,7 @@ let suites =
       ] );
     ( "serve.options",
       [
-        Alcotest.test_case "setters and signature" `Quick test_options_setters_and_signature;
-        Alcotest.test_case "legacy arguments override" `Quick test_options_legacy_override;
+        Alcotest.test_case "setters" `Quick test_options_setters;
         Alcotest.test_case "per-session telemetry delta" `Quick test_options_telemetry_delta;
       ] );
   ]

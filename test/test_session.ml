@@ -26,6 +26,9 @@ let light_config =
     cc_max_invocations = 2;
   }
 
+(* Session options at [jobs] with [light_config]. *)
+let light_options jobs = Session.Options.(default |> with_jobs jobs |> with_config light_config)
+
 let decision_key (r : Driver.loop_result) =
   (r.Driver.lr_label, Driver.decision_to_string r.Driver.lr_decision)
 
@@ -141,7 +144,7 @@ let prop_session_memoizes =
     QCheck.(pair (int_range 1 4) (list_of_size (Gen.int_range 1 6) (int_range 0 4)))
     (fun (jobs, accesses) ->
       let bm = Dca_progs.Registry.find_exn "DC" in
-      Session.with_session ~jobs ~config:light_config (Session.Benchmark bm) (fun s ->
+      Session.with_session ~options:(light_options jobs) (Session.Benchmark bm) (fun s ->
           let stage_eq i =
             match i with
             | 0 -> Session.ir s == Session.ir s
@@ -155,7 +158,7 @@ let prop_session_memoizes =
 
 (* Session.load resolves benchmarks by name and rejects unknown programs. *)
 let test_session_load () =
-  (match Session.load ~jobs:1 "DC" with
+  (match Session.load ~options:Session.Options.(default |> with_jobs 1) "DC" with
   | Ok s ->
       Alcotest.(check string) "benchmark name" "DC" (Session.name s);
       Alcotest.(check int) "jobs" 1 (Session.jobs s);
@@ -168,7 +171,7 @@ let test_session_load () =
 (* close is idempotent and leaves memoized stages readable. *)
 let test_session_close () =
   let bm = Dca_progs.Registry.find_exn "DC" in
-  let s = Session.create ~jobs:4 ~config:light_config (Session.Benchmark bm) in
+  let s = Session.create ~options:(light_options 4) (Session.Benchmark bm) in
   let results = Session.dca_results s in
   Session.close s;
   Session.close s;
@@ -177,7 +180,7 @@ let test_session_close () =
 (* Explicit machine/strategy plans are not cached; the default plan is. *)
 let test_plan_memoization () =
   let bm = Dca_progs.Registry.find_exn "DC" in
-  Session.with_session ~jobs:1 ~config:light_config (Session.Benchmark bm) (fun s ->
+  Session.with_session ~options:(light_options 1) (Session.Benchmark bm) (fun s ->
       let p1 = Session.plan s in
       Alcotest.(check bool) "default plan memoized" true (Session.plan s == p1);
       let m = Dca_parallel.Machine.with_workers Dca_parallel.Machine.default 4 in

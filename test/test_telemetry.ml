@@ -24,6 +24,9 @@ let light_config =
     cc_max_invocations = 2;
   }
 
+(* Session options at [jobs] with [light_config]. *)
+let light_options jobs = Session.Options.(default |> with_jobs jobs |> with_config light_config)
+
 (* ------------------------------------------------------------------ *)
 (* Clock and counter primitives                                        *)
 (* ------------------------------------------------------------------ *)
@@ -105,7 +108,7 @@ let work_snapshot ?checkpoint bm jobs =
     (fun () ->
       T.reset ();
       T.set_counting true;
-      Session.with_session ~jobs ~config:light_config (Session.Benchmark bm) (fun s ->
+      Session.with_session ~options:(light_options jobs) (Session.Benchmark bm) (fun s ->
           ignore (Session.dca_results s));
       T.counters ~kind:T.Work ())
 
@@ -141,7 +144,7 @@ let test_fault_counters_jobs_invariant () =
   let bm = Dca_progs.Registry.find_exn "DC" in
   (* discover a victim label from a fault-free sequential run *)
   let victim =
-    Session.with_session ~jobs:1 ~config:light_config (Session.Benchmark bm) (fun s ->
+    Session.with_session ~options:(light_options 1) (Session.Benchmark bm) (fun s ->
         match
           List.filter_map
             (fun (r : Dca_core.Driver.loop_result) ->
@@ -293,7 +296,7 @@ let with_tracing f =
 let test_analysis_trace_balanced () =
   with_tracing (fun () ->
       let bm = Dca_progs.Registry.find_exn "DC" in
-      Session.with_session ~jobs:2 ~config:light_config (Session.Benchmark bm) (fun s ->
+      Session.with_session ~options:(light_options 2) (Session.Benchmark bm) (fun s ->
           ignore (Session.dca_results s));
       let evs = T.events () in
       Alcotest.(check bool) "analysis recorded events" true (evs <> []);
