@@ -80,21 +80,12 @@ let with_session ?(options = Session.Options.default) common prog f =
         (fun () ->
           match f s with
           | () -> 0
-          | exception Dca_frontend.Loc.Error (loc, msg) ->
-              Printf.eprintf "dca: %s: %s\n" (Dca_frontend.Loc.to_string loc) msg;
-              1
-          | exception Dca_interp.Eval.Trap msg ->
-              Printf.eprintf "dca: runtime trap: %s\n" msg;
-              1
-          | exception Dca_interp.Eval.Out_of_fuel ->
-              Printf.eprintf "dca: execution exceeded the fuel bound\n";
-              1
-          | exception Dca_interp.Eval.Deadline_exceeded ->
-              Printf.eprintf "dca: execution exceeded the wall-clock deadline\n";
-              1
-          | exception Dca_interp.Eval.Heap_exhausted ->
-              Printf.eprintf "dca: execution exceeded the heap budget\n";
-              1)
+          | exception e -> (
+              match Session.failure_message e with
+              | Some msg ->
+                  Printf.eprintf "dca: %s\n" msg;
+                  1
+              | None -> Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ())))
 
 let prog_arg =
   let doc = "Program: a .mc source file or a built-in benchmark name (see $(b,dca list))." in
@@ -456,14 +447,10 @@ let batch_cmd =
                               count Driver.is_commutative,
                               aborted,
                               contained )
-                      | exception Dca_frontend.Loc.Error (loc, msg) ->
-                          `Error (Dca_frontend.Loc.to_string loc ^ ": " ^ msg)
-                      | exception Dca_interp.Eval.Trap msg -> `Error ("runtime trap: " ^ msg)
-                      | exception Dca_interp.Eval.Out_of_fuel -> `Error "fuel bound exceeded"
-                      | exception Dca_interp.Eval.Deadline_exceeded ->
-                          `Error "wall-clock deadline exceeded"
-                      | exception Dca_interp.Eval.Heap_exhausted -> `Error "heap budget exhausted"
-                      | exception e -> `Crash (Printexc.to_string e)))
+                      | exception e -> (
+                          match Session.failure_message e with
+                          | Some msg -> `Error msg
+                          | None -> `Crash (Printexc.to_string e))))
             in
             Printf.printf "%-36s %6s %6s %6s  %s\n" "program" "loops" "comm" "abrt" "status";
             let ok = ref 0 and errors = ref 0 and crashed = ref 0 in
@@ -872,7 +859,7 @@ let client_cmd =
                    | None ->
                        Printf.eprintf "dca client: --metrics needs a stats reply (op was %s)\n" op
                  else begin
-                   List.iter (fun (k, v) -> Printf.printf "%-24s %d\n" k v) rp.rp_counters;
+                   List.iter (fun (k, v) -> Printf.printf "%-32s %d\n" k v) rp.rp_counters;
                    (* latency summary straight from the histogram buckets *)
                    match Option.map Dca_serve.Metrics.snapshot_of_json rp.rp_metrics with
                    | Some (Ok snap) -> (
@@ -880,9 +867,9 @@ let client_cmd =
                          List.assoc_opt "dca_request_duration_seconds"
                            snap.Dca_serve.Metrics.sn_hists
                        with
-                       | Some h when h.Dca_serve.Metrics.hs_count > 0 ->
+                       | Some h when h.Telemetry.hs_count > 0 ->
                            let q p = Dca_serve.Metrics.quantile h p *. 1000. in
-                           Printf.printf "%-24s p50=%.1f p90=%.1f p99=%.1f\n" "latency(ms)"
+                           Printf.printf "%-32s p50=%.1f p90=%.1f p99=%.1f\n" "latency(ms)"
                              (q 0.5) (q 0.9) (q 0.99)
                        | _ -> ())
                    | _ -> ()

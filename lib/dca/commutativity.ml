@@ -48,6 +48,7 @@ type run_spec = {
   rs_fuel : int;
   rs_deadline_ns : int option;
   rs_heap_words : int option;
+  rs_checkpoint : Store.checkpoint_mode;
 }
 
 (* The single fuel default shared by every entry point (Session used to
@@ -56,8 +57,17 @@ type run_spec = {
    they came in through). *)
 let default_fuel = 200_000_000
 
-let make_run_spec ?(fuel = default_fuel) ?deadline_ns ?heap_words input =
-  { rs_input = input; rs_fuel = fuel; rs_deadline_ns = deadline_ns; rs_heap_words = heap_words }
+(* DCA_CHECKPOINT=deep selects the deep-copy oracle store; it is read
+   here, where a spec is made, not per store. *)
+let make_run_spec ?(fuel = default_fuel) ?deadline_ns ?heap_words ?checkpoint input =
+  let checkpoint =
+    match (checkpoint, Sys.getenv_opt "DCA_CHECKPOINT") with
+    | Some m, _ -> m
+    | None, Some "deep" -> Store.Deep
+    | None, _ -> Store.Journal
+  in
+  { rs_input = input; rs_fuel = fuel; rs_deadline_ns = deadline_ns; rs_heap_words = heap_words;
+    rs_checkpoint = checkpoint }
 
 let default_run_spec = make_run_spec []
 
@@ -66,7 +76,7 @@ let default_run_spec = make_run_spec []
    invocation's golden run and all its replays share a single budget. *)
 let context_of_spec spec prog =
   Eval.create ~fuel:spec.rs_fuel ?deadline_ns:spec.rs_deadline_ns ?heap_words:spec.rs_heap_words
-    ~input:spec.rs_input prog
+    ~checkpoint:spec.rs_checkpoint ~input:spec.rs_input prog
 
 exception Replay_mismatch of string
 

@@ -85,15 +85,23 @@ type run_spec = {
   rs_fuel : int;  (** instruction budget per evaluator *)
   rs_deadline_ns : int option;  (** wall-clock budget per evaluator; [None] = unlimited *)
   rs_heap_words : int option;  (** major-heap growth budget; [None] = unlimited *)
+  rs_checkpoint : Dca_interp.Store.checkpoint_mode;
+      (** checkpointing strategy of every evaluator the dynamic stage
+          builds from this spec; verdicts and work counters are
+          identical under both *)
 }
 
 val default_fuel : int
 (** 200 million instructions — the one fuel default shared by every
     entry point ({!default_run_spec}, [Session]). *)
 
-val make_run_spec : ?fuel:int -> ?deadline_ns:int -> ?heap_words:int -> int list -> run_spec
+val make_run_spec :
+  ?fuel:int -> ?deadline_ns:int -> ?heap_words:int -> ?checkpoint:Dca_interp.Store.checkpoint_mode ->
+  int list -> run_spec
 (** [make_run_spec input] with all resource bounds defaulted —
-    prefer this over record literals so new bounds don't ripple. *)
+    prefer this over record literals so new bounds don't ripple.
+    [checkpoint] defaults to [Deep] if the [DCA_CHECKPOINT] environment
+    variable is ["deep"] when the spec is made, else [Journal]. *)
 
 val default_run_spec : run_spec
 

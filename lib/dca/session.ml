@@ -261,3 +261,11 @@ let close t =
 let with_session ?options origin f =
   let t = create ?options origin in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
+
+let failure_message = function
+  | Dca_frontend.Loc.Error (loc, msg) -> Some (Dca_frontend.Loc.to_string loc ^ ": " ^ msg)
+  | Dca_interp.Eval.Trap msg -> Some ("runtime trap: " ^ msg)
+  | Dca_interp.Eval.Out_of_fuel -> Some "execution exceeded the fuel bound"
+  | Dca_interp.Eval.Deadline_exceeded -> Some "execution exceeded the wall-clock deadline"
+  | Dca_interp.Eval.Heap_exhausted -> Some "execution exceeded the heap budget"
+  | _ -> None

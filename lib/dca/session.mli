@@ -189,3 +189,10 @@ val close : t -> unit
 val with_session : ?options:Options.t -> origin -> (t -> 'a) -> 'a
 (** [create], run, then {!close} (also on exception).  Options as in
     {!create}. *)
+
+val failure_message : exn -> string option
+(** The message for an analysis's standard failure modes — a located
+    frontend error, a runtime trap, and exhausted fuel, wall-clock
+    deadline or heap budget — in the one wording every front end uses
+    ([dca analyze], [dca batch], serve error replies); [None] for any
+    other exception. *)

@@ -80,16 +80,13 @@ type result = { r_report : string; r_violations : violation list }
 (* DCA under explicit jobs / checkpoint-mode settings                  *)
 (* ------------------------------------------------------------------ *)
 
-let with_checkpoint mode f =
-  let prev = Sys.getenv_opt "DCA_CHECKPOINT" in
-  Unix.putenv "DCA_CHECKPOINT" mode;
-  Fun.protect ~finally:(fun () -> Unix.putenv "DCA_CHECKPOINT" (Option.value prev ~default:"")) f
-
 (* One full DCA session over [source]; returns the report and the
-   decision of the loop whose header sits on [line] of main. *)
-let dca_run ?(static = true) ~jobs ~line source =
+   decision of the loop whose header sits on [line] of main.
+   [checkpoint] overrides the dynamic stage's store mode. *)
+let dca_run ?(static = true) ?checkpoint ~jobs ~line source =
+  let spec = Dca_core.Commutativity.make_run_spec ?checkpoint [] in
   Session.with_session
-    ~options:Session.Options.(default |> with_jobs jobs |> with_static static)
+    ~options:Session.Options.(default |> with_jobs jobs |> with_static static |> with_spec spec)
     (Session.Source { file = "<fuzz>"; source; input = [] })
     (fun s ->
       let results = Session.dca_results s in
@@ -377,8 +374,7 @@ let check_source ?(eps = 1e-6) ?(jobs = 1) ?(metamorphic = true) ?(fault_mode = 
                     if jobs = 4 then report1 else fst (dca_run ~jobs:4 ~line:spec.Oracle.sp_line source)
                   in
                   let rep_deep =
-                    with_checkpoint "deep" (fun () ->
-                        fst (dca_run ~jobs:1 ~line:spec.Oracle.sp_line source))
+                    fst (dca_run ~checkpoint:Dca_interp.Store.Deep ~jobs:1 ~line:spec.Oracle.sp_line source)
                   in
                   (if rep_j1 <> rep_j4 then [ vio Jobs_report_divergence "" ] else [])
                   @ (if rep_j1 <> rep_deep then [ vio Checkpoint_report_divergence "" ] else [])
@@ -453,8 +449,7 @@ let still_fails ~eps ~kind (p : Ast.program) =
                 <> fst (dca_run ~jobs:4 ~line:spec.Oracle.sp_line src)
             | Checkpoint_report_divergence ->
                 fst (dca_run ~jobs:1 ~line:spec.Oracle.sp_line src)
-                <> with_checkpoint "deep" (fun () ->
-                       fst (dca_run ~jobs:1 ~line:spec.Oracle.sp_line src))
+                <> fst (dca_run ~checkpoint:Dca_interp.Store.Deep ~jobs:1 ~line:spec.Oracle.sp_line src)
             | Roundtrip_drift | Generator_invalid -> false))
   with
   | r -> r

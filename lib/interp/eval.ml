@@ -184,10 +184,10 @@ let decoded_funcs prog =
             (prog, funcs) :: List.filteri (fun k _ -> k < decode_cache_limit - 1) !decode_cache;
           funcs)
 
-let create ?(fuel = default_fuel) ?deadline_ns ?heap_words ?(input = []) prog =
+let create ?(fuel = default_fuel) ?deadline_ns ?heap_words ?checkpoint ?(input = []) prog =
   {
     prog;
-    st = Store.create prog ~input;
+    st = Store.create ?mode:checkpoint prog ~input;
     funcs = decoded_funcs prog;
     sink = None;
     nsteps = 0;

@@ -52,13 +52,15 @@ val guard_interval : int
     overshoot by at most one interval. *)
 
 val create :
-  ?fuel:int -> ?deadline_ns:int -> ?heap_words:int -> ?input:int list -> Dca_ir.Ir.program -> ctx
+  ?fuel:int -> ?deadline_ns:int -> ?heap_words:int -> ?checkpoint:Store.checkpoint_mode ->
+  ?input:int list -> Dca_ir.Ir.program -> ctx
 (** Default fuel: 200 million instructions.  [deadline_ns] is a relative
     wall-clock budget converted to an absolute monotonic deadline at
     creation; [heap_words] bounds major-heap growth over the heap size
     at creation.  Both are inherited by {!fork} (absolute, so every
     replica of an invocation shares the same deadline) and default to
-    unlimited. *)
+    unlimited.  [checkpoint] is the store's checkpointing strategy
+    ({!Store.create}; default [Journal]), also inherited by {!fork}. *)
 
 val fork : ctx -> ctx
 (** A private replica of the context at its current state: the store is

@@ -8,12 +8,6 @@ open Value
 
 type checkpoint_mode = Journal | Deep
 
-(* A function, not a value: re-reading the environment per store lets a
-   test (or a long-lived host) flip DCA_CHECKPOINT with [putenv] and have
-   the next store honor it. *)
-let default_mode () =
-  match Sys.getenv_opt "DCA_CHECKPOINT" with Some "deep" -> Deep | _ -> Journal
-
 (* An undo-journal entry, recorded by the write barrier on the first
    mutation of a block (or global slot) in the current generation.  A
    [Jblock] entry owns the cells array it references: the barrier installs
@@ -143,8 +137,7 @@ let alloc t kinds ~count =
   let cells = Array.init (count * m) (fun i -> zero_of_kind kinds.(i mod m)) in
   alloc_raw t cells
 
-let create ?mode (p : Ir.program) ~input =
-  let mode = match mode with Some m -> m | None -> default_mode () in
+let create ?(mode = Journal) (p : Ir.program) ~input =
   let t =
     {
       blocks = Array.make initial_capacity [||];

@@ -17,7 +17,8 @@
       O(heap).  {!copy} is copy-on-write: the replica shares every cells
       array with the parent and per-block generation stamps make either
       side privatize a block before its first write.
-    - [Deep] (the oracle, selected by [DCA_CHECKPOINT=deep]): snapshot,
+    - [Deep] (the oracle; the dynamic stage selects it with
+      [DCA_CHECKPOINT=deep], read when its run spec is made): snapshot,
       restore and copy duplicate the whole heap eagerly — the seed
       implementation, kept as the differential-testing reference.
 
@@ -48,15 +49,10 @@ type snapshot
 
 type checkpoint_mode = Journal | Deep
 
-val default_mode : unit -> checkpoint_mode
-(** [Journal], unless the [DCA_CHECKPOINT] environment variable is set to
-    ["deep"].  Reads the environment on every call, so a [putenv] between
-    store creations takes effect. *)
-
 val create : ?mode:checkpoint_mode -> Dca_ir.Ir.program -> input:int list -> t
 (** Fresh state with globals zero-initialized (or set to their constant
     initializers) and aggregate globals backed by fresh heap blocks.
-    [mode] defaults to {!default_mode}. *)
+    [mode] defaults to [Journal]. *)
 
 val alloc : t -> Dca_ir.Layout.cellkind array -> count:int -> int
 (** Allocate a block of [count] repetitions of the kind pattern, zero

@@ -24,8 +24,10 @@
    [handle] may be called from many worker domains at once.  A verdict
    depends only on the loop's code, inputs and configuration, so the
    only state requests share is the content-addressed cache (which
-   serializes internally) and a few atomic counters; two scopes keep
-   concurrent requests apart:
+   serializes internally), the request-id source, and the daemon's
+   telemetry context, where every service fact is counted (the
+   descriptors below, plus the cache's and the transport's); two scopes
+   keep concurrent requests apart:
 
      - *Telemetry contexts.*  Each analyze request runs under its own
        Telemetry.Ctx (installed with [with_ctx], propagated into the
@@ -58,50 +60,35 @@ module Telemetry = Dca_support.Telemetry
    exists, and must become an error *reply*, never a dead daemon. *)
 let fp_analyze = Faultpoint.site "engine.analyze"
 
+(* The engine's service facts, added into the daemon's context whether
+   or not it is counting. *)
+let counter ?gauge name = Telemetry.counter ~kind:Telemetry.Diag ?gauge name
+let c_requests = counter "dca_requests_total"
+let c_errors = counter "dca_requests_errors_total"
+let c_analyze = counter "dca_analyze_requests_total"
+let c_hits = counter "dca_cache_hits_total"
+let c_misses = counter "dca_cache_misses_total"
+let g_inflight = counter ~gauge:true "dca_inflight_requests"
+let h_duration = Telemetry.histogram "dca_request_duration_seconds"
+
 type t = {
   cache : Vcache.t;
-  metrics : Metrics.t;
-  tele : Telemetry.Ctx.t;  (* the daemon's aggregate context (ambient at create) *)
+  tele : Telemetry.Ctx.t;  (* the daemon's context (ambient at create) *)
   default_jobs : int option;
-  requests : int Atomic.t;  (* also the last server-assigned request id *)
-  aborted_requests : int Atomic.t;
+  requests : int Atomic.t;  (* the source of server-assigned request ids *)
 }
 
-let metric_names =
-  ( [
-      "dca_requests_total";
-      "dca_requests_errors_total";
-      "dca_analyze_requests_total";
-      "dca_cache_hits_total";
-      "dca_cache_misses_total";
-      "dca_requests_shed_total";
-      "dca_requests_timeout_total";
-      "dca_worker_restarts_total";
-      "dca_cache_degraded_total";
-      "dca_slow_requests_total";
-    ],
-    [ "dca_inflight_requests"; "dca_queue_depth" ],
-    [ "dca_request_duration_seconds" ] )
-
 let create ?cache_dir ?cache_capacity ?jobs () =
-  let counters, gauges, histograms = metric_names in
-  let metrics = Metrics.create ~counters ~gauges ~histograms () in
   let on_degrade msg =
     (* log-once is guaranteed by the Vcache latch *)
-    Metrics.incr metrics "dca_cache_degraded_total";
     Printf.eprintf "dca serve: disk cache write failed (%s); continuing memory-only\n%!" msg
   in
   {
     cache = Vcache.create ?dir:cache_dir ?capacity:cache_capacity ~on_degrade ();
-    metrics;
     tele = Telemetry.current ();
     default_jobs = jobs;
     requests = Atomic.make 0;
-    aborted_requests = Atomic.make 0;
   }
-
-let cache t = t.cache
-let metrics t = t.metrics
 
 let close (_ : t) = ()
 
@@ -254,22 +241,6 @@ let analyze_with_cache t s (rq : Protocol.request) =
 (* Request dispatch                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let stats t =
-  let c = Vcache.stats t.cache in
-  [
-    ("serve.requests", Atomic.get t.requests);
-    ("serve.aborted_requests", Atomic.get t.aborted_requests);
-    ("cache.mem_entries", Vcache.size t.cache);
-    ("cache.mem_hits", c.Vcache.st_mem_hits);
-    ("cache.disk_hits", c.Vcache.st_disk_hits);
-    ("cache.misses", c.Vcache.st_misses);
-    ("cache.stores", c.Vcache.st_stores);
-    ("cache.corrupt", c.Vcache.st_corrupt);
-    ("cache.evictions", c.Vcache.st_evictions);
-    ("cache.write_errors", c.Vcache.st_write_errors);
-    ("cache.degraded", if Vcache.degraded t.cache then 1 else 0);
-  ]
-
 (* Per-request fault containment: a request's fault plan is installed
    for exactly that request's scope; whatever escapes every inner
    containment layer (loop-level Aborted verdicts absorb most injected
@@ -296,63 +267,67 @@ let run_analyze t (rq : Protocol.request) =
   with
   | Faultpoint.Injected msg -> Error ("crash: " ^ msg)
   | Faultpoint.Bad_plan msg -> Error ("invalid fault plan: " ^ msg)
-  | Dca_frontend.Loc.Error (loc, msg) -> Error (Dca_frontend.Loc.to_string loc ^ ": " ^ msg)
-  | Dca_interp.Eval.Trap msg -> Error ("runtime trap: " ^ msg)
-  | Dca_interp.Eval.Out_of_fuel -> Error "execution exceeded the fuel bound"
-  | Dca_interp.Eval.Deadline_exceeded -> Error "execution exceeded the wall-clock deadline"
-  | Dca_interp.Eval.Heap_exhausted -> Error "execution exceeded the heap budget"
-  | e -> Error ("internal error: " ^ Printexc.to_string e)
+  | e -> (
+      match Session.failure_message e with
+      | Some msg -> Error msg
+      | None -> Error ("internal error: " ^ Printexc.to_string e))
+
+(* Every reply goes through here: it draws the server request id, counts
+   the request (and its failure), keeps the in-flight gauge, and records
+   the latency.  A [stats] reply is read after that bookkeeping, so it
+   describes the daemon with this request complete. *)
+let respond t ~stats f =
+  let req = 1 + Atomic.fetch_and_add t.requests 1 in
+  Telemetry.Ctx.add t.tele c_requests 1;
+  Telemetry.Ctx.add t.tele g_inflight 1;
+  let t0 = Telemetry.now_ns () in
+  let rp = f () in
+  let elapsed = Telemetry.now_ns () - t0 in
+  Telemetry.Ctx.observe t.tele h_duration elapsed;
+  if not (Protocol.ok rp) then Telemetry.Ctx.add t.tele c_errors 1;
+  Telemetry.Ctx.add t.tele g_inflight (-1);
+  let rp = { rp with Protocol.rp_req = req; rp_elapsed_ns = elapsed } in
+  if not stats then rp
+  else
+    let snap = Metrics.snapshot t.tele in
+    {
+      rp with
+      Protocol.rp_counters = List.sort compare (snap.Metrics.sn_counters @ snap.Metrics.sn_gauges);
+      rp_metrics = Some (Metrics.snapshot_to_json snap);
+    }
+
+let reject t msg =
+  respond t ~stats:false (fun () -> Protocol.error_response ~id:0 ("bad request: " ^ msg))
 
 let handle t (rq : Protocol.request) =
-  let req = 1 + Atomic.fetch_and_add t.requests 1 in
-  Metrics.incr t.metrics "dca_requests_total";
-  Metrics.gauge_add t.metrics "dca_inflight_requests" 1;
   let id = rq.Protocol.rq_id in
-  let t0 = Telemetry.now_ns () in
-  let finish rp =
-    let elapsed = Telemetry.now_ns () - t0 in
-    Metrics.observe_ns t.metrics "dca_request_duration_seconds" elapsed;
-    if not (Protocol.ok rp) then Metrics.incr t.metrics "dca_requests_errors_total";
-    Metrics.gauge_add t.metrics "dca_inflight_requests" (-1);
-    { rp with Protocol.rp_req = req; rp_elapsed_ns = elapsed }
-  in
-  match rq.Protocol.rq_op with
-  | Protocol.Ping -> finish (Protocol.ok_response ~id)
-  | Protocol.Stats ->
-      finish
-        {
-          (Protocol.ok_response ~id) with
-          Protocol.rp_counters = stats t;
-          rp_metrics = Some (Metrics.snapshot_to_json (Metrics.snapshot t.metrics));
-        }
-  | Protocol.Shutdown -> finish (Protocol.ok_response ~id)
-  | Protocol.Analyze -> (
-      Metrics.incr t.metrics "dca_analyze_requests_total";
-      (* Per-request attribution: the analysis runs under its own
-         context (mirroring the daemon's counting flag) and is folded
-         into the daemon context afterwards, so concurrent requests
-         never contaminate each other and the aggregate equals a serial
-         daemon's.  Under tracing the daemon context is used directly —
-         event streams must stay chronological per domain, and a trace
-         is a whole-daemon artifact. *)
-      let rctx =
-        if Telemetry.Ctx.tracing t.tele then t.tele
-        else Telemetry.Ctx.create ~counting:(Telemetry.Ctx.counting t.tele) ()
-      in
-      let result = Telemetry.with_ctx rctx (fun () -> run_analyze t rq) in
-      if rctx != t.tele then Telemetry.Ctx.merge_into ~into:t.tele rctx;
-      match result with
-      | Ok eo ->
-          Metrics.add t.metrics "dca_cache_hits_total" eo.eo_hits;
-          Metrics.add t.metrics "dca_cache_misses_total" eo.eo_misses;
-          finish
-            {
-              (Protocol.ok_response ~id) with
-              Protocol.rp_report = Some eo.eo_report;
-              rp_loops = eo.eo_loops;
-              rp_hits = eo.eo_hits;
-              rp_misses = eo.eo_misses;
-            }
-      | Error msg ->
-          Atomic.incr t.aborted_requests;
-          finish (Protocol.error_response ~id msg))
+  respond t ~stats:(rq.Protocol.rq_op = Protocol.Stats) (fun () ->
+      match rq.Protocol.rq_op with
+      | Protocol.Ping | Protocol.Stats | Protocol.Shutdown -> Protocol.ok_response ~id
+      | Protocol.Analyze -> (
+          Telemetry.Ctx.add t.tele c_analyze 1;
+          (* Per-request attribution: the analysis runs under its own
+             context (mirroring the daemon's counting flag) and is folded
+             into the daemon context afterwards, so concurrent requests
+             never contaminate each other and the aggregate equals a
+             serial daemon's.  Under tracing the daemon context is used
+             directly — event streams must stay chronological per
+             domain, and a trace is a whole-daemon artifact. *)
+          let rctx =
+            if Telemetry.Ctx.tracing t.tele then t.tele
+            else Telemetry.Ctx.create ~counting:(Telemetry.Ctx.counting t.tele) ()
+          in
+          let result = Telemetry.with_ctx rctx (fun () -> run_analyze t rq) in
+          if rctx != t.tele then Telemetry.Ctx.merge_into ~into:t.tele rctx;
+          match result with
+          | Ok eo ->
+              Telemetry.Ctx.add t.tele c_hits eo.eo_hits;
+              Telemetry.Ctx.add t.tele c_misses eo.eo_misses;
+              {
+                (Protocol.ok_response ~id) with
+                Protocol.rp_report = Some eo.eo_report;
+                rp_loops = eo.eo_loops;
+                rp_hits = eo.eo_hits;
+                rp_misses = eo.eo_misses;
+              }
+          | Error msg -> Protocol.error_response ~id msg))

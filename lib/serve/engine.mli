@@ -15,7 +15,18 @@
     request: unresolved loops run on the session's worker pool and are
     merged deterministically with the cached verdicts, so a reply
     assembled from any mix of cache hits and fresh work is
-    byte-identical to a cold [dca analyze] run. *)
+    byte-identical to a cold [dca analyze] run.
+
+    The engine keeps no counters of its own beyond the source of
+    request ids.  Every reply ticks {!Dca_support.Telemetry}
+    descriptors in the daemon's context — [dca_requests_total],
+    [dca_requests_errors_total], [dca_analyze_requests_total], the
+    per-reply [dca_cache_hits_total]/[dca_cache_misses_total], the
+    [dca_inflight_requests] gauge and the
+    [dca_request_duration_seconds] histogram — whether or not that
+    context is counting.  A [Stats] reply carries that context's cells,
+    read after its own bookkeeping: as [rp_counters] and as the
+    {!Metrics.snapshot} in [rp_metrics]. *)
 
 type t
 
@@ -23,7 +34,8 @@ val create : ?cache_dir:string -> ?cache_capacity:int -> ?jobs:int -> unit -> t
 (** [cache_dir] enables the persistent cache level (see {!Vcache.create});
     [jobs] is the default pool width for requests that do not set one.
     The creating domain's ambient telemetry context becomes the daemon's
-    aggregate context. *)
+    context: analyses fold into it, and the engine, its cache and the
+    transport count their facts in it. *)
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Serve one request.  [Analyze] failures of any kind — unknown program,
@@ -35,17 +47,10 @@ val handle : t -> Protocol.request -> Protocol.response
     loop is the transport's job ({!Server}).  Every response carries the
     server-assigned request id in [rp_req]. *)
 
-val stats : t -> (string * int) list
-(** Server and cache counters, as reported in [Stats] replies. *)
-
-val metrics : t -> Metrics.t
-(** The engine's metrics plane: request counters, cache hit/miss
-    totals, in-flight/queue-depth gauges, and the request latency
-    histogram.  [Stats] replies carry its snapshot as JSON in
-    [rp_metrics].  The [dca_queue_depth] gauge is maintained by the
-    transport. *)
-
-val cache : t -> Vcache.t
+val reject : t -> string -> Protocol.response
+(** The error reply to a request line that did not parse, with the
+    parser's message: it draws a server request id and counts as a
+    request and as an error, like any other reply. *)
 
 val close : t -> unit
 (** Release the engine's resources: none, since sessions live for one

@@ -1,122 +1,29 @@
-(* The daemon's metrics plane: counters, gauges, and fixed-bucket
-   latency histograms (DESIGN.md §13).
+(* The wire snapshot of a telemetry context (DESIGN.md §13): every
+   registered counter, gauge and histogram of the daemon's context, as a
+   plain value that round-trips through JSON (the [stats] protocol verb
+   ships it to clients) and renders to a Prometheus-style text
+   exposition — `dca client --metrics` and the `--metrics-file` scrape
+   target.
 
-   Families are declared once at [create]; after that every operation is
-   an atomic read-modify-write on a preallocated cell — no locks, no
-   allocation on the hot path, safe from any worker domain.  A
-   [snapshot] is a plain value that round-trips through JSON (the
-   [stats] protocol verb ships it to clients) and renders to a
-   Prometheus-style text exposition, so the same data feeds `dca client
-   --metrics`, the `--metrics-file` scrape target, and tests.
+   Histogram bucket counts are stored non-cumulative and summed into the
+   Prometheus cumulative form at exposition time — a snapshot taken
+   while observations are in flight is still internally consistent per
+   cell (each count is exact; only the cross-cell view can lag by an
+   in-flight observation). *)
 
-   Histograms use a fixed bucket ladder in nanoseconds (1ms … 10s);
-   observations land in the first bucket whose upper bound is >= the
-   value, with a +Inf overflow bucket.  Bucket counts are stored
-   non-cumulative and summed into the Prometheus cumulative form at
-   exposition time — a snapshot taken while observations are in flight
-   is still internally consistent per cell (each count is exact; only
-   the cross-cell view can lag by an in-flight observation). *)
-
-type hist = {
-  h_counts : int Atomic.t array;  (* one per bucket + the +Inf overflow *)
-  h_sum_ns : int Atomic.t;
-  h_count : int Atomic.t;
-}
-
-type t = {
-  m_counters : (string * int Atomic.t) list;
-  m_gauges : (string * int Atomic.t) list;
-  m_hists : (string * hist) list;
-}
-
-(* 1ms, 2.5ms, 5ms … 10s: wide enough for a warm ping and a cold
-   whole-program analysis on the same ladder. *)
-let bucket_bounds_ns =
-  [|
-    1_000_000;
-    2_500_000;
-    5_000_000;
-    10_000_000;
-    25_000_000;
-    50_000_000;
-    100_000_000;
-    250_000_000;
-    500_000_000;
-    1_000_000_000;
-    2_500_000_000;
-    5_000_000_000;
-    10_000_000_000;
-  |]
-
-let create ~counters ~gauges ~histograms () =
-  let cell n = (n, Atomic.make 0) in
-  {
-    m_counters = List.map cell counters;
-    m_gauges = List.map cell gauges;
-    m_hists =
-      List.map
-        (fun n ->
-          ( n,
-            {
-              h_counts = Array.init (Array.length bucket_bounds_ns + 1) (fun _ -> Atomic.make 0);
-              h_sum_ns = Atomic.make 0;
-              h_count = Atomic.make 0;
-            } ))
-        histograms;
-  }
-
-let family kind assoc name =
-  match List.assoc_opt name assoc with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Metrics: unknown %s %S" kind name)
-
-let add t name n = ignore (Atomic.fetch_and_add (family "counter" t.m_counters name) n)
-let incr t name = add t name 1
-let gauge_add t name n = ignore (Atomic.fetch_and_add (family "gauge" t.m_gauges name) n)
-
-let gauge_set t name v = Atomic.set (family "gauge" t.m_gauges name) v
-
-let observe_ns t name v =
-  let h = family "histogram" t.m_hists name in
-  let rec bucket i =
-    if i >= Array.length bucket_bounds_ns || v <= bucket_bounds_ns.(i) then i else bucket (i + 1)
-  in
-  ignore (Atomic.fetch_and_add h.h_counts.(bucket 0) 1);
-  ignore (Atomic.fetch_and_add h.h_sum_ns (max 0 v));
-  ignore (Atomic.fetch_and_add h.h_count 1)
-
-(* ------------------------------------------------------------------ *)
-(* Snapshots                                                           *)
-(* ------------------------------------------------------------------ *)
-
-type hist_snapshot = {
-  hs_bounds_ns : int array;  (* upper bounds; the implicit last bucket is +Inf *)
-  hs_counts : int array;  (* length = bounds + 1, non-cumulative *)
-  hs_sum_ns : int;
-  hs_count : int;
-}
+module Telemetry = Dca_support.Telemetry
 
 type snapshot = {
   sn_counters : (string * int) list;
   sn_gauges : (string * int) list;
-  sn_hists : (string * hist_snapshot) list;
+  sn_hists : (string * Telemetry.hist_snapshot) list;
 }
 
-let snapshot t =
+let snapshot ctx =
   {
-    sn_counters = List.map (fun (n, c) -> (n, Atomic.get c)) t.m_counters;
-    sn_gauges = List.map (fun (n, c) -> (n, Atomic.get c)) t.m_gauges;
-    sn_hists =
-      List.map
-        (fun (n, h) ->
-          ( n,
-            {
-              hs_bounds_ns = Array.copy bucket_bounds_ns;
-              hs_counts = Array.map Atomic.get h.h_counts;
-              hs_sum_ns = Atomic.get h.h_sum_ns;
-              hs_count = Atomic.get h.h_count;
-            } ))
-        t.m_hists;
+    sn_counters = Telemetry.Ctx.counters ~gauge:false ctx;
+    sn_gauges = Telemetry.Ctx.counters ~gauge:true ctx;
+    sn_hists = Telemetry.Ctx.histograms ctx;
   }
 
 (* Quantile estimate from the bucket counts, the standard Prometheus
@@ -126,7 +33,7 @@ let snapshot t =
    to interpolate toward, so it clamps to the last finite bound — a
    deliberate under-estimate, like Prometheus. *)
 let quantile h q =
-  if h.hs_count <= 0 then 0.0
+  if h.Telemetry.hs_count <= 0 then 0.0
   else begin
     let q = Float.max 0.0 (Float.min 1.0 q) in
     let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int h.hs_count))) in
@@ -158,7 +65,8 @@ let snapshot_to_json s =
     ( n,
       Json.Obj
         [
-          ("bounds_ns", Json.List (Array.to_list (Array.map (fun b -> Json.Int b) h.hs_bounds_ns)));
+          ( "bounds_ns",
+            Json.List (Array.to_list (Array.map (fun b -> Json.Int b) h.Telemetry.hs_bounds_ns)) );
           ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) h.hs_counts)));
           ("sum_ns", Json.Int h.hs_sum_ns);
           ("count", Json.Int h.hs_count);
@@ -196,7 +104,7 @@ let snapshot_of_json j =
         Some
           ( n,
             {
-              hs_bounds_ns = bounds;
+              Telemetry.hs_bounds_ns = bounds;
               hs_counts = counts;
               hs_sum_ns = int "sum_ns";
               hs_count = int "count";
@@ -240,7 +148,7 @@ let exposition s =
       let cum = ref 0 in
       Array.iteri
         (fun i bound ->
-          cum := !cum + h.hs_counts.(i);
+          cum := !cum + h.Telemetry.hs_counts.(i);
           Buffer.add_string buf
             (Printf.sprintf "%s_bucket{le=\"%g\"} %d\n" n
                (float_of_int bound /. 1e9)

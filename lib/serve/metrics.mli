@@ -1,57 +1,33 @@
-(** The daemon's metrics plane: counters, gauges, and fixed-bucket
-    latency histograms over a declared family set (DESIGN.md §13).
+(** The wire snapshot of a {!Dca_support.Telemetry} context
+    (DESIGN.md §13): its counters, gauges and histograms as one value
+    that round-trips through JSON (the [stats] protocol verb carries it
+    to clients) and renders to a Prometheus-style text {!exposition} —
+    the formats of `dca client --metrics` and the daemon's
+    [--metrics-file].
 
-    Distinct from {!Dca_support.Telemetry} on purpose: telemetry
-    counters measure the {e analysis} (loops examined, replays decided —
-    deterministic, context-scoped), while metrics measure the
-    {e service} (request rates, latency distribution, queue pressure —
-    wall-clock facts of one daemon process).  Families are fixed at
-    {!create}; updates are single atomic operations, safe from any
-    worker domain, with no allocation on the hot path.
-
-    A {!snapshot} round-trips through JSON (the [stats] protocol verb
-    carries it to clients) and renders to a Prometheus-style text
-    {!exposition} — the formats of `dca client --metrics` and the
-    daemon's [--metrics-file]. *)
-
-type t
-
-val create : counters:string list -> gauges:string list -> histograms:string list -> unit -> t
-(** Declare the families.  Operations on names outside the declared set
-    raise [Invalid_argument] — a misspelled metric is a bug, not data. *)
-
-val add : t -> string -> int -> unit
-val incr : t -> string -> unit
-
-val gauge_add : t -> string -> int -> unit
-val gauge_set : t -> string -> int -> unit
-
-val observe_ns : t -> string -> int -> unit
-(** Record one histogram observation, in nanoseconds.  The bucket
-    ladder is fixed (1ms … 10s, then +Inf); negative values clamp into
-    the first bucket. *)
-
-(** {1 Snapshots} *)
-
-type hist_snapshot = {
-  hs_bounds_ns : int array;  (** bucket upper bounds; the last bucket is +Inf *)
-  hs_counts : int array;  (** per-bucket counts, {e non}-cumulative; length = bounds + 1 *)
-  hs_sum_ns : int;
-  hs_count : int;
-}
+    The daemon keeps no counters of its own: every service fact
+    (requests, errors, cache traffic, shed connections, timeouts,
+    worker restarts, the in-flight, queue-depth and resident-entry
+    gauges, the request-latency histogram) is a Telemetry descriptor
+    registered by the module that ticks it ({!Engine}, {!Vcache},
+    {!Server}), added into the daemon's context whether or not that
+    context is counting.  A snapshot of that context is therefore the
+    same set of cells the [stats] reply's counters and the daemon's
+    [--stats] table show. *)
 
 type snapshot = {
-  sn_counters : (string * int) list;
-  sn_gauges : (string * int) list;
-  sn_hists : (string * hist_snapshot) list;
+  sn_counters : (string * int) list;  (** plain counters, sorted by name *)
+  sn_gauges : (string * int) list;  (** the counters marked as gauges *)
+  sn_hists : (string * Dca_support.Telemetry.hist_snapshot) list;
 }
 
-val snapshot : t -> snapshot
-(** Atomic per cell; a concurrent observation may straddle two cells of
+val snapshot : Dca_support.Telemetry.Ctx.t -> snapshot
+(** Every registered descriptor's cells in the context, zero or not.
+    Atomic per cell; a concurrent observation may straddle two cells of
     one histogram (count visible, sum not yet), which the next snapshot
     repairs — totals never drift. *)
 
-val quantile : hist_snapshot -> float -> float
+val quantile : Dca_support.Telemetry.hist_snapshot -> float -> float
 (** [quantile h q] estimates the [q]-quantile (e.g. [0.99]) in {e
     seconds} by linear interpolation inside the bucket holding the
     rank, the same estimate as Prometheus' [histogram_quantile].

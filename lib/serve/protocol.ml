@@ -66,7 +66,7 @@ type response = {
   rp_loops : loop_info list;
   rp_hits : int;
   rp_misses : int;
-  rp_counters : (string * int) list;  (** [Stats] replies: server counters *)
+  rp_counters : (string * int) list;  (** [Stats] replies: the daemon context's counters and gauges *)
   rp_metrics : Json.t option;  (** [Stats] replies: {!Metrics.snapshot} as JSON *)
   rp_elapsed_ns : int;
 }

@@ -74,7 +74,9 @@ type response = {
   rp_loops : loop_info list;
   rp_hits : int;  (** per-request verdict-cache hits *)
   rp_misses : int;
-  rp_counters : (string * int) list;  (** [Stats] replies *)
+  rp_counters : (string * int) list;
+      (** [Stats] replies: every counter and gauge of the daemon's
+          telemetry context, sorted by name — the cells of [rp_metrics] *)
   rp_metrics : Json.t option;  (** [Stats] replies: {!Metrics.snapshot} as JSON *)
   rp_elapsed_ns : int;
 }

@@ -11,18 +11,17 @@
    replies are byte-identical to a serial daemon's.
 
    Request admission is a reservation: a worker reserves a budget slot
-   under the state lock *before* handing the line to the engine and
-   counts the completion exactly once afterwards — with [--max-requests n]
-   the daemon serves exactly [n] requests no matter how many
-   connections race for the tail of the budget, and a crashed request
-   still consumes the slot it reserved.  Once stopped (budget
+   under the state lock *before* handing the line to the engine — with
+   [--max-requests n] the daemon serves exactly [n] requests no matter
+   how many connections race for the tail of the budget, and a crashed
+   request still consumes the slot it reserved.  Once stopped (budget
    exhausted or a [shutdown] request), the accept loop is woken by a
    dummy connect and every active connection is read-shutdown so a
    worker blocked on an idle persistent connection cannot stall the
    exit.
 
-   The supervision layer adds four defenses, each observable through
-   the metrics plane:
+   The supervision layer adds four defenses, each counted by a
+   Telemetry descriptor of this module in the daemon's context:
 
    - *Overload shedding.*  The accept loop bounds the connection queue
      at [sv_max_queue]; beyond it a connection gets an immediate [busy]
@@ -66,11 +65,21 @@
    permissions) is logged once and otherwise ignored. *)
 
 module Faultpoint = Dca_support.Faultpoint
+module Telemetry = Dca_support.Telemetry
 
 (* Fault site inside the worker's serving loop, hit with a request in
    flight: an injected raise models a worker-domain crash and must take
    the busy-reply + respawn path, never the whole daemon. *)
 let fp_worker = Faultpoint.site "serve.worker"
+
+(* The transport's service facts, added into the daemon's context
+   whether or not it is counting. *)
+let counter ?gauge name = Telemetry.counter ~kind:Telemetry.Diag ?gauge name
+let c_shed = counter "dca_requests_shed_total"
+let c_timeouts = counter "dca_requests_timeout_total"
+let c_restarts = counter "dca_worker_restarts_total"
+let c_slow = counter "dca_slow_requests_total"
+let g_queue = counter ~gauge:true "dca_queue_depth"
 
 type config = {
   sv_socket : string;
@@ -156,14 +165,12 @@ type state = {
   lock : Mutex.t;
   cond : Condition.t;  (* queue arrivals, crashes, shutdown — everyone re-checks *)
   queue : Unix.file_descr Queue.t;
-  active : (Unix.file_descr, unit) Hashtbl.t;  (* connections being served *)
   slots : slot list;
   crashed : slot Queue.t;  (* dead workers awaiting supervisor pickup *)
   drain : bool Atomic.t;  (* set by signal handlers; atomic on purpose *)
-  tele : Dca_support.Telemetry.Ctx.t;  (* daemon context, for respawned workers *)
+  tele : Telemetry.Ctx.t;  (* the daemon's context: counters, respawned workers *)
   mutable live_workers : int;
-  mutable reserved : int;  (* budget slots handed out *)
-  mutable served : int;  (* requests completed (replied or reply attempted) *)
+  mutable reserved : int;  (* budget slots handed out: the requests admitted *)
   mutable stop : bool;  (* no further admissions *)
   mutable closed : bool;  (* workers may exit once the queue drains *)
   access : out_channel option;
@@ -181,24 +188,31 @@ let write_line_fd fd line =
   let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
   go 0
 
-let log_request st (rq : Protocol.request) (rp : Protocol.response) ~status =
+(* One access-log line; [rq] is [None] for a line that did not parse,
+   logged under op ["invalid"]. *)
+let log_request st (rq : Protocol.request option) (rp : Protocol.response) ~status =
   let slow =
     match st.cfg.sv_slow_request_ms with
     | Some ms -> rp.Protocol.rp_elapsed_ns >= ms * 1_000_000
     | None -> false
   in
-  if slow then Metrics.incr (Engine.metrics st.engine) "dca_slow_requests_total";
+  if slow then Telemetry.Ctx.add st.tele c_slow 1;
   match st.access with
   | None -> ()
   | Some oc ->
+      let op, program =
+        match rq with
+        | Some rq -> (Protocol.op_to_string rq.Protocol.rq_op, program_name rq.Protocol.rq_program)
+        | None -> ("invalid", "")
+      in
       let entry =
         Json.Obj
           ([
-             ("ts_ns", Json.Int (Dca_support.Telemetry.now_ns ()));
-             ("id", Json.Int rq.Protocol.rq_id);
+             ("ts_ns", Json.Int (Telemetry.now_ns ()));
+             ("id", Json.Int rp.Protocol.rp_id);
              ("req", Json.Int rp.Protocol.rp_req);
-             ("op", Json.Str (Protocol.op_to_string rq.Protocol.rq_op));
-             ("program", Json.Str (program_name rq.Protocol.rq_program));
+             ("op", Json.Str op);
+             ("program", Json.Str program);
              ("status", Json.Str status);
              ("loops", Json.Int (List.length rp.Protocol.rp_loops));
              ("hits", Json.Int rp.Protocol.rp_hits);
@@ -218,7 +232,7 @@ let write_metrics_file st =
   | Some file ->
       Mutex.protect st.metrics_lock (fun () ->
           try
-            let data = Metrics.exposition (Metrics.snapshot (Engine.metrics st.engine)) in
+            let data = Metrics.exposition (Metrics.snapshot st.tele) in
             let tmp = file ^ ".tmp" in
             let oc = open_out tmp in
             Fun.protect
@@ -246,7 +260,7 @@ let wake_accept st =
 (* Force workers blocked in [input_line] on idle persistent connections
    to see end-of-file.  Reads only — a reply in flight still goes out. *)
 let shutdown_active st =
-  let fds = Mutex.protect st.lock (fun () -> Hashtbl.fold (fun fd () acc -> fd :: acc) st.active []) in
+  let fds = Mutex.protect st.lock (fun () -> List.filter_map (fun slot -> slot.s_fd) st.slots) in
   List.iter
     (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
     fds
@@ -274,27 +288,26 @@ let admit st =
   if stopped then enter_stop st;
   admitted
 
-let note_served st (rq : Protocol.request) =
-  let stopped =
-    Mutex.protect st.lock (fun () ->
-        st.served <- st.served + 1;
-        if rq.Protocol.rq_op = Protocol.Shutdown && not st.stop then begin
+(* A [shutdown] request stops admissions once it has been answered. *)
+let stop_if_shutdown st (rq : Protocol.request) =
+  if rq.Protocol.rq_op = Protocol.Shutdown then begin
+    let stopped =
+      Mutex.protect st.lock (fun () ->
+          let first = not st.stop in
           st.stop <- true;
-          true
-        end
-        else false)
-  in
-  if stopped then enter_stop st
+          first)
+    in
+    if stopped then enter_stop st
+  end
 
 let handle_request st (rq : Protocol.request) =
-  let module T = Dca_support.Telemetry in
   let name = "serve." ^ Protocol.op_to_string rq.Protocol.rq_op in
-  let traced = T.tracing () in
-  if traced then T.begin_span ~cat:"serve" name;
+  let traced = Telemetry.tracing () in
+  if traced then Telemetry.begin_span ~cat:"serve" name;
   match Engine.handle st.engine rq with
   | rp ->
       if traced then
-        T.end_span
+        Telemetry.end_span
           ~args:
             [
               ("req", string_of_int rp.Protocol.rp_req);
@@ -304,7 +317,7 @@ let handle_request st (rq : Protocol.request) =
           name;
       rp
   | exception e ->
-      if traced then T.end_span name;
+      if traced then Telemetry.end_span name;
       raise e
 
 let serve_connection st slot fd =
@@ -325,18 +338,16 @@ let serve_connection st slot fd =
           if admit st then begin
             match Protocol.parse_request line with
             | Error msg ->
-                let rp = Protocol.error_response ~id:0 ("bad request: " ^ msg) in
+                let rp = Engine.reject st.engine msg in
                 send rp;
-                log_request st Protocol.default_request rp
-                  ~status:(Protocol.status_to_string rp.Protocol.rp_status);
-                write_metrics_file st;
-                note_served st Protocol.default_request
+                log_request st None rp ~status:(Protocol.status_to_string rp.Protocol.rp_status);
+                write_metrics_file st
             | Ok rq ->
                 let inf =
                   {
                     if_id = rq.Protocol.rq_id;
                     if_fd = fd;
-                    if_start_ns = Dca_support.Telemetry.now_ns ();
+                    if_start_ns = Telemetry.now_ns ();
                     if_lock = Mutex.create ();
                     if_state = Running;
                   }
@@ -359,12 +370,12 @@ let serve_connection st slot fd =
                 in
                 Mutex.protect st.lock (fun () -> slot.s_inflight <- None);
                 if not timed_out then send rp;
-                log_request st rq rp
+                log_request st (Some rq) rp
                   ~status:
                     (if timed_out then "timeout"
                      else Protocol.status_to_string rp.Protocol.rp_status);
                 write_metrics_file st;
-                note_served st rq;
+                stop_if_shutdown st rq;
                 if timed_out then continue := false
           end
           else continue := false
@@ -382,27 +393,21 @@ let worker_loop st slot =
       | None -> if st.closed then None else (Condition.wait st.cond st.lock; take ())
     in
     let item = take () in
-    (match item with
-    | Some fd ->
-        Hashtbl.replace st.active fd ();
-        slot.s_fd <- Some fd
-    | None -> ());
+    slot.s_fd <- item;
     Mutex.unlock st.lock;
     match item with
     | Some fd ->
-        Metrics.gauge_add (Engine.metrics st.engine) "dca_queue_depth" (-1);
+        Telemetry.Ctx.add st.tele g_queue (-1);
         serve_connection st slot fd;
-        Mutex.protect st.lock (fun () ->
-            Hashtbl.remove st.active fd;
-            slot.s_fd <- None);
+        Mutex.protect st.lock (fun () -> slot.s_fd <- None);
         (try Unix.close fd with Unix.Unix_error _ -> ())
     | None -> running := false
   done
 
 (* Last rites of a crashed worker, run on the dying domain itself: give
    the in-flight request a [busy] reply (nothing was cached, a retry is
-   safe and converges to a byte-identical report), account for the
-   budget slot it reserved, close the connection, and hand the slot to
+   safe and converges to a byte-identical report; the request keeps the
+   budget slot it reserved), close the connection, and hand the slot to
    the supervisor. *)
 let worker_crashed st slot exn =
   let inflight =
@@ -429,17 +434,15 @@ let worker_crashed st slot exn =
       if reply then (
         try write_line_fd inf.if_fd (Protocol.response_line rp)
         with Unix.Unix_error _ | Sys_error _ -> ());
-      log_request st rq rp ~status:(Protocol.status_to_string rp.Protocol.rp_status);
+      log_request st (Some rq) rp ~status:(Protocol.status_to_string rp.Protocol.rp_status);
       write_metrics_file st;
-      (* the crashed request consumed the budget slot it reserved *)
-      note_served st rq
+      stop_if_shutdown st rq
   | None -> ());
   (* the connection dies with its worker; a retrying client reconnects *)
   let fd =
     Mutex.protect st.lock (fun () ->
         let f = slot.s_fd in
         slot.s_fd <- None;
-        Option.iter (fun fd -> Hashtbl.remove st.active fd) f;
         f)
   in
   (match fd with
@@ -475,11 +478,11 @@ let supervisor_loop st =
         (match slot.s_domain with Some d -> Domain.join d | None -> ());
         if closing then slot.s_domain <- None
         else begin
-          Metrics.incr (Engine.metrics st.engine) "dca_worker_restarts_total";
+          Telemetry.Ctx.add st.tele c_restarts 1;
           Printf.eprintf "dca serve: worker crashed; respawning\n%!";
           let d =
             Domain.spawn (fun () ->
-                Dca_support.Telemetry.with_ctx st.tele (fun () -> worker_body st slot))
+                Telemetry.with_ctx st.tele (fun () -> worker_body st slot))
           in
           Mutex.protect st.lock (fun () ->
               slot.s_domain <- Some d;
@@ -500,7 +503,7 @@ let watchdog_loop st ~timeout_ms ~stop =
   let interval = Float.max 0.002 (Float.min 0.05 (float_of_int timeout_ms /. 4000.)) in
   while not (Atomic.get stop) do
     Unix.sleepf interval;
-    let now = Dca_support.Telemetry.now_ns () in
+    let now = Telemetry.now_ns () in
     let expired =
       Mutex.protect st.lock (fun () ->
           List.filter_map
@@ -528,7 +531,7 @@ let watchdog_loop st ~timeout_ms ~stop =
               end
               else false)
         in
-        if fired then Metrics.incr (Engine.metrics st.engine) "dca_requests_timeout_total")
+        if fired then Telemetry.Ctx.add st.tele c_timeouts 1)
       expired
   done
 
@@ -555,14 +558,12 @@ let run cfg =
       lock = Mutex.create ();
       cond = Condition.create ();
       queue = Queue.create ();
-      active = Hashtbl.create 16;
       slots = List.init (max 1 cfg.sv_workers) (fun _ -> { s_domain = None; s_fd = None; s_inflight = None });
       crashed = Queue.create ();
       drain = Atomic.make false;
-      tele = Dca_support.Telemetry.current ();
+      tele = Telemetry.current ();
       live_workers = 0;
       reserved = 0;
-      served = 0;
       stop = false;
       closed = false;
       access;
@@ -611,7 +612,7 @@ let run cfg =
           Mutex.protect st.lock (fun () -> st.live_workers <- st.live_workers + 1);
           let d =
             Domain.spawn (fun () ->
-                Dca_support.Telemetry.with_ctx st.tele (fun () -> worker_body st slot))
+                Telemetry.with_ctx st.tele (fun () -> worker_body st slot))
           in
           slot.s_domain <- Some d)
         st.slots;
@@ -646,11 +647,11 @@ let run cfg =
                       end)
                 in
                 match verdict with
-                | `Enqueued -> Metrics.gauge_add (Engine.metrics st.engine) "dca_queue_depth" 1
+                | `Enqueued -> Telemetry.Ctx.add st.tele g_queue 1
                 | `Shed ->
                     (* refuse before reading anything: the client gets an
                        immediate busy line it can back off on *)
-                    Metrics.incr (Engine.metrics st.engine) "dca_requests_shed_total";
+                    Telemetry.Ctx.add st.tele c_shed 1;
                     let rp =
                       Protocol.busy_response ~id:0
                         (Printf.sprintf "server overloaded: request queue is full (max %d)"
@@ -674,12 +675,12 @@ let run cfg =
           st.closed <- true;
           Condition.broadcast st.cond);
       let deadline =
-        Dca_support.Telemetry.now_ns () + int_of_float (cfg.sv_drain_timeout_s *. 1e9)
+        Telemetry.now_ns () + int_of_float (cfg.sv_drain_timeout_s *. 1e9)
       in
       let rec await () =
         let live = Mutex.protect st.lock (fun () -> st.live_workers) in
         if live = 0 then 0
-        else if Dca_support.Telemetry.now_ns () >= deadline then live
+        else if Telemetry.now_ns () >= deadline then live
         else begin
           Unix.sleepf 0.02;
           await ()
@@ -699,4 +700,4 @@ let run cfg =
           st.slots;
       Atomic.set watchdog_stop true;
       Option.iter Domain.join watchdog;
-      st.served)
+      st.reserved)

@@ -18,9 +18,10 @@
     busy-replies the in-flight request and is respawned by a supervisor
     domain; SIGTERM/SIGINT (with [sv_handle_signals]) trigger a
     graceful drain bounded by [sv_drain_timeout_s].  Each defense ticks
-    its own counter ([dca_requests_shed_total],
-    [dca_requests_timeout_total], [dca_worker_restarts_total],
-    [dca_slow_requests_total]). *)
+    its own Telemetry descriptor in the daemon's context
+    ([dca_requests_shed_total], [dca_requests_timeout_total],
+    [dca_worker_restarts_total], [dca_slow_requests_total]; the
+    [dca_queue_depth] gauge tracks the connection queue). *)
 
 type config = {
   sv_socket : string;  (** Unix-domain socket path *)
@@ -33,7 +34,8 @@ type config = {
           entry carries the server-assigned [req] id also found in the
           reply's [rp_req] and the request's trace span.  Timed-out
           requests log status ["timeout"]; requests slower than
-          [sv_slow_request_ms] carry ["slow": true]. *)
+          [sv_slow_request_ms] carry ["slow": true]; a line that does
+          not parse gets its own [req] id and logs op ["invalid"]. *)
   sv_metrics_file : string option;
       (** Prometheus-style {!Metrics.exposition}, atomically rewritten
           (temp + rename) after every request and on shutdown — a
@@ -42,9 +44,9 @@ type config = {
   sv_max_requests : int option;
       (** stop after serving this many requests — tests and smoke runs.
           Exact under concurrency and crashes: admission reserves a
-          budget slot before the engine runs, completions are counted
-          once, and a crashed request still consumes its slot (its
-          reply is the [busy] the supervision layer sent). *)
+          budget slot before the engine runs, and a crashed request
+          still consumes its slot (its reply is the [busy] the
+          supervision layer sent). *)
   sv_max_queue : int;
       (** overload bound (default 64): a connection accepted while this
           many are already queued gets an immediate [busy] reply and is

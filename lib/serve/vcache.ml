@@ -14,16 +14,20 @@
      DCAV1\n<hex md5 of payload>\n<payload>
 
    The digest line makes torn writes and bit rot detectable: any
-   mismatch, short file, bad magic, or Marshal failure counts as
-   [st_corrupt] and degrades to a recompute — never a crash.  Writes go
-   through a temp file + rename, so a concurrently reading process sees
-   either the old entry or the new one, never a torn one.
+   mismatch, short file, bad magic, or Marshal failure counts in
+   [cache.corrupt] and degrades to a recompute — never a crash.  Writes
+   go through a temp file + rename, so a concurrently reading process
+   sees either the old entry or the new one, never a torn one.
 
-   One mutex serializes the whole cache — table, LRU clock, and the
-   stats fields (plain mutable ints, exact because every touch happens
-   under the lock).  The concurrent daemon probes and stores from many
-   worker domains; holding the lock across the disk read/write keeps
-   the hit/miss/store accounting a single consistent story per call,
+   The cache's facts — memory and disk hits, misses, stores, evictions,
+   corrupt entries, the degrade latch, and the resident-entry gauge —
+   are Telemetry descriptors, added into the context that was ambient
+   at [create] (the daemon's) whether or not it is counting.
+
+   One mutex serializes the whole cache — table and LRU clock.  The
+   concurrent daemon probes and stores from many worker domains;
+   holding the lock across the disk read/write keeps the
+   hit/miss/store accounting a single consistent story per call,
    and the I/O it covers is small (one verdict record) next to the
    dynamic-stage work a miss implies.  Two *processes* sharing a
    directory still at worst recompute (atomic rename keeps the files
@@ -33,6 +37,7 @@ module Driver = Dca_core.Driver
 module Commutativity = Dca_core.Commutativity
 module Report = Dca_core.Report
 module Faultpoint = Dca_support.Faultpoint
+module Telemetry = Dca_support.Telemetry
 
 (* Fault site for the disk-write path: an injected raise here models
    ENOSPC/EIO and must downgrade the cache to memory-only, never fail
@@ -48,30 +53,24 @@ type entry = {
          whole-program verification are only valid while it matches *)
 }
 
-type stats = {
-  st_mem_hits : int;
-  st_disk_hits : int;
-  st_misses : int;
-  st_stores : int;
-  st_corrupt : int;
-  st_evictions : int;
-  st_write_errors : int;
-}
+let counter ?gauge name = Telemetry.counter ~kind:Telemetry.Diag ?gauge name
+let c_mem_hits = counter "cache.mem_hits"
+let c_disk_hits = counter "cache.disk_hits"
+let c_misses = counter "cache.misses"
+let c_stores = counter "cache.stores"
+let c_evictions = counter "cache.evictions"
+let c_corrupt = counter "cache.corrupt"
+let c_degraded = counter "dca_cache_degraded_total"
+let g_entries = counter ~gauge:true "cache.mem_entries"
 
 type t = {
   dir : string option;
   capacity : int;
   on_degrade : string -> unit;
+  tele : Telemetry.Ctx.t;  (* where the cache's facts are counted *)
   lock : Mutex.t;
   mem : (string, entry * int ref) Hashtbl.t;  (* key → entry, last-use tick *)
   mutable clock : int;
-  mutable mem_hits : int;
-  mutable disk_hits : int;
-  mutable misses : int;
-  mutable stores : int;
-  mutable corrupt : int;
-  mutable evictions : int;
-  mutable write_errors : int;
   mutable degraded : bool;  (* disk writes disabled after the first failure *)
 }
 
@@ -86,18 +85,14 @@ let create ?dir ?(capacity = 4096) ?(on_degrade = fun _ -> ()) () =
     dir;
     capacity = max 1 capacity;
     on_degrade;
+    tele = Telemetry.current ();
     lock = Mutex.create ();
     mem = Hashtbl.create 256;
     clock = 0;
-    mem_hits = 0;
-    disk_hits = 0;
-    misses = 0;
-    stores = 0;
-    corrupt = 0;
-    evictions = 0;
-    write_errors = 0;
     degraded = false;
   }
+
+let add t c n = Telemetry.Ctx.add t.tele c n
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -121,11 +116,13 @@ let enforce_capacity t =
     match !victim with
     | Some (k, _) ->
         Hashtbl.remove t.mem k;
-        t.evictions <- t.evictions + 1
+        add t c_evictions 1;
+        add t g_entries (-1)
     | None -> ()
   done
 
 let mem_insert t key entry =
+  if not (Hashtbl.mem t.mem key) then add t g_entries 1;
   Hashtbl.replace t.mem key (entry, ref (tick t));
   enforce_capacity t
 
@@ -155,17 +152,18 @@ let disk_read t key =
         with
         | entry -> Some entry
         | exception _ ->
-            t.corrupt <- t.corrupt + 1;
+            add t c_corrupt 1;
             None
       end
 
 (* A failed disk write (ENOSPC, EIO, read-only directory, injected
    [vcache.write] fault) latches [degraded]: the cache downgrades to
    memory-only operation — later stores skip the disk entirely rather
-   than paying a doomed syscall per verdict — and [on_degrade] fires
-   exactly once so the embedder can log and count the event.  Reads keep
-   probing the disk: a read-only directory still serves its old entries.
-   A daemon restart re-probes the disk (degradation is per-instance). *)
+   than paying a doomed syscall per verdict — ticks
+   [dca_cache_degraded_total], and fires [on_degrade] exactly once so
+   the embedder can log the event.  Reads keep probing the disk: a
+   read-only directory still serves its old entries.  A daemon restart
+   re-probes the disk (degradation is per-instance). *)
 let disk_write t key entry =
   match path t key with
   | None -> ()
@@ -187,7 +185,7 @@ let disk_write t key entry =
           Sys.rename tmp file
         with e ->
           (* a full or read-only disk degrades the cache, never the reply *)
-          t.write_errors <- t.write_errors + 1;
+          add t c_degraded 1;
           t.degraded <- true;
           (try Sys.remove (file ^ ".tmp") with Sys_error _ -> ());
           t.on_degrade (Printexc.to_string e))
@@ -206,39 +204,26 @@ let find t ~prog_digest key =
       match Hashtbl.find_opt t.mem key with
       | Some (entry, last) when valid ~prog_digest entry ->
           last := tick t;
-          t.mem_hits <- t.mem_hits + 1;
+          add t c_mem_hits 1;
           Some entry
       | Some _ ->
           Hashtbl.remove t.mem key;
-          t.misses <- t.misses + 1;
+          add t g_entries (-1);
+          add t c_misses 1;
           None
       | None -> (
           match disk_read t key with
           | Some entry when valid ~prog_digest entry ->
-              t.disk_hits <- t.disk_hits + 1;
+              add t c_disk_hits 1;
               mem_insert t key entry;
               Some entry
           | _ ->
-              t.misses <- t.misses + 1;
+              add t c_misses 1;
               None))
 
 let store t key entry =
   Mutex.protect t.lock (fun () ->
-      t.stores <- t.stores + 1;
+      add t c_stores 1;
       mem_insert t key entry;
       disk_write t key entry)
 
-let stats t =
-  Mutex.protect t.lock (fun () ->
-      {
-        st_mem_hits = t.mem_hits;
-        st_disk_hits = t.disk_hits;
-        st_misses = t.misses;
-        st_stores = t.stores;
-        st_corrupt = t.corrupt;
-        st_evictions = t.evictions;
-        st_write_errors = t.write_errors;
-      })
-
-let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.mem)
-let degraded t = Mutex.protect t.lock (fun () -> t.degraded)

@@ -10,12 +10,20 @@
 
     On-disk entries carry a payload digest: any corruption (torn write,
     truncation, bit rot, format drift) is detected on read, counted in
-    [st_corrupt], and degrades to a recompute — never a crash.  Writes
-    are atomic (temp file + rename).  The cache is concurrency-safe:
-    one internal mutex serializes {!find}/{!store}/{!stats}/{!size}, so
-    the concurrent daemon's worker domains share it directly and the
-    {!stats} fields stay exact (every hit, miss, store, and eviction is
-    counted exactly once). *)
+    [cache.corrupt], and degrades to a recompute — never a crash.
+    Writes are atomic (temp file + rename).  The cache is
+    concurrency-safe: one internal mutex serializes {!find} and
+    {!store}, so the concurrent daemon's worker domains share it
+    directly.
+
+    The cache keeps no counters of its own.  Its facts are
+    {!Dca_support.Telemetry} descriptors — [cache.mem_hits],
+    [cache.disk_hits], [cache.misses], [cache.stores],
+    [cache.evictions], [cache.corrupt], [dca_cache_degraded_total] and
+    the [cache.mem_entries] gauge — added into the context that was
+    ambient at {!create} whether or not it is counting; every hit,
+    miss, store and eviction is counted exactly once, also under
+    concurrency. *)
 
 type entry = {
   e_decision : Dca_core.Driver.decision;
@@ -28,16 +36,6 @@ type entry = {
           (per-function keys under-approximate their dependencies). *)
 }
 
-type stats = {
-  st_mem_hits : int;
-  st_disk_hits : int;
-  st_misses : int;
-  st_stores : int;
-  st_corrupt : int;  (** on-disk entries rejected by the integrity check *)
-  st_evictions : int;  (** in-memory LRU evictions (the disk copy remains) *)
-  st_write_errors : int;  (** failed disk writes (the trigger of {!degraded}) *)
-}
-
 type t
 
 val create : ?dir:string -> ?capacity:int -> ?on_degrade:(string -> unit) -> unit -> t
@@ -46,9 +44,12 @@ val create : ?dir:string -> ?capacity:int -> ?on_degrade:(string -> unit) -> uni
     (default 4096 entries); disk is unbounded.  [on_degrade] fires
     exactly once, on the first failed disk write (ENOSPC, EIO, read-only
     directory, or an injected [vcache.write] fault), with the failure
-    message — the cache then runs memory-only ({!degraded}).  The
-    callback runs under the cache's internal lock: log and count, do not
-    call back into the cache. *)
+    message — [dca_cache_degraded_total] ticks and the cache runs
+    memory-only for the lifetime of this instance (a fresh {!create}
+    over the same directory probes the disk again).  The callback runs
+    under the cache's internal lock: log, do not call back into the
+    cache.  The calling domain's ambient telemetry context becomes the
+    context the cache counts into. *)
 
 val find : t -> prog_digest:string -> string -> entry option
 (** Probe both levels for a key ({!Progdigest.loop_key}).  A disk hit is
@@ -57,16 +58,7 @@ val find : t -> prog_digest:string -> string -> entry option
 
 val store : t -> string -> entry -> unit
 (** Insert into both levels.  A disk-write failure (full disk, read-only
-    directory, injected fault) is swallowed and latches {!degraded}:
+    directory, injected fault) is swallowed and latches the degrade:
     this and all later stores are memory-only, the reply is never
     affected.  Disk {e reads} keep working — a read-only directory still
     serves the entries it already holds. *)
-
-val stats : t -> stats
-val size : t -> int
-(** Entries currently resident in memory. *)
-
-val degraded : t -> bool
-(** Has the cache downgraded to memory-only operation after a failed
-    disk write?  Latched for the lifetime of this instance; a fresh
-    {!create} over the same directory probes the disk again. *)

@@ -4,30 +4,49 @@ external now_ns : unit -> int = "dca_monotonic_now_ns" [@@noalloc]
 (* Counter descriptors                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A counter is a process-wide *descriptor* — name, kind, merge rule and
-   a dense index — while its cells live in contexts.  Descriptors are
-   registered once (module-initialization [let]s) and shared by every
-   context, so two contexts always agree on what a counter means and a
-   fold of one context into another is index-aligned. *)
+(* A counter is a process-wide *descriptor* — name, kind, merge rule,
+   shape and a dense cell index — while its cells live in contexts.
+   Descriptors are registered once (module-initialization [let]s) and
+   shared by every context, so two contexts always agree on what a
+   counter means and a fold of one context into another is
+   index-aligned.  A gauge is a counter marked as one (it may go down);
+   a histogram owns a run of cells: one per bucket of a fixed latency
+   ladder plus the +Inf overflow, then sum and count. *)
 
 type kind = Work | Diag
 type merge = Sum | Max
+type shape = Plain | Gauge | Hist
 
-type counter = { c_name : string; c_kind : kind; c_merge : merge; c_index : int }
+type counter = { c_name : string; c_kind : kind; c_merge : merge; c_shape : shape; c_index : int }
+type histogram = counter
+
+(* 1ms, 2.5ms, 5ms … 10s: wide enough for a warm ping and a cold
+   whole-program analysis on the same ladder. *)
+let histogram_bounds_ns =
+  [| 1_000_000; 2_500_000; 5_000_000; 10_000_000; 25_000_000; 50_000_000; 100_000_000;
+     250_000_000; 500_000_000; 1_000_000_000; 2_500_000_000; 5_000_000_000; 10_000_000_000 |]
+
+let n_buckets = Array.length histogram_bounds_ns + 1 (* + the +Inf overflow *)
+let width c = if c.c_shape = Hist then n_buckets + 2 else 1
 
 let registry : counter list ref = ref []  (* newest first *)
-let registry_n = ref 0
+let cells_n = ref 0  (* cells handed out to descriptors so far *)
 let registry_mutex = Mutex.create ()
 
-let counter ?(kind = Work) ?(merge = Sum) name =
+let register ~kind ~merge ~shape name =
   Mutex.protect registry_mutex (fun () ->
       match List.find_opt (fun c -> c.c_name = name) !registry with
       | Some c -> c
       | None ->
-          let c = { c_name = name; c_kind = kind; c_merge = merge; c_index = !registry_n } in
+          let c = { c_name = name; c_kind = kind; c_merge = merge; c_shape = shape; c_index = !cells_n } in
           registry := c :: !registry;
-          incr registry_n;
+          cells_n := !cells_n + width c;
           c)
+
+let counter ?(kind = Work) ?(merge = Sum) ?(gauge = false) name =
+  register ~kind ~merge ~shape:(if gauge then Gauge else Plain) name
+
+let histogram name = register ~kind:Diag ~merge:Sum ~shape:Hist name
 
 let registered () = Mutex.protect registry_mutex (fun () -> !registry)
 
@@ -80,30 +99,30 @@ let with_ctx c f =
   Domain.DLS.set current_key c;
   Fun.protect ~finally:(fun () -> Domain.DLS.set current_key prev) f
 
-(* Find a context's cell for a descriptor, growing the cell array on the
-   slow path.  Growth copies the *same* [Atomic.t] values into the larger
+(* Find a context's cell by index, growing the cell array on the slow
+   path.  Growth copies the *same* [Atomic.t] values into the larger
    array, so increments racing with growth land in cells the new array
    still reaches — no update is lost. *)
-let cell ctx c =
+let cell ctx i =
   let a = ctx.ctx_cells in
-  if c.c_index < Array.length a then Array.unsafe_get a c.c_index
+  if i < Array.length a then Array.unsafe_get a i
   else
     Mutex.protect ctx.ctx_mutex (fun () ->
         let a = ctx.ctx_cells in
-        if c.c_index < Array.length a then a.(c.c_index)
+        if i < Array.length a then a.(i)
         else begin
-          let n = max (c.c_index + 1) !registry_n in
+          let n = max (i + 1) !cells_n in
           let a' =
             Array.init n (fun i -> if i < Array.length a then a.(i) else Atomic.make 0)
           in
           ctx.ctx_cells <- a';
-          a'.(c.c_index)
+          a'.(i)
         end)
 
 (* Read-only probe: never grows the array (reads allocate nothing). *)
-let peek ctx c =
+let peek ctx i =
   let a = ctx.ctx_cells in
-  if c.c_index < Array.length a then Atomic.get (Array.unsafe_get a c.c_index) else 0
+  if i < Array.length a then Atomic.get (Array.unsafe_get a i) else 0
 
 let max_bump cell n =
   let rec bump () =
@@ -112,31 +131,69 @@ let max_bump cell n =
   in
   bump ()
 
-let ctx_counters ?kind ctx =
+let ctx_counters ?kind ?gauge ctx =
   registered ()
-  |> List.filter (fun c -> match kind with None -> true | Some k -> c.c_kind = k)
-  |> List.map (fun c -> (c.c_name, peek ctx c))
+  |> List.filter (fun c ->
+         c.c_shape <> Hist
+         && (match kind with None -> true | Some k -> c.c_kind = k)
+         && match gauge with None -> true | Some g -> (c.c_shape = Gauge) = g)
+  |> List.map (fun c -> (c.c_name, peek ctx c.c_index))
   |> List.sort compare
+
+(* Histogram cells: [n_buckets] non-cumulative bucket counts, then the
+   sum and the count.  An observation lands in the first bucket whose
+   bound is >= the value; negative values clamp into the first bucket
+   and add nothing to the sum. *)
+let ctx_observe ctx h v =
+  let rec bucket i =
+    if i >= Array.length histogram_bounds_ns || v <= histogram_bounds_ns.(i) then i
+    else bucket (i + 1)
+  in
+  ignore (Atomic.fetch_and_add (cell ctx (h.c_index + bucket 0)) 1);
+  ignore (Atomic.fetch_and_add (cell ctx (h.c_index + n_buckets)) (max 0 v));
+  ignore (Atomic.fetch_and_add (cell ctx (h.c_index + n_buckets + 1)) 1)
+
+type hist_snapshot = {
+  hs_bounds_ns : int array;
+  hs_counts : int array;
+  hs_sum_ns : int;
+  hs_count : int;
+}
+
+let ctx_histograms ctx =
+  registered ()
+  |> List.filter (fun c -> c.c_shape = Hist)
+  |> List.map (fun h ->
+         ( h.c_name,
+           {
+             hs_bounds_ns = Array.copy histogram_bounds_ns;
+             hs_counts = Array.init n_buckets (fun k -> peek ctx (h.c_index + k));
+             hs_sum_ns = peek ctx (h.c_index + n_buckets);
+             hs_count = peek ctx (h.c_index + n_buckets + 1);
+           } ))
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let ctx_reset ctx =
   Mutex.protect ctx.ctx_mutex (fun () ->
       Array.iter (fun cell -> Atomic.set cell 0) ctx.ctx_cells;
       List.iter (fun (_, b) -> b := []) ctx.ctx_buffers)
 
-(* Fold [src]'s counters into [into]: [Sum] counters add, [Max] counters
-   keep the larger value.  Unconditional — this is aggregation of already
-   collected data, not instrumentation, so [into]'s counting flag is not
-   consulted.  Events are not folded; they stay with the context that
-   recorded them. *)
+(* Fold [src]'s counters into [into]: [Sum] counters and histogram cells
+   add, [Max] counters keep the larger value.  Unconditional — this is
+   aggregation of already collected data, not instrumentation, so
+   [into]'s counting flag is not consulted.  Events are not folded; they
+   stay with the context that recorded them. *)
 let ctx_merge_into ~into src =
   if into != src then
     List.iter
       (fun c ->
-        let v = peek src c in
-        if v <> 0 then
-          match c.c_merge with
-          | Sum -> ignore (Atomic.fetch_and_add (cell into c) v)
-          | Max -> max_bump (cell into c) v)
+        for i = c.c_index to c.c_index + width c - 1 do
+          let v = peek src i in
+          if v <> 0 then
+            match c.c_merge with
+            | Sum -> ignore (Atomic.fetch_and_add (cell into i) v)
+            | Max -> max_bump (cell into i) v
+        done)
       (registered ())
 
 (* ------------------------------------------------------------------ *)
@@ -187,10 +244,10 @@ let init_from_env () =
     apply_config cfg
   end
 
-let add c n = if counting () then ignore (Atomic.fetch_and_add (cell (current ()) c) n)
+let add c n = if counting () then ignore (Atomic.fetch_and_add (cell (current ()) c.c_index) n)
 let incr c = add c 1
-let add_max c n = if counting () then max_bump (cell (current ()) c) n
-let value c = peek (current ()) c
+let add_max c n = if counting () then max_bump (cell (current ()) c.c_index) n
+let value c = peek (current ()) c.c_index
 let counters ?kind () = ctx_counters ?kind (current ())
 let reset () = ctx_reset (current ())
 
@@ -268,8 +325,11 @@ module Ctx = struct
   let counting c = Atomic.get c.ctx_counting
   let set_tracing c b = Atomic.set c.ctx_tracing b
   let set_counting c b = Atomic.set c.ctx_counting b
-  let value c cnt = peek c cnt
+  let value c cnt = peek c cnt.c_index
+  let add c cnt n = ignore (Atomic.fetch_and_add (cell c cnt.c_index) n)
+  let observe = ctx_observe
   let counters = ctx_counters
+  let histograms = ctx_histograms
   let events = ctx_events
   let reset = ctx_reset
   let merge_into = ctx_merge_into

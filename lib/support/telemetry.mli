@@ -41,6 +41,11 @@
     deterministic multiset of increments sums to a deterministic value
     regardless of interleaving.
 
+    The serve daemon counts its service facts with the same
+    descriptors — a {e gauge} is a counter marked as one, a
+    {!histogram} the one other kind — through {!Ctx.add} and
+    {!Ctx.observe}, which do not consult the counting flag.
+
     {2 Spans}
 
     Spans are recorded into per-(context, domain) buffers (no
@@ -66,10 +71,11 @@ type merge = Sum | Max
 
 type counter
 
-val counter : ?kind:kind -> ?merge:merge -> string -> counter
+val counter : ?kind:kind -> ?merge:merge -> ?gauge:bool -> string -> counter
 (** Find-or-create the named counter descriptor ([kind] defaults to
-    [Work], [merge] to [Sum]; both are fixed by whichever call registers
-    the name first).  Make handles top-level [let]s: registration at
+    [Work], [merge] to [Sum], [gauge] to [false]; all are fixed by
+    whichever call registers the name first; a gauge may go down).
+    Make handles top-level [let]s: registration at
     module initialization keeps the registered set identical across
     runs, so counter snapshots compare structurally. *)
 
@@ -87,6 +93,22 @@ val value : counter -> int
 val counters : ?kind:kind -> unit -> (string * int) list
 (** Registered counters with their current values in the ambient
     context, sorted by name; restricted to one kind when given. *)
+
+(** {1 Histograms} *)
+
+type histogram
+
+val histogram : string -> histogram
+(** Find-or-create the named histogram descriptor: nanosecond
+    observations over a fixed ladder (1ms, 2.5ms, 5ms … 10s, then
+    +Inf), with their sum and count; its cells merge by addition. *)
+
+type hist_snapshot = {
+  hs_bounds_ns : int array;  (** bucket upper bounds; the last bucket is +Inf *)
+  hs_counts : int array;  (** per-bucket counts, {e non}-cumulative; length = bounds + 1 *)
+  hs_sum_ns : int;
+  hs_count : int;
+}
 
 val reset : unit -> unit
 (** Zero every counter and drop every recorded event of the ambient
@@ -123,13 +145,30 @@ module Ctx : sig
   val set_counting : t -> bool -> unit
 
   val value : t -> counter -> int
-  val counters : ?kind:kind -> t -> (string * int) list
+
+  val add : t -> counter -> int -> unit
+  (** Add into [t] whether or not it is counting — for facts an
+      embedder always keeps (the daemon's), unlike {!Telemetry.add}. *)
+
+  val observe : t -> histogram -> int -> unit
+  (** Record one observation (nanoseconds) into [t], unconditionally;
+      a negative value lands in the first bucket and adds nothing to
+      the sum. *)
+
+  val counters : ?kind:kind -> ?gauge:bool -> t -> (string * int) list
+  (** As {!Telemetry.counters}; [~gauge] keeps only the gauges ([true])
+      or only the plain counters ([false]). *)
+
+  val histograms : t -> (string * hist_snapshot) list
+  (** Every registered histogram's cells in [t], sorted by name. *)
+
   val events : t -> event list
   val reset : t -> unit
 
   val merge_into : into:t -> t -> unit
   (** [merge_into ~into src] folds [src]'s counters into [into]: [Sum]
-      counters add, [Max] counters keep the larger value.
+      counters and histogram cells add, [Max] counters keep the larger
+      value.
       Unconditional — aggregation of already collected data is not
       gated on [into]'s counting flag.  Events are {e not} folded; they
       stay with the context that recorded them.  [src] is unchanged;

@@ -242,32 +242,28 @@ let untested_ok (r : Driver.loop_result) =
    worker counts and checkpoint modes. *)
 let test_fuel_exhaustion_untestable () =
   let report jobs checkpoint =
-    Unix.putenv "DCA_CHECKPOINT" checkpoint;
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "DCA_CHECKPOINT" "")
-      (fun () ->
-        Session.with_session
-          ~options:
-            (Session.Options.with_spec
-               (Commutativity.make_run_spec ~fuel:2_000 [])
-               (light_options jobs))
-          (Session.Source { file = "<fuel>"; source = long_loop_src; input = [] })
-          (fun s ->
-            (match Session.dca_results s with
-            | [ r ] when not (untested_ok r) -> (
-                match r.Driver.lr_decision with
-                | Driver.Untestable why ->
-                    Alcotest.(check bool)
-                      (Printf.sprintf "fuel verdict (%s)" why)
-                      true
-                      (why = "program ran out of fuel")
-                | d -> Alcotest.failf "expected untestable, got %s" (Driver.decision_to_string d))
-            | _ -> ());
-            Session.report s))
+    Session.with_session
+      ~options:
+        (Session.Options.with_spec
+           (Commutativity.make_run_spec ~fuel:2_000 ~checkpoint [])
+           (light_options jobs))
+      (Session.Source { file = "<fuel>"; source = long_loop_src; input = [] })
+      (fun s ->
+        (match Session.dca_results s with
+        | [ r ] when not (untested_ok r) -> (
+            match r.Driver.lr_decision with
+            | Driver.Untestable why ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "fuel verdict (%s)" why)
+                  true
+                  (why = "program ran out of fuel")
+            | d -> Alcotest.failf "expected untestable, got %s" (Driver.decision_to_string d))
+        | _ -> ());
+        Session.report s)
   in
-  let base = report 1 "" in
-  Alcotest.(check string) "jobs=4 report identical" base (report 4 "");
-  Alcotest.(check string) "deep-checkpoint report identical" base (report 2 "deep")
+  let base = report 1 Dca_interp.Store.Journal in
+  Alcotest.(check string) "jobs=4 report identical" base (report 4 Dca_interp.Store.Journal);
+  Alcotest.(check string) "deep-checkpoint report identical" base (report 2 Dca_interp.Store.Deep)
 
 (* A genuine guest trap that only occurs under a permuted schedule is
    order-dependence evidence: division by zero when the reverse replay

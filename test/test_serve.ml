@@ -32,6 +32,19 @@ let fresh_dir prefix =
 
 let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
+(* Every serve fact is a Telemetry descriptor counted into the context
+   that was ambient when the engine (or cache) was created.  Tests that
+   read those facts create their engine, cache or server in a fresh
+   context, so nothing else in the test process adds into it. *)
+let in_fresh_ctx f =
+  let ctx = Telemetry.Ctx.create () in
+  (ctx, Telemetry.with_ctx ctx f)
+
+let cell ctx name =
+  match List.assoc_opt name (Telemetry.Ctx.counters ctx) with
+  | Some v -> v
+  | None -> Alcotest.failf "no counter named %s" name
+
 (* ------------------------------------------------------------------ *)
 (* JSON codec                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -122,7 +135,7 @@ let test_protocol_response_roundtrip () =
         ];
       rp_hits = 1;
       rp_misses = 1;
-      rp_counters = [ ("serve.requests", 3) ];
+      rp_counters = [ ("dca_requests_total", 3) ];
       rp_metrics = None;
       rp_elapsed_ns = 12345;
     }
@@ -224,7 +237,7 @@ let entry ?(prog = "P") decision =
   { Vcache.e_decision = decision; e_outcome = None; e_provenance = Report.Dynamic; e_prog_digest = prog }
 
 let test_vcache_memory () =
-  let c = Vcache.create ~capacity:2 () in
+  let ctx, c = in_fresh_ctx (fun () -> Vcache.create ~capacity:2 ()) in
   Vcache.store c "k1" (entry Driver.Commutative);
   Vcache.store c "k2" (entry (Driver.Non_commutative "digest mismatch"));
   (match Vcache.find c ~prog_digest:"P" "k1" with
@@ -233,30 +246,28 @@ let test_vcache_memory () =
   (* k2 is now least-recently-used; inserting k3 evicts it *)
   ignore (Vcache.find c ~prog_digest:"P" "k1");
   Vcache.store c "k3" (entry Driver.Commutative);
-  Alcotest.(check int) "capacity held" 2 (Vcache.size c);
+  Alcotest.(check int) "capacity held" 2 (cell ctx "cache.mem_entries");
   Alcotest.(check bool) "LRU evicted k2" true (Vcache.find c ~prog_digest:"P" "k2" = None);
   Alcotest.(check bool) "k1 survived" true (Vcache.find c ~prog_digest:"P" "k1" <> None);
-  let st = Vcache.stats c in
-  Alcotest.(check int) "one eviction" 1 st.Vcache.st_evictions
+  Alcotest.(check int) "one eviction" 1 (cell ctx "cache.evictions")
 
 let test_vcache_disk_persistence () =
   let dir = fresh_dir "vcache" in
-  let c1 = Vcache.create ~dir () in
+  let _, c1 = in_fresh_ctx (fun () -> Vcache.create ~dir ()) in
   Vcache.store c1 "k1" (entry Driver.Commutative);
   (* a second instance over the same directory: a daemon restart *)
-  let c2 = Vcache.create ~dir () in
+  let ctx, c2 = in_fresh_ctx (fun () -> Vcache.create ~dir ()) in
   (match Vcache.find c2 ~prog_digest:"P" "k1" with
   | Some e -> Alcotest.(check bool) "decision survives restart" true (e.Vcache.e_decision = Driver.Commutative)
   | None -> Alcotest.fail "disk entry missing");
-  let st = Vcache.stats c2 in
-  Alcotest.(check int) "served from disk" 1 st.Vcache.st_disk_hits;
+  Alcotest.(check int) "served from disk" 1 (cell ctx "cache.disk_hits");
   (* promoted into memory: the second find is a memory hit *)
   ignore (Vcache.find c2 ~prog_digest:"P" "k1");
-  Alcotest.(check int) "promoted to memory" 1 (Vcache.stats c2).Vcache.st_mem_hits
+  Alcotest.(check int) "promoted to memory" 1 (cell ctx "cache.mem_hits")
 
 let test_vcache_corruption_degrades () =
   let dir = fresh_dir "vcache" in
-  let c1 = Vcache.create ~dir () in
+  let _, c1 = in_fresh_ctx (fun () -> Vcache.create ~dir ()) in
   Vcache.store c1 "k1" (entry Driver.Commutative);
   Vcache.store c1 "k2" (entry Driver.Commutative);
   (* flip payload bytes in one entry, truncate the other *)
@@ -268,10 +279,10 @@ let test_vcache_corruption_degrades () =
   let oc = open_out_bin f2 in
   output_string oc "DCAV1\ntru";
   close_out oc;
-  let c2 = Vcache.create ~dir () in
+  let ctx, c2 = in_fresh_ctx (fun () -> Vcache.create ~dir ()) in
   Alcotest.(check bool) "flipped entry rejected" true (Vcache.find c2 ~prog_digest:"P" "k1" = None);
   Alcotest.(check bool) "truncated entry rejected" true (Vcache.find c2 ~prog_digest:"P" "k2" = None);
-  Alcotest.(check int) "both counted corrupt" 2 (Vcache.stats c2).Vcache.st_corrupt
+  Alcotest.(check int) "both counted corrupt" 2 (cell ctx "cache.corrupt")
 
 (* Escalated entries were verified against whole-program output, so they
    are only served while the whole-program digest still matches. *)
@@ -289,7 +300,7 @@ let test_vcache_escalated_pinned () =
         | Some o -> o
         | None -> Alcotest.fail "no dynamic outcome")
   in
-  let c = Vcache.create () in
+  let _, c = in_fresh_ctx (fun () -> Vcache.create ()) in
   Vcache.store c "esc"
     {
       Vcache.e_decision = Driver.Commutative;
@@ -312,11 +323,11 @@ let test_vcache_escalated_pinned () =
     (Vcache.find c ~prog_digest:"P2" "plain" <> None)
 
 (* Four domains hammering one cache with disjoint keys: every store,
-   hit, and miss must be counted exactly once — the stats are exact
+   hit, and miss must be counted exactly once — the counters are exact
    under concurrency, not approximate. *)
 let test_vcache_concurrent_stats_exact () =
   let domains = 4 and per_domain = 250 in
-  let c = Vcache.create ~capacity:(domains * per_domain) () in
+  let ctx, c = in_fresh_ctx (fun () -> Vcache.create ~capacity:(domains * per_domain) ()) in
   let worker d () =
     for i = 0 to per_domain - 1 do
       let key = Printf.sprintf "k%d.%d" d i in
@@ -330,90 +341,102 @@ let test_vcache_concurrent_stats_exact () =
   let spawned = List.init domains (fun d -> Domain.spawn (worker d)) in
   List.iter Domain.join spawned;
   let total = domains * per_domain in
-  let st = Vcache.stats c in
-  Alcotest.(check int) "every store counted once" total st.Vcache.st_stores;
-  Alcotest.(check int) "every hit counted once" total st.Vcache.st_mem_hits;
-  Alcotest.(check int) "every miss counted once" total st.Vcache.st_misses;
-  Alcotest.(check int) "no evictions below capacity" 0 st.Vcache.st_evictions;
-  Alcotest.(check int) "every entry resident" total (Vcache.size c)
+  Alcotest.(check int) "every store counted once" total (cell ctx "cache.stores");
+  Alcotest.(check int) "every hit counted once" total (cell ctx "cache.mem_hits");
+  Alcotest.(check int) "every miss counted once" total (cell ctx "cache.misses");
+  Alcotest.(check int) "no evictions below capacity" 0 (cell ctx "cache.evictions");
+  Alcotest.(check int) "every entry resident" total (cell ctx "cache.mem_entries")
 
 (* A failed disk write (here injected at the [vcache.write] site, in the
    field ENOSPC or a read-only directory) latches memory-only operation:
-   [on_degrade] fires exactly once, later stores skip the disk, reads
-   keep serving from memory, and a fresh instance over the same
-   directory probes the disk again. *)
+   [on_degrade] fires and [dca_cache_degraded_total] ticks exactly once,
+   later stores skip the disk, reads keep serving from memory, and a
+   fresh instance over the same directory probes the disk again. *)
 let test_vcache_write_failure_degrades () =
   let dir = fresh_dir "vcache" in
+  let on_disk () =
+    Array.fold_left
+      (fun n f -> if Filename.check_suffix f ".v" then n + 1 else n)
+      0 (Sys.readdir dir)
+  in
   let degrades = ref 0 in
   Faultpoint.arm_string "vcache.write@1=raise";
   Fun.protect
     ~finally:Faultpoint.disarm
     (fun () ->
-      let c = Vcache.create ~dir ~on_degrade:(fun _ -> incr degrades) () in
+      let ctx, c =
+        in_fresh_ctx (fun () -> Vcache.create ~dir ~on_degrade:(fun _ -> incr degrades) ())
+      in
       Vcache.store c "k1" (entry Driver.Commutative);
-      Alcotest.(check bool) "degraded latched" true (Vcache.degraded c);
       Alcotest.(check int) "on_degrade fired once" 1 !degrades;
-      Alcotest.(check int) "write error counted" 1 (Vcache.stats c).Vcache.st_write_errors;
+      Alcotest.(check int) "degrade counted" 1 (cell ctx "dca_cache_degraded_total");
       (* later stores go memory-only without another degrade event *)
       Vcache.store c "k2" (entry Driver.Commutative);
       Alcotest.(check int) "no second degrade" 1 !degrades;
-      Alcotest.(check int) "one write error total" 1 (Vcache.stats c).Vcache.st_write_errors;
+      Alcotest.(check int) "one degrade total" 1 (cell ctx "dca_cache_degraded_total");
       Alcotest.(check bool) "k1 served from memory" true
         (Vcache.find c ~prog_digest:"P" "k1" <> None);
       Alcotest.(check bool) "k2 served from memory" true
         (Vcache.find c ~prog_digest:"P" "k2" <> None);
-      Alcotest.(check int) "nothing reached the disk" 0
-        (Array.fold_left
-           (fun n f -> if Filename.check_suffix f ".v" then n + 1 else n)
-           0 (Sys.readdir dir));
+      Alcotest.(check int) "nothing reached the disk" 0 (on_disk ());
       (* degradation is per-instance: a restart re-probes the disk *)
-      let c2 = Vcache.create ~dir () in
-      Alcotest.(check bool) "fresh instance not degraded" false (Vcache.degraded c2))
+      let ctx2, c2 = in_fresh_ctx (fun () -> Vcache.create ~dir ()) in
+      Vcache.store c2 "k3" (entry Driver.Commutative);
+      Alcotest.(check int) "fresh instance writes the disk again" 1 (on_disk ());
+      Alcotest.(check int) "fresh instance not degraded" 0
+        (cell ctx2 "dca_cache_degraded_total"))
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Test descriptors: registered once for the test process, counted
+   only into the fresh contexts of the tests below. *)
+let t_counter = Telemetry.counter ~kind:Telemetry.Diag "test_a_total"
+let t_gauge = Telemetry.counter ~kind:Telemetry.Diag ~gauge:true "test_g"
+let t_hist = Telemetry.histogram "test_h_seconds"
+
 let test_metrics_families_and_buckets () =
-  let m = Metrics.create ~counters:[ "a_total" ] ~gauges:[ "g" ] ~histograms:[ "h_seconds" ] () in
-  Metrics.add m "a_total" 3;
-  Metrics.incr m "a_total";
-  Metrics.gauge_set m "g" 7;
-  Metrics.gauge_add m "g" (-2);
-  Metrics.observe_ns m "h_seconds" 3_000_000 (* lands in le=5ms *);
-  Metrics.observe_ns m "h_seconds" 60_000_000_000 (* beyond the ladder: +Inf *);
-  Metrics.observe_ns m "h_seconds" (-1) (* clamps into the first bucket *);
-  let s = Metrics.snapshot m in
-  Alcotest.(check int) "counter" 4 (List.assoc "a_total" s.Metrics.sn_counters);
-  Alcotest.(check int) "gauge" 5 (List.assoc "g" s.Metrics.sn_gauges);
-  let h = List.assoc "h_seconds" s.Metrics.sn_hists in
-  Alcotest.(check int) "observation count" 3 h.Metrics.hs_count;
+  (* a fresh context is not counting: the daemon's adds are unconditional *)
+  let ctx = Telemetry.Ctx.create () in
+  Telemetry.Ctx.add ctx t_counter 3;
+  Telemetry.Ctx.add ctx t_counter 1;
+  Telemetry.Ctx.add ctx t_gauge 7;
+  Telemetry.Ctx.add ctx t_gauge (-2);
+  Telemetry.Ctx.observe ctx t_hist 3_000_000 (* lands in le=5ms *);
+  Telemetry.Ctx.observe ctx t_hist 60_000_000_000 (* beyond the ladder: +Inf *);
+  Telemetry.Ctx.observe ctx t_hist (-1) (* clamps into the first bucket *);
+  let s = Metrics.snapshot ctx in
+  Alcotest.(check int) "counter" 4 (List.assoc "test_a_total" s.Metrics.sn_counters);
+  Alcotest.(check int) "gauge" 5 (List.assoc "test_g" s.Metrics.sn_gauges);
+  Alcotest.(check bool) "a gauge is not listed as a plain counter" false
+    (List.mem_assoc "test_g" s.Metrics.sn_counters);
+  let h = List.assoc "test_h_seconds" s.Metrics.sn_hists in
+  Alcotest.(check int) "observation count" 3 h.Telemetry.hs_count;
   Alcotest.(check int) "negative values do not poison the sum" (3_000_000 + 60_000_000_000)
-    h.Metrics.hs_sum_ns;
+    h.Telemetry.hs_sum_ns;
   Alcotest.(check int) "bucket array covers bounds + overflow"
-    (Array.length h.Metrics.hs_bounds_ns + 1)
-    (Array.length h.Metrics.hs_counts);
-  Alcotest.(check int) "clamped observation in the first bucket" 1 h.Metrics.hs_counts.(0);
-  Alcotest.(check int) "3ms in the le=5ms bucket" 1 h.Metrics.hs_counts.(2);
-  Alcotest.(check int) "overflow in +Inf" 1 h.Metrics.hs_counts.(Array.length h.Metrics.hs_bounds_ns);
-  (* a misspelled family is a bug, not data *)
-  List.iter
-    (fun f -> match f () with
-      | () -> Alcotest.fail "unknown family accepted"
-      | exception Invalid_argument _ -> ())
-    [
-      (fun () -> Metrics.incr m "a_totall");
-      (fun () -> Metrics.gauge_set m "gg" 1);
-      (fun () -> Metrics.observe_ns m "nope" 1);
-    ]
+    (Array.length h.Telemetry.hs_bounds_ns + 1)
+    (Array.length h.Telemetry.hs_counts);
+  Alcotest.(check int) "clamped observation in the first bucket" 1 h.Telemetry.hs_counts.(0);
+  Alcotest.(check int) "3ms in the le=5ms bucket" 1 h.Telemetry.hs_counts.(2);
+  Alcotest.(check int) "overflow in +Inf" 1 h.Telemetry.hs_counts.(Array.length h.Telemetry.hs_bounds_ns);
+  (* histogram cells fold like Sum counters *)
+  let into = Telemetry.Ctx.create () in
+  Telemetry.Ctx.merge_into ~into ctx;
+  Telemetry.Ctx.merge_into ~into ctx;
+  let merged = List.assoc "test_h_seconds" (Metrics.snapshot into).Metrics.sn_hists in
+  Alcotest.(check int) "merged count adds" 6 merged.Telemetry.hs_count;
+  Alcotest.(check int) "merged overflow bucket adds" 2
+    merged.Telemetry.hs_counts.(Array.length h.Telemetry.hs_bounds_ns)
 
 let test_metrics_json_roundtrip_and_exposition () =
-  let m = Metrics.create ~counters:[ "a_total" ] ~gauges:[ "g" ] ~histograms:[ "h_seconds" ] () in
-  Metrics.add m "a_total" 2;
-  Metrics.gauge_set m "g" 1;
-  Metrics.observe_ns m "h_seconds" 3_000_000;
-  Metrics.observe_ns m "h_seconds" 2_000_000_000;
-  let s = Metrics.snapshot m in
+  let ctx = Telemetry.Ctx.create () in
+  Telemetry.Ctx.add ctx t_counter 2;
+  Telemetry.Ctx.add ctx t_gauge 1;
+  Telemetry.Ctx.observe ctx t_hist 3_000_000;
+  Telemetry.Ctx.observe ctx t_hist 2_000_000_000;
+  let s = Metrics.snapshot ctx in
   (match Metrics.snapshot_of_json (Metrics.snapshot_to_json s) with
   | Ok s' -> Alcotest.(check bool) "snapshot round-trips through JSON" true (s = s')
   | Error e -> Alcotest.fail e);
@@ -429,30 +452,30 @@ let test_metrics_json_roundtrip_and_exposition () =
   List.iter
     (fun needle -> Alcotest.(check bool) (Printf.sprintf "exposition has %S" needle) true (contains needle))
     [
-      "# TYPE a_total counter";
-      "a_total 2";
-      "# TYPE g gauge";
-      "g 1";
-      "# TYPE h_seconds histogram";
-      "h_seconds_bucket{le=\"0.005\"} 1";
+      "# TYPE test_a_total counter";
+      "test_a_total 2";
+      "# TYPE test_g gauge";
+      "test_g 1";
+      "# TYPE test_h_seconds histogram";
+      "test_h_seconds_bucket{le=\"0.005\"} 1";
       (* cumulative: the 2s observation joins at le=2.5s and stays *)
-      "h_seconds_bucket{le=\"2.5\"} 2";
-      "h_seconds_bucket{le=\"+Inf\"} 2";
-      "h_seconds_count 2";
+      "test_h_seconds_bucket{le=\"2.5\"} 2";
+      "test_h_seconds_bucket{le=\"+Inf\"} 2";
+      "test_h_seconds_count 2";
     ]
 
 (* Prometheus-style quantile interpolation over the fixed bucket ladder:
    uniform-in-bucket estimates, +Inf observations clamped to the last
    finite bound, the empty histogram at zero. *)
 let test_metrics_quantiles () =
-  let snap_of m = List.assoc "h" (Metrics.snapshot m).Metrics.sn_hists in
-  let m = Metrics.create ~counters:[] ~gauges:[] ~histograms:[ "h" ] () in
-  Alcotest.(check (float 1e-12)) "empty histogram" 0.0 (Metrics.quantile (snap_of m) 0.99);
+  let snap_of ctx = List.assoc "test_h_seconds" (Metrics.snapshot ctx).Metrics.sn_hists in
+  let ctx = Telemetry.Ctx.create () in
+  Alcotest.(check (float 1e-12)) "empty histogram" 0.0 (Metrics.quantile (snap_of ctx) 0.99);
   (* 100 observations in the (2.5ms, 5ms] bucket: rank interpolation *)
   for _ = 1 to 100 do
-    Metrics.observe_ns m "h" 4_000_000
+    Telemetry.Ctx.observe ctx t_hist 4_000_000
   done;
-  let h = snap_of m in
+  let h = snap_of ctx in
   Alcotest.(check (float 1e-9)) "p50 interpolates to the bucket middle" 0.00375
     (Metrics.quantile h 0.5);
   Alcotest.(check (float 1e-9)) "p99 near the upper bound" 0.004975 (Metrics.quantile h 0.99);
@@ -461,12 +484,12 @@ let test_metrics_quantiles () =
     (Metrics.quantile h 0.1 <= Metrics.quantile h 0.5
     && Metrics.quantile h 0.5 <= Metrics.quantile h 0.9);
   (* overflow observations clamp to the last finite bound (10s) *)
-  let m2 = Metrics.create ~counters:[] ~gauges:[] ~histograms:[ "h" ] () in
+  let ctx2 = Telemetry.Ctx.create () in
   for _ = 1 to 3 do
-    Metrics.observe_ns m2 "h" 60_000_000_000
+    Telemetry.Ctx.observe ctx2 t_hist 60_000_000_000
   done;
   Alcotest.(check (float 1e-9)) "+Inf clamps to the last bound" 10.0
-    (Metrics.quantile (snap_of m2) 0.5)
+    (Metrics.quantile (snap_of ctx2) 0.5)
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -591,15 +614,14 @@ let test_engine_corrupt_entry_recomputes () =
         close_out oc
       end)
     (Sys.readdir dir);
-  let engine = Engine.create ~cache_dir:dir () in
+  let ctx, engine = in_fresh_ctx (fun () -> Engine.create ~cache_dir:dir ()) in
   Fun.protect
     ~finally:(fun () -> Engine.close engine)
     (fun () ->
       let rp = handle_ok engine (analyze_rq (two_funcs 2)) in
       Alcotest.(check int) "nothing served from poison" 0 rp.Protocol.rp_hits;
       Alcotest.(check string) "recomputed reply identical" cold (report_of rp);
-      let corrupt = List.assoc "cache.corrupt" (Engine.stats engine) in
-      Alcotest.(check bool) "corruption detected" true (corrupt > 0))
+      Alcotest.(check bool) "corruption detected" true (cell ctx "cache.corrupt" > 0))
 
 let is_aborted li = has_prefix "aborted" li.Protocol.li_decision
 
@@ -646,21 +668,85 @@ let test_engine_degraded_cache_still_serves () =
   Fun.protect
     ~finally:Faultpoint.disarm
     (fun () ->
-      let engine = Engine.create ~cache_dir:dir () in
+      let ctx, engine = in_fresh_ctx (fun () -> Engine.create ~cache_dir:dir ()) in
       Fun.protect
         ~finally:(fun () -> Engine.close engine)
         (fun () ->
           let cold = handle_ok engine (analyze_rq (two_funcs 2)) in
-          let stats = Engine.stats engine in
-          Alcotest.(check int) "cache degraded" 1 (List.assoc "cache.degraded" stats);
-          Alcotest.(check int) "one write error" 1 (List.assoc "cache.write_errors" stats);
-          let snap = Metrics.snapshot (Engine.metrics engine) in
-          Alcotest.(check int) "degrade metric ticked once" 1
-            (List.assoc "dca_cache_degraded_total" snap.Metrics.sn_counters);
+          Alcotest.(check int) "degrade counted once" 1 (cell ctx "dca_cache_degraded_total");
           let warm = handle_ok engine (analyze_rq (two_funcs 2)) in
           Alcotest.(check int) "warm served from memory" 2 warm.Protocol.rp_hits;
           Alcotest.(check string) "degraded warm reply byte-identical" (report_of cold)
             (report_of warm)))
+
+(* One registry: every serve fact is one Telemetry descriptor in the
+   daemon's context.  After a cold, a warm, a fault-carrying and a
+   degrading request, the [stats] reply's counters, its metrics
+   snapshot and the context itself agree cell for cell, and no fact is
+   reported under two names. *)
+let test_engine_one_registry () =
+  let dir = fresh_dir "engine" in
+  let ctx, engine = in_fresh_ctx (fun () -> Engine.create ~cache_dir:dir ()) in
+  Fun.protect
+    ~finally:(fun () -> Engine.close engine)
+    (fun () ->
+      let cold = handle_ok engine (analyze_rq ~jobs:1 (two_funcs 2)) in
+      let warm = handle_ok engine (analyze_rq ~jobs:1 (two_funcs 2)) in
+      let faulted =
+        handle_ok engine (analyze_rq ~jobs:1 ~faults:"commutativity.replay@1=raise" (two_funcs 2))
+      in
+      (* the daemon's own plan fails the next disk write: fb's edited
+         loop is stored memory-only and the cache degrades *)
+      Faultpoint.arm_string "vcache.write@1=raise";
+      let edit =
+        Fun.protect ~finally:Faultpoint.disarm (fun () ->
+            handle_ok engine (analyze_rq ~jobs:1 (two_funcs 3)))
+      in
+      let stats = Engine.handle engine { Protocol.default_request with Protocol.rq_op = Protocol.Stats } in
+      let snap =
+        match Option.map Metrics.snapshot_of_json stats.Protocol.rp_metrics with
+        | Some (Ok s) -> s
+        | _ -> Alcotest.fail "stats reply carries no metrics snapshot"
+      in
+      let cells = snap.Metrics.sn_counters @ snap.Metrics.sn_gauges in
+      let live = Telemetry.Ctx.counters ctx in
+      List.iter
+        (fun (name, v) ->
+          (match List.assoc_opt name cells with
+          | Some w -> Alcotest.(check int) (name ^ ": counters = metrics") v w
+          | None -> ());
+          match List.assoc_opt name live with
+          | Some w -> Alcotest.(check int) (name ^ ": counters = context") v w
+          | None -> ())
+        stats.Protocol.rp_counters;
+      Alcotest.(check (list string)) "the counters are the snapshot's cells"
+        (List.sort compare (List.map fst cells))
+        (List.map fst stats.Protocol.rp_counters);
+      (* one name per fact: the old aliases of requests, errors and the
+         degrade latch are gone from every view *)
+      List.iter
+        (fun dup ->
+          Alcotest.(check bool) (dup ^ " is gone") false
+            (List.mem_assoc dup (stats.Protocol.rp_counters @ cells @ live)))
+        [ "serve.requests"; "serve.aborted_requests"; "cache.write_errors"; "cache.degraded" ];
+      let v name = List.assoc name stats.Protocol.rp_counters in
+      Alcotest.(check int) "every reply counted, this one included" 5 (v "dca_requests_total");
+      Alcotest.(check int) "no error" 0 (v "dca_requests_errors_total");
+      Alcotest.(check int) "analyze requests" 4 (v "dca_analyze_requests_total");
+      Alcotest.(check int) "per-reply hits" (warm.Protocol.rp_hits + edit.Protocol.rp_hits)
+        (v "dca_cache_hits_total");
+      Alcotest.(check int) "per-reply misses"
+        (cold.Protocol.rp_misses + faulted.Protocol.rp_misses + edit.Protocol.rp_misses)
+        (v "dca_cache_misses_total");
+      Alcotest.(check int) "cache probes: warm and edit hits" 3 (v "cache.mem_hits");
+      Alcotest.(check int) "cache probes: cold and edit misses" 3 (v "cache.misses");
+      Alcotest.(check int) "stores: cold and edit" (cold.Protocol.rp_misses + edit.Protocol.rp_misses)
+        (v "cache.stores");
+      Alcotest.(check int) "one degrade" 1 (v "dca_cache_degraded_total");
+      Alcotest.(check int) "resident entries" 3 (v "cache.mem_entries");
+      Alcotest.(check int) "nothing in flight after the reply" 0 (v "dca_inflight_requests");
+      let h = List.assoc "dca_request_duration_seconds" snap.Metrics.sn_hists in
+      Alcotest.(check int) "every reply timed" 5 h.Telemetry.hs_count)
 
 (* An injected crash at the mouth of the analysis pipeline
    ([engine.analyze], via the request's own fault plan) becomes an
@@ -760,8 +846,29 @@ let test_fault_sites_registered () =
 (* Socket server                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Raw-socket access for the tests that need to hold a connection open
+   mid-request or feed the daemon bytes no Client would ever send. *)
+let raw_connect socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  fd
+
+let write_all fd s =
+  let b = Bytes.of_string s in
+  let n = Bytes.length b in
+  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
+  go 0
+
+let send_line fd line = write_all fd (line ^ "\n")
+
+(* A daemon in its own telemetry context, so its counters are exactly
+   this test's. *)
+let run_server cfg = snd (in_fresh_ctx (fun () -> Server.run cfg))
+
 (* One daemon on a real Unix-domain socket, driven by the Client module
-   from the test process while the server runs in a spawned domain. *)
+   from the test process while the server runs in a spawned domain.  A
+   line that does not parse still gets a request id, counts as a
+   request and an error, and is logged under op "invalid". *)
 let test_server_socket () =
   let dir = fresh_dir "server" in
   let socket = Filename.concat dir "dca.sock" in
@@ -778,7 +885,7 @@ let test_server_socket () =
       sv_jobs = Some 1;
     }
   in
-  let server = Domain.spawn (fun () -> Server.run cfg) in
+  let server = Domain.spawn (fun () -> run_server cfg) in
   (* readiness = the daemon answers a ping, not just a socket file being
      present (the stale file is there from the start) *)
   let rec wait_ready n =
@@ -806,13 +913,28 @@ let test_server_socket () =
   let warm = request { analyze with Protocol.rq_id = 3 } in
   Alcotest.(check int) "warm hits over the wire" 2 warm.Protocol.rp_hits;
   Alcotest.(check string) "reports identical over the wire" (report_of cold) (report_of warm);
+  let bad =
+    let fd = raw_connect socket in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        send_line fd "{\"op\":\"frobnicate\"}";
+        match Protocol.parse_response (input_line (Unix.in_channel_of_descr fd)) with
+        | Ok rp -> rp
+        | Error e -> Alcotest.fail e)
+  in
+  Alcotest.(check bool) "malformed line is an error reply" false (Protocol.ok bad);
+  Alcotest.(check bool) "malformed line has a request id" true (bad.Protocol.rp_req > 0);
   let stats = request { Protocol.default_request with Protocol.rq_id = 4; rq_op = Protocol.Stats } in
-  Alcotest.(check bool) "stats counters present" true
-    (List.mem_assoc "serve.requests" stats.Protocol.rp_counters);
+  let counter name = List.assoc name stats.Protocol.rp_counters in
+  Alcotest.(check int) "requests counted, the malformed one included" 5
+    (counter "dca_requests_total");
+  Alcotest.(check int) "the malformed line is the one error" 1
+    (counter "dca_requests_errors_total");
   let bye = request { Protocol.default_request with Protocol.rq_id = 5; rq_op = Protocol.Shutdown } in
   Alcotest.(check bool) "shutdown acknowledged" true (Protocol.ok bye);
   let served = Domain.join server in
-  Alcotest.(check int) "served all five requests" 5 served;
+  Alcotest.(check int) "served all six requests" 6 served;
   Alcotest.(check bool) "socket removed on exit" true (not (Sys.file_exists socket));
   (* access log: one JSON object per request, parseable *)
   let ic = open_in access in
@@ -822,20 +944,35 @@ let test_server_socket () =
        lines := input_line ic :: !lines
      done
    with End_of_file -> close_in ic);
-  Alcotest.(check int) "one access-log line per request" 5 (List.length !lines);
-  List.iter
-    (fun line ->
-      match Json.of_string_result line with
-      | Ok j -> Alcotest.(check bool) "log line has op" true (Json.member "op" j <> None)
-      | Error e -> Alcotest.failf "unparseable access-log line: %s" e)
-    !lines
+  Alcotest.(check int) "one access-log line per request" 6 (List.length !lines);
+  let entries =
+    List.map
+      (fun line ->
+        match Json.of_string_result line with
+        | Ok j ->
+            Alcotest.(check bool) "log line has op" true (Json.member "op" j <> None);
+            j
+        | Error e -> Alcotest.failf "unparseable access-log line: %s" e)
+      !lines
+  in
+  match
+    List.find_opt
+      (fun j -> Option.bind (Json.member "req" j) Json.to_int_opt = Some bad.Protocol.rp_req)
+      entries
+  with
+  | Some j ->
+      Alcotest.(check (option string)) "malformed line logged as invalid" (Some "invalid")
+        (Option.bind (Json.member "op" j) Json.to_str_opt);
+      Alcotest.(check (option string)) "malformed line logged as an error" (Some "error")
+        (Option.bind (Json.member "status" j) Json.to_str_opt)
+  | None -> Alcotest.fail "no access-log line carries the malformed line's request id"
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent server                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let start_server cfg =
-  let server = Domain.spawn (fun () -> Server.run cfg) in
+  let server = Domain.spawn (fun () -> run_server cfg) in
   let rec wait_ready n =
     if n = 0 then Alcotest.fail "server never became reachable";
     match
@@ -923,7 +1060,7 @@ let test_server_concurrent_identical () =
     (List.assoc "dca_cache_hits_total" snap.Metrics.sn_counters
     + List.assoc "dca_cache_misses_total" snap.Metrics.sn_counters);
   let h = List.assoc "dca_request_duration_seconds" snap.Metrics.sn_hists in
-  Alcotest.(check bool) "latency histogram populated" true (h.Metrics.hs_count >= analyzed);
+  Alcotest.(check bool) "latency histogram populated" true (h.Telemetry.hs_count >= analyzed);
   Alcotest.(check bool) "inflight gauge present" true
     (List.mem_assoc "dca_inflight_requests" snap.Metrics.sn_gauges);
   (match
@@ -970,21 +1107,6 @@ let test_server_max_requests_concurrent () =
 (* ------------------------------------------------------------------ *)
 (* Self-healing serve plane                                            *)
 (* ------------------------------------------------------------------ *)
-
-(* Raw-socket access for the tests that need to hold a connection open
-   mid-request or feed the daemon bytes no Client would ever send. *)
-let raw_connect socket =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX socket);
-  fd
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
-  go 0
-
-let send_line fd line = write_all fd (line ^ "\n")
 
 (* Busy-tolerant helpers: right after an overload or crash scenario the
    queue may still hold corpses of closed connections, so a fresh
@@ -1293,7 +1415,7 @@ let test_client_retry_waits_for_daemon () =
   let server =
     Domain.spawn (fun () ->
         Unix.sleepf 0.3 (* the daemon is late to the party *);
-        Server.run cfg)
+        run_server cfg)
   in
   let backoff =
     { Client.default_backoff with Client.bo_attempts = 20; bo_base_ms = 60.; bo_seed = 7 }
@@ -1390,6 +1512,7 @@ let suites =
         Alcotest.test_case "errors are replies" `Quick test_engine_errors;
         Alcotest.test_case "degraded cache still serves" `Quick
           test_engine_degraded_cache_still_serves;
+        Alcotest.test_case "one counter registry" `Quick test_engine_one_registry;
         Alcotest.test_case "analyze crash is a reply" `Quick test_engine_analyze_crash_is_a_reply;
         Alcotest.test_case "aborts never cached" `Quick test_engine_aborts_never_cached;
         Alcotest.test_case "request plan leaves the daemon plan" `Quick

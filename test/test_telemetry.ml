@@ -92,24 +92,29 @@ let test_disabled_path_allocates_nothing () =
 (* ------------------------------------------------------------------ *)
 
 (* Analyze [bm] with counting on and return the work-counter snapshot.
-   [checkpoint] temporarily overrides DCA_CHECKPOINT ("" selects the
-   journal default). *)
+   [checkpoint] selects the dynamic stage's store mode through the run
+   spec (default: whatever DCA_CHECKPOINT says). *)
 let work_snapshot ?checkpoint bm jobs =
   (* spend the one-shot env wiring first: otherwise the first
      Session.create of the test process would fire it and clobber the
      flags set below *)
   T.init_from_env ();
-  (match checkpoint with Some v -> Unix.putenv "DCA_CHECKPOINT" v | None -> ());
+  let options =
+    match checkpoint with
+    | None -> light_options jobs
+    | Some mode ->
+        Session.Options.with_spec
+          (Commutativity.make_run_spec ~checkpoint:mode bm.Dca_progs.Benchmark.bm_input)
+          (light_options jobs)
+  in
   Fun.protect
     ~finally:(fun () ->
-      (match checkpoint with Some _ -> Unix.putenv "DCA_CHECKPOINT" "" | None -> ());
       T.set_counting false;
       T.reset ())
     (fun () ->
       T.reset ();
       T.set_counting true;
-      Session.with_session ~options:(light_options jobs) (Session.Benchmark bm) (fun s ->
-          ignore (Session.dca_results s));
+      Session.with_session ~options (Session.Benchmark bm) (fun s -> ignore (Session.dca_results s));
       T.counters ~kind:T.Work ())
 
 let check_snapshots name a b =
@@ -130,8 +135,8 @@ let test_work_counters_jobs_invariant () =
 
 let test_work_counters_checkpoint_invariant () =
   let bm = Dca_progs.Registry.find_exn "DC" in
-  let journal = work_snapshot ~checkpoint:"" bm 2 in
-  let deep = work_snapshot ~checkpoint:"deep" bm 2 in
+  let journal = work_snapshot ~checkpoint:Dca_interp.Store.Journal bm 2 in
+  let deep = work_snapshot ~checkpoint:Dca_interp.Store.Deep bm 2 in
   check_snapshots "DC: work counters journal vs deep" journal deep
 
 (* The fault-isolation counters (dca.aborted, dca.retries,
