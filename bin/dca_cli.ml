@@ -678,17 +678,8 @@ let serve_cmd =
             "On SIGTERM/SIGINT the daemon stops accepting and finishes in-flight requests; \
              stragglers still running past $(docv) are abandoned instead of blocking the exit.")
   in
-  let slow_request_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "slow-request-ms" ] ~docv:"MS"
-          ~doc:
-            "Mark requests slower than $(docv) in the access log ($(b,\"slow\": true)) and count \
-             them in $(b,dca_slow_requests_total).")
-  in
   let run socket cache_dir cache_capacity workers access_log metrics_file max_requests
-      max_queue request_timeout drain_timeout slow_request common =
+      max_queue request_timeout drain_timeout common =
     apply_common common;
     let cfg =
       {
@@ -703,7 +694,6 @@ let serve_cmd =
         sv_max_queue = max_queue;
         sv_request_timeout_ms = request_timeout;
         sv_drain_timeout_s = drain_timeout;
-        sv_slow_request_ms = slow_request;
         (* the CLI daemon drains gracefully on SIGTERM/SIGINT; embedders
            of Server.run opt in explicitly *)
         sv_handle_signals = true;
@@ -726,7 +716,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ cache_dir_arg $ cache_capacity_arg $ workers_arg
       $ access_log_arg $ metrics_file_arg $ max_requests_arg $ max_queue_arg
-      $ request_timeout_arg $ drain_timeout_arg $ slow_request_arg $ common_term)
+      $ request_timeout_arg $ drain_timeout_arg $ common_term)
 
 (* dca client: one request against a running daemon.  The session-shaped
    common flags travel in the request (--jobs, --deadline-ms,
@@ -793,12 +783,7 @@ let client_cmd =
               (* ship local .mc files inline so the daemon needs no
                  filesystem agreement with the client *)
               if Sys.file_exists p && not (Sys.is_directory p) then
-                let ic = open_in_bin p in
-                let source =
-                  Fun.protect
-                    ~finally:(fun () -> close_in_noerr ic)
-                    (fun () -> really_input_string ic (in_channel_length ic))
-                in
+                let source = In_channel.with_open_bin p In_channel.input_all in
                 Some (Dca_serve.Protocol.Inline { file = p; source; input = [] })
               else Some (Dca_serve.Protocol.Named p)
           | _ -> None

@@ -124,18 +124,13 @@ let create ?(options = Options.default) origin =
     s_plan = None;
   }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load ?options prog =
   match Dca_progs.Registry.find prog with
   | Some bm -> Ok (create ?options (Benchmark bm))
   | None ->
       if Sys.file_exists prog then
-        Ok (create ?options (Source { file = prog; source = read_file prog; input = [] }))
+        let source = In_channel.with_open_bin prog In_channel.input_all in
+        Ok (create ?options (Source { file = prog; source; input = [] }))
       else Error (Printf.sprintf "'%s' is neither a built-in benchmark nor a file" prog)
 
 let name t = t.s_name

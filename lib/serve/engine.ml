@@ -96,12 +96,6 @@ let close (_ : t) = ()
 (* Program resolution                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let resolve_program = function
   | Protocol.Named name -> (
       match Dca_progs.Registry.find name with
@@ -111,7 +105,8 @@ let resolve_program = function
               bm.Dca_progs.Benchmark.bm_source,
               bm.Dca_progs.Benchmark.bm_input )
       | None ->
-          if Sys.file_exists name then Ok (name, read_file name, [])
+          if Sys.file_exists name then
+            Ok (name, In_channel.with_open_bin name In_channel.input_all, [])
           else Error (Printf.sprintf "'%s' is neither a built-in benchmark nor a file" name))
   | Protocol.Inline { file; source; input } -> Ok (file, source, input)
 

@@ -1,14 +1,16 @@
-(* Unix-domain-socket transport for the serve engine, with a
-   self-healing supervision layer (DESIGN.md §15).
+(* Unix-domain-socket transport for the serve engine, with the
+   defenses that keep it serving (DESIGN.md §15).
 
-   One accept loop feeding a pool of worker domains: accepted
+   One accept loop feeding a fixed pool of worker domains: accepted
    connections are queued; each worker owns one connection at a time
    and serves its request lines in order, so per-connection replies are
    sequential while the daemon as a whole serves [sv_workers]
    connections concurrently.  The engine underneath is stateless apart
    from its locked verdict cache (each request runs under its own
    session, telemetry context and, if it carries one, fault plan), so
-   replies are byte-identical to a serial daemon's.
+   replies are byte-identical to a serial daemon's.  The daemon's
+   domains are fixed at start-up: the workers, plus the watchdog when
+   [sv_request_timeout_ms] is set.
 
    Request admission is a reservation: a worker reserves a budget slot
    under the state lock *before* handing the line to the engine — with
@@ -20,31 +22,28 @@
    worker blocked on an idle persistent connection cannot stall the
    exit.
 
-   The supervision layer adds four defenses, each counted by a
-   Telemetry descriptor of this module in the daemon's context:
+   Four defenses, each counted by a Telemetry descriptor of this module
+   in the daemon's context:
 
    - *Overload shedding.*  The accept loop bounds the connection queue
      at [sv_max_queue]; beyond it a connection gets an immediate [busy]
      reply and is closed ([dca_requests_shed_total]).  Nothing was
      admitted, so a client retry is always safe.
 
-   - *Request timeouts.*  With [sv_request_timeout_ms] a watchdog
-     domain scans the in-flight registry and replaces the reply of an
-     overdue request with a structured error, then shuts the
-     connection ([dca_requests_timeout_total]).  The engine call is
-     *not* interrupted: it runs to natural completion so its verdicts
-     stay correct and cacheable — only the reply is forfeited.  Reply
-     ownership is decided by winning the Running→Replied/Timed_out
-     transition under the request's own lock, so exactly one side ever
-     writes, and the watchdog only touches a descriptor while holding
-     that lock (the worker cannot close it concurrently).
+   - *Request timeouts.*  With [sv_request_timeout_ms] the watchdog
+     domain scans the in-flight requests and replaces the reply of an
+     overdue one with a structured error, then shuts the connection
+     ([dca_requests_timeout_total]).  The engine call is *not*
+     interrupted: it runs to natural completion so its verdicts stay
+     correct and cacheable — only the reply is forfeited.  Exactly one
+     side writes a reply: whoever [claim]s it first.
 
-   - *Worker crash recovery.*  An exception that escapes a worker's
-     serving loop (the [serve.worker] fault site models this) ends the
-     domain: its last rites give the in-flight request a [busy] reply —
-     retrying clients converge to byte-identical reports — close the
-     connection, and hand the slot to a supervisor domain, which joins
-     the corpse and spawns a replacement
+   - *Crash recovery in place.*  An exception that escapes the serving
+     of a connection (the [serve.worker] fault site models this) is
+     caught by the worker's own loop: the in-flight request gets a
+     [busy] reply if the worker still owns it — retrying clients
+     converge to byte-identical reports — and keeps its budget slot,
+     the connection is closed, and the same domain takes the next one
      ([dca_worker_restarts_total]).
 
    - *Graceful drain.*  With [sv_handle_signals], SIGTERM/SIGINT set an
@@ -56,20 +55,20 @@
    Every request is wrapped in a Telemetry span carrying the
    server-assigned request id and appended to the JSONL access log (one
    object per request: timestamp, ids, op, program, status,
-   loop/hit/miss counts, elapsed time, and a ["slow"] marker past
-   [sv_slow_request_ms]), and the metrics exposition is rewritten to
-   [sv_metrics_file] (atomically, temp + rename) after every request —
-   the same id threads the access log, the trace, and the reply
-   ([rp_req]), so one request can be followed across all three sinks.
-   A metrics file that stops being writable (full disk, revoked
-   permissions) is logged once and otherwise ignored. *)
+   loop/hit/miss counts and elapsed time), and the metrics exposition
+   is rewritten to [sv_metrics_file] (atomically, temp + rename) after
+   every request — the same id threads the access log, the trace, and
+   the reply ([rp_req]), so one request can be followed across all
+   three sinks.  An access log or metrics file that stops being
+   writable (full disk, revoked permissions) is logged once and
+   otherwise ignored. *)
 
 module Faultpoint = Dca_support.Faultpoint
 module Telemetry = Dca_support.Telemetry
 
 (* Fault site inside the worker's serving loop, hit with a request in
-   flight: an injected raise models a worker-domain crash and must take
-   the busy-reply + respawn path, never the whole daemon. *)
+   flight: an injected raise models a worker crash and must take the
+   busy-reply recovery path, never the whole daemon. *)
 let fp_worker = Faultpoint.site "serve.worker"
 
 (* The transport's service facts, added into the daemon's context
@@ -78,7 +77,6 @@ let counter ?gauge name = Telemetry.counter ~kind:Telemetry.Diag ?gauge name
 let c_shed = counter "dca_requests_shed_total"
 let c_timeouts = counter "dca_requests_timeout_total"
 let c_restarts = counter "dca_worker_restarts_total"
-let c_slow = counter "dca_slow_requests_total"
 let g_queue = counter ~gauge:true "dca_queue_depth"
 
 type config = {
@@ -93,7 +91,6 @@ type config = {
   sv_max_queue : int;  (* shed (busy-reply) connections beyond this queue depth *)
   sv_request_timeout_ms : int option;  (* watchdog bound on a single request's reply *)
   sv_drain_timeout_s : float;  (* graceful-exit bound on in-flight stragglers *)
-  sv_slow_request_ms : int option;  (* access-log + counter threshold *)
   sv_handle_signals : bool;  (* SIGTERM/SIGINT trigger a graceful drain *)
 }
 
@@ -110,96 +107,108 @@ let default_config socket =
     sv_max_queue = 64;
     sv_request_timeout_ms = None;
     sv_drain_timeout_s = 30.;
-    sv_slow_request_ms = None;
     sv_handle_signals = false;
   }
 
 (* A leftover socket file from a crashed daemon would make bind fail.
-   Only reclaim the path if nothing answers on it — a live daemon's
-   socket is left alone and surfaces as an address-in-use error. *)
+   Only reclaim the path if it is a socket and nothing answers on it —
+   a live daemon's socket, and anything that is not a socket, is left
+   alone and surfaces as an address-in-use error. *)
 let reclaim_stale_socket path =
-  if Sys.file_exists path then begin
-    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let live =
-      match Unix.connect probe (Unix.ADDR_UNIX path) with
-      | () -> true
-      | exception Unix.Unix_error _ -> false
-    in
-    Unix.close probe;
-    if not live then try Sys.remove path with Sys_error _ -> ()
-  end
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_SOCK ->
+      let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let live =
+        match Unix.connect probe (Unix.ADDR_UNIX path) with
+        | () -> true
+        | exception Unix.Unix_error _ -> false
+      in
+      Unix.close probe;
+      if not live then ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | _ | (exception Unix.Unix_error _) -> ()
 
 let program_name = function
   | Some (Protocol.Named n) -> n
   | Some (Protocol.Inline { file; _ }) -> file ^ " (inline)"
   | None -> ""
 
-(* The reply to an in-flight request has exactly one writer, decided by
-   who wins the [Running] → terminal transition under [if_lock]: the
-   worker (normal reply), the watchdog (timeout error), or the crashed
-   worker's last rites (busy).  The losers never touch the channel, and
-   the descriptor is only closed by the worker after its transition
-   attempt resolved — so the watchdog can never write into a recycled
-   fd. *)
-type req_state = Running | Replied | Timed_out
-
 type inflight = {
-  if_id : int;  (* client-side request id, echoed in the substitute reply *)
+  if_rq : Protocol.request;
   if_fd : Unix.file_descr;
   if_start_ns : int;
   if_lock : Mutex.t;
-  mutable if_state : req_state;
+  mutable if_claimed : bool;  (* under if_lock *)
 }
 
-(* One per worker domain, reused across respawns: the supervisor joins
-   the dead domain and installs its replacement in the same slot. *)
+(* The reply to an in-flight request has exactly one writer: whoever
+   claims it first under [if_lock] — the worker (normal reply), the
+   watchdog (timeout error) or the worker's crash handler (busy).  The
+   losers never touch the connection.  A winner's [write] runs under
+   the lock, and the worker closes the descriptor only after its own
+   claim attempt resolved, so the watchdog can never write into a
+   descriptor the kernel has reused.  The worker's normal reply is sent
+   after the lock is released: a client slow to read must not stall the
+   watchdog. *)
+let claim ?(write = ignore) inf =
+  Mutex.protect inf.if_lock (fun () ->
+      if inf.if_claimed then false
+      else begin
+        inf.if_claimed <- true;
+        write ();
+        true
+      end)
+
+(* One per worker domain. *)
 type slot = {
-  mutable s_domain : unit Domain.t option;
   mutable s_fd : Unix.file_descr option;  (* connection being served (under st.lock) *)
-  mutable s_inflight : (Protocol.request * inflight) option;  (* under st.lock *)
+  mutable s_inflight : inflight option;  (* request being handled (under st.lock) *)
 }
 
 type state = {
   engine : Engine.t;
   cfg : config;
   lock : Mutex.t;
-  cond : Condition.t;  (* queue arrivals, crashes, shutdown — everyone re-checks *)
+  cond : Condition.t;  (* queue arrivals, shutdown — every waiter re-checks *)
   queue : Unix.file_descr Queue.t;
   slots : slot list;
-  crashed : slot Queue.t;  (* dead workers awaiting supervisor pickup *)
   drain : bool Atomic.t;  (* set by signal handlers; atomic on purpose *)
-  tele : Telemetry.Ctx.t;  (* the daemon's context: counters, respawned workers *)
-  mutable live_workers : int;
+  tele : Telemetry.Ctx.t;  (* the daemon's context: service counters, the workers' ambient one *)
+  mutable live_workers : int;  (* workers whose loop has not returned: the drain waits on it *)
   mutable reserved : int;  (* budget slots handed out: the requests admitted *)
   mutable stop : bool;  (* no further admissions *)
   mutable closed : bool;  (* workers may exit once the queue drains *)
-  access : out_channel option;
+  access : (string * out_channel) option;
   log_lock : Mutex.t;
+  access_warned : bool Atomic.t;
   metrics_lock : Mutex.t;
-  mutable metrics_warned : bool;  (* metrics-file write failures log once *)
+  metrics_warned : bool Atomic.t;
 }
 
-(* Direct-to-fd line write for the paths that cannot share a worker's
-   out_channel: shed replies (no worker yet), watchdog replies, and
-   crash last rites (the worker's channel state is unknown). *)
+(* Direct-to-fd line write for the replies that cannot share a worker's
+   out_channel: shed replies (no worker yet), timeout replies (another
+   domain) and crash replies (the channel's state is unknown).  A
+   failed write means the client is gone; it is not an error here. *)
 let write_line_fd fd line =
   let b = Bytes.of_string (line ^ "\n") in
   let n = Bytes.length b in
   let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
-  go 0
+  try go 0 with Unix.Unix_error _ | Sys_error _ -> ()
+
+(* A sink that stops being writable (full disk, revoked permissions)
+   must never fail a request: it is reported once on stderr and
+   otherwise ignored.  Later writes are still attempted — the disk may
+   come back. *)
+let sink_failed warned what file e =
+  if not (Atomic.exchange warned true) then
+    Printf.eprintf "dca serve: cannot write %s %s (%s); continuing\n%!" what file
+      (Printexc.to_string e)
 
 (* One access-log line; [rq] is [None] for a line that did not parse,
    logged under op ["invalid"]. *)
 let log_request st (rq : Protocol.request option) (rp : Protocol.response) ~status =
-  let slow =
-    match st.cfg.sv_slow_request_ms with
-    | Some ms -> rp.Protocol.rp_elapsed_ns >= ms * 1_000_000
-    | None -> false
-  in
-  if slow then Telemetry.Ctx.add st.tele c_slow 1;
   match st.access with
   | None -> ()
-  | Some oc ->
+  | Some (file, oc) ->
       let op, program =
         match rq with
         | Some rq -> (Protocol.op_to_string rq.Protocol.rq_op, program_name rq.Protocol.rq_program)
@@ -207,24 +216,25 @@ let log_request st (rq : Protocol.request option) (rp : Protocol.response) ~stat
       in
       let entry =
         Json.Obj
-          ([
-             ("ts_ns", Json.Int (Telemetry.now_ns ()));
-             ("id", Json.Int rp.Protocol.rp_id);
-             ("req", Json.Int rp.Protocol.rp_req);
-             ("op", Json.Str op);
-             ("program", Json.Str program);
-             ("status", Json.Str status);
-             ("loops", Json.Int (List.length rp.Protocol.rp_loops));
-             ("hits", Json.Int rp.Protocol.rp_hits);
-             ("misses", Json.Int rp.Protocol.rp_misses);
-             ("elapsed_ns", Json.Int rp.Protocol.rp_elapsed_ns);
-           ]
-          @ if slow then [ ("slow", Json.Bool true) ] else [])
+          [
+            ("ts_ns", Json.Int (Telemetry.now_ns ()));
+            ("id", Json.Int rp.Protocol.rp_id);
+            ("req", Json.Int rp.Protocol.rp_req);
+            ("op", Json.Str op);
+            ("program", Json.Str program);
+            ("status", Json.Str status);
+            ("loops", Json.Int (List.length rp.Protocol.rp_loops));
+            ("hits", Json.Int rp.Protocol.rp_hits);
+            ("misses", Json.Int rp.Protocol.rp_misses);
+            ("elapsed_ns", Json.Int rp.Protocol.rp_elapsed_ns);
+          ]
       in
       Mutex.protect st.log_lock (fun () ->
-          output_string oc (Json.to_string entry);
-          output_char oc '\n';
-          flush oc)
+          try
+            output_string oc (Json.to_string entry);
+            output_char oc '\n';
+            flush oc
+          with Sys_error _ as e -> sink_failed st.access_warned "access log" file e)
 
 let write_metrics_file st =
   match st.cfg.sv_metrics_file with
@@ -240,13 +250,7 @@ let write_metrics_file st =
               (fun () -> output_string oc data);
             Sys.rename tmp file
           with (Sys_error _ | Unix.Unix_error _) as e ->
-            (* an unwritable scrape target must not take the daemon down;
-               keep trying — the disk may come back — but log only once *)
-            if not st.metrics_warned then begin
-              st.metrics_warned <- true;
-              Printf.eprintf "dca serve: cannot write metrics file %s (%s); continuing\n%!"
-                file (Printexc.to_string e)
-            end)
+            sink_failed st.metrics_warned "metrics file" file e)
 
 (* Wake the accept loop out of a blocking [accept]: connect and hang up.
    The accepted descriptor is discarded by the stopped loop.  Also the
@@ -345,29 +349,22 @@ let serve_connection st slot fd =
             | Ok rq ->
                 let inf =
                   {
-                    if_id = rq.Protocol.rq_id;
+                    if_rq = rq;
                     if_fd = fd;
                     if_start_ns = Telemetry.now_ns ();
                     if_lock = Mutex.create ();
-                    if_state = Running;
+                    if_claimed = false;
                   }
                 in
-                Mutex.protect st.lock (fun () -> slot.s_inflight <- Some (rq, inf));
-                (* crash site: an injected raise ends this worker domain
-                   with the request in flight — exercising the
-                   busy-reply + respawn supervision path *)
+                Mutex.protect st.lock (fun () -> slot.s_inflight <- Some inf);
+                (* crash site: an injected raise escapes to the worker
+                   loop with the request in flight — exercising crash
+                   recovery *)
                 Faultpoint.hit_unit fp_worker;
                 let rp = handle_request st rq in
-                (* reply ownership: losing to the watchdog means the
-                   timeout error already went out and the flow is shut *)
-                let timed_out =
-                  Mutex.protect inf.if_lock (fun () ->
-                      if inf.if_state = Running then begin
-                        inf.if_state <- Replied;
-                        false
-                      end
-                      else true)
-                in
+                (* losing the claim means the watchdog's timeout error
+                   already went out and the flow is shut *)
+                let timed_out = not (claim inf) in
                 Mutex.protect st.lock (fun () -> slot.s_inflight <- None);
                 if not timed_out then send rp;
                 log_request st (Some rq) rp
@@ -383,33 +380,13 @@ let serve_connection st slot fd =
     | exception Sys_error _ -> continue := false
   done
 
-let worker_loop st slot =
-  let running = ref true in
-  while !running do
-    Mutex.lock st.lock;
-    let rec take () =
-      match Queue.take_opt st.queue with
-      | Some fd -> Some fd
-      | None -> if st.closed then None else (Condition.wait st.cond st.lock; take ())
-    in
-    let item = take () in
-    slot.s_fd <- item;
-    Mutex.unlock st.lock;
-    match item with
-    | Some fd ->
-        Telemetry.Ctx.add st.tele g_queue (-1);
-        serve_connection st slot fd;
-        Mutex.protect st.lock (fun () -> slot.s_fd <- None);
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-    | None -> running := false
-  done
-
-(* Last rites of a crashed worker, run on the dying domain itself: give
-   the in-flight request a [busy] reply (nothing was cached, a retry is
-   safe and converges to a byte-identical report; the request keeps the
-   budget slot it reserved), close the connection, and hand the slot to
-   the supervisor. *)
-let worker_crashed st slot exn =
+(* Crash recovery, on the worker that caught [exn] escaping a
+   connection: the in-flight request, if any, gets a [busy] reply when
+   the worker still owns it (nothing was cached, so a retry is safe and
+   converges to a byte-identical report), keeps the budget slot it
+   reserved, and is logged with status [busy]. *)
+let recover st slot exn =
+  Telemetry.Ctx.add st.tele c_restarts 1;
   let inflight =
     Mutex.protect st.lock (fun () ->
         let i = slot.s_inflight in
@@ -417,87 +394,56 @@ let worker_crashed st slot exn =
         i)
   in
   (match inflight with
-  | Some (rq, inf) ->
+  | Some inf ->
+      let rq = inf.if_rq in
       let rp =
-        Protocol.busy_response ~id:inf.if_id
+        Protocol.busy_response ~id:rq.Protocol.rq_id
           ("worker crashed mid-request (" ^ Printexc.to_string exn
          ^ "); nothing was cached, retrying is safe")
       in
-      let reply =
-        Mutex.protect inf.if_lock (fun () ->
-            if inf.if_state = Running then begin
-              inf.if_state <- Replied;
-              true
-            end
-            else false)
-      in
-      if reply then (
-        try write_line_fd inf.if_fd (Protocol.response_line rp)
-        with Unix.Unix_error _ | Sys_error _ -> ());
+      ignore (claim inf ~write:(fun () -> write_line_fd inf.if_fd (Protocol.response_line rp)));
       log_request st (Some rq) rp ~status:(Protocol.status_to_string rp.Protocol.rp_status);
       write_metrics_file st;
       stop_if_shutdown st rq
   | None -> ());
-  (* the connection dies with its worker; a retrying client reconnects *)
-  let fd =
+  Printf.eprintf "dca serve: worker crashed; respawning\n%!"
+
+(* A worker serves queued connections until the queue is closed and
+   empty.  A crash is recovered from right here, on the worker's own
+   domain, and the worker takes the next connection: nothing raised
+   while recovering may end the domain or skip the [live_workers]
+   decrement the drain waits for. *)
+let worker_loop st slot =
+  let take () =
     Mutex.protect st.lock (fun () ->
-        let f = slot.s_fd in
-        slot.s_fd <- None;
-        f)
+        while Queue.is_empty st.queue && not st.closed do
+          Condition.wait st.cond st.lock
+        done;
+        let item = Queue.take_opt st.queue in
+        slot.s_fd <- item;
+        item)
   in
-  (match fd with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  Mutex.protect st.lock (fun () ->
-      Queue.add slot st.crashed;
-      Condition.broadcast st.cond)
+  let rec serve () =
+    match take () with
+    | None -> ()
+    | Some fd ->
+        Telemetry.Ctx.add st.tele g_queue (-1);
+        (try serve_connection st slot fd with exn -> ( try recover st slot exn with _ -> ()));
+        Mutex.protect st.lock (fun () -> slot.s_fd <- None);
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        serve ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Mutex.protect st.lock (fun () -> st.live_workers <- st.live_workers - 1))
+    serve
 
-let worker_body st slot =
-  (try worker_loop st slot with exn -> worker_crashed st slot exn);
-  Mutex.protect st.lock (fun () ->
-      st.live_workers <- st.live_workers - 1;
-      Condition.broadcast st.cond)
-
-(* The supervisor joins crashed worker domains and spawns replacements
-   into their slots.  During shutdown it still joins the corpses but
-   stops respawning; it exits once [closed] is set and the crash queue
-   is empty. *)
-let supervisor_loop st =
-  let running = ref true in
-  while !running do
-    Mutex.lock st.lock;
-    while Queue.is_empty st.crashed && not st.closed do
-      Condition.wait st.cond st.lock
-    done;
-    let item = Queue.take_opt st.crashed in
-    let closing = st.closed in
-    Mutex.unlock st.lock;
-    match item with
-    | Some slot -> (
-        (* the dead domain already ran its last rites; joining is quick *)
-        (match slot.s_domain with Some d -> Domain.join d | None -> ());
-        if closing then slot.s_domain <- None
-        else begin
-          Telemetry.Ctx.add st.tele c_restarts 1;
-          Printf.eprintf "dca serve: worker crashed; respawning\n%!";
-          let d =
-            Domain.spawn (fun () ->
-                Telemetry.with_ctx st.tele (fun () -> worker_body st slot))
-          in
-          Mutex.protect st.lock (fun () ->
-              slot.s_domain <- Some d;
-              st.live_workers <- st.live_workers + 1)
-        end)
-    | None -> if closing then running := false
-  done
-
-(* The request-timeout watchdog.  It scans the in-flight registry on a
-   short period; an overdue request whose Running→Timed_out transition
-   it wins gets a structured error reply and its flow shut — all while
-   holding the request's lock, so the worker can neither reply nor
-   close the descriptor concurrently.  The engine call itself is left
-   to finish: interrupting it could only produce timing-dependent
-   verdicts, which must never exist (let alone get cached). *)
+(* The request-timeout watchdog.  It scans the in-flight requests on a
+   short period; an overdue request it claims gets a structured error
+   reply and its flow shut, both under the claim's lock, so the worker
+   can neither reply nor close the descriptor concurrently.  The engine
+   call itself is left to finish: interrupting it could only produce
+   timing-dependent verdicts, which must never exist (let alone get
+   cached). *)
 let watchdog_loop st ~timeout_ms ~stop =
   let timeout_ns = timeout_ms * 1_000_000 in
   let interval = Float.max 0.002 (Float.min 0.05 (float_of_int timeout_ms /. 4000.)) in
@@ -509,29 +455,21 @@ let watchdog_loop st ~timeout_ms ~stop =
           List.filter_map
             (fun slot ->
               match slot.s_inflight with
-              | Some (_, inf) when now - inf.if_start_ns >= timeout_ns -> Some inf
+              | Some inf when now - inf.if_start_ns >= timeout_ns -> Some inf
               | _ -> None)
             st.slots)
     in
     List.iter
       (fun inf ->
-        let fired =
-          Mutex.protect inf.if_lock (fun () ->
-              if inf.if_state = Running then begin
-                inf.if_state <- Timed_out;
-                let rp =
-                  Protocol.error_response ~id:inf.if_id
-                    (Printf.sprintf "request timed out after %d ms" timeout_ms)
-                in
-                (try write_line_fd inf.if_fd (Protocol.response_line rp)
-                 with Unix.Unix_error _ | Sys_error _ -> ());
-                (try Unix.shutdown inf.if_fd Unix.SHUTDOWN_ALL
-                 with Unix.Unix_error _ -> ());
-                true
-              end
-              else false)
+        let write () =
+          let rp =
+            Protocol.error_response ~id:inf.if_rq.Protocol.rq_id
+              (Printf.sprintf "request timed out after %d ms" timeout_ms)
+          in
+          write_line_fd inf.if_fd (Protocol.response_line rp);
+          try Unix.shutdown inf.if_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
         in
-        if fired then Telemetry.Ctx.add st.tele c_timeouts 1)
+        if claim inf ~write then Telemetry.Ctx.add st.tele c_timeouts 1)
       expired
   done
 
@@ -549,8 +487,11 @@ let run cfg =
       ?jobs:cfg.sv_jobs ()
   in
   let access =
-    Option.map (fun path -> open_out_gen [ Open_append; Open_creat ] 0o644 path) cfg.sv_access_log
+    Option.map
+      (fun path -> (path, open_out_gen [ Open_append; Open_creat ] 0o644 path))
+      cfg.sv_access_log
   in
+  let slots = List.init (max 1 cfg.sv_workers) (fun _ -> { s_fd = None; s_inflight = None }) in
   let st =
     {
       engine;
@@ -558,18 +499,18 @@ let run cfg =
       lock = Mutex.create ();
       cond = Condition.create ();
       queue = Queue.create ();
-      slots = List.init (max 1 cfg.sv_workers) (fun _ -> { s_domain = None; s_fd = None; s_inflight = None });
-      crashed = Queue.create ();
+      slots;
       drain = Atomic.make false;
       tele = Telemetry.current ();
-      live_workers = 0;
+      live_workers = List.length slots;
       reserved = 0;
       stop = false;
       closed = false;
       access;
       log_lock = Mutex.create ();
+      access_warned = Atomic.make false;
       metrics_lock = Mutex.create ();
-      metrics_warned = false;
+      metrics_warned = Atomic.make false;
     }
   in
   (* A client hanging up mid-reply must be the client's problem, not a
@@ -599,24 +540,18 @@ let run cfg =
       Sys.set_signal Sys.sigpipe old_pipe;
       Engine.close engine;
       write_metrics_file st;
-      Option.iter close_out_noerr access;
+      Option.iter (fun (_, oc) -> close_out_noerr oc) access;
       (try Unix.close sock with Unix.Unix_error _ -> ());
       try Sys.remove cfg.sv_socket with Sys_error _ -> ())
     (fun () ->
       (* Workers inherit the acceptor's telemetry context, exactly like
          pool tasks: daemon-level spans land in the daemon's context. *)
-      List.iter
-        (fun slot ->
-          (* count the worker live before it exists: its own exit
-             decrement can then never race the increment *)
-          Mutex.protect st.lock (fun () -> st.live_workers <- st.live_workers + 1);
-          let d =
-            Domain.spawn (fun () ->
-                Telemetry.with_ctx st.tele (fun () -> worker_body st slot))
-          in
-          slot.s_domain <- Some d)
-        st.slots;
-      let supervisor = Domain.spawn (fun () -> supervisor_loop st) in
+      let workers =
+        List.map
+          (fun slot ->
+            Domain.spawn (fun () -> Telemetry.with_ctx st.tele (fun () -> worker_loop st slot)))
+          slots
+      in
       let watchdog_stop = Atomic.make false in
       let watchdog =
         Option.map
@@ -657,8 +592,7 @@ let run cfg =
                         (Printf.sprintf "server overloaded: request queue is full (max %d)"
                            (max 1 cfg.sv_max_queue))
                     in
-                    (try write_line_fd fd (Protocol.response_line rp)
-                     with Unix.Unix_error _ | Sys_error _ -> ());
+                    write_line_fd fd (Protocol.response_line rp);
                     (try Unix.close fd with Unix.Unix_error _ -> ())
                 | `Drop -> ( try Unix.close fd with Unix.Unix_error _ -> ())
               end
@@ -690,14 +624,8 @@ let run cfg =
       if leftover > 0 then
         Printf.eprintf
           "dca serve: drain timeout (%.1fs) exceeded; abandoning %d in-flight worker(s)\n%!"
-          cfg.sv_drain_timeout_s leftover;
-      (* the supervisor exits once closed + crash queue empty; joining it
-         first means nobody else is joining worker domains concurrently *)
-      Domain.join supervisor;
-      if leftover = 0 then
-        List.iter
-          (fun slot -> match slot.s_domain with Some d -> Domain.join d | None -> ())
-          st.slots;
+          cfg.sv_drain_timeout_s leftover
+      else List.iter Domain.join workers;
       Atomic.set watchdog_stop true;
       Option.iter Domain.join watchdog;
       st.reserved)

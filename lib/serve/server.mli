@@ -1,5 +1,5 @@
 (** Unix-domain-socket transport for the serve {!Engine}, plus the
-    self-healing supervision layer (DESIGN.md §15).
+    defenses that keep it serving (DESIGN.md §15).
 
     One accept loop feeding [sv_workers] worker domains: each worker
     owns one connection at a time and answers its request lines in
@@ -10,18 +10,20 @@
     byte-identical to a serial daemon's.  [sv_workers = 1]
     recovers the old one-connection-at-a-time behavior.
 
-    Supervision: connections beyond [sv_max_queue] are shed with an
+    Defenses: connections beyond [sv_max_queue] are shed with an
     immediate [busy] reply; a request running past
     [sv_request_timeout_ms] has its reply replaced by a structured
-    error (the engine call finishes on its own — verdicts must never
-    depend on timing); a worker domain that dies mid-request
-    busy-replies the in-flight request and is respawned by a supervisor
-    domain; SIGTERM/SIGINT (with [sv_handle_signals]) trigger a
-    graceful drain bounded by [sv_drain_timeout_s].  Each defense ticks
-    its own Telemetry descriptor in the daemon's context
+    error by a watchdog domain (the engine call finishes on its own —
+    verdicts must never depend on timing); a request whose handling
+    raises is busy-replied by its own worker, which closes the
+    connection and takes the next one; SIGTERM/SIGINT (with
+    [sv_handle_signals]) trigger a graceful drain bounded by
+    [sv_drain_timeout_s].  The daemon's domains are fixed at start-up:
+    the workers, plus the watchdog.  Each defense ticks its own
+    Telemetry descriptor in the daemon's context
     ([dca_requests_shed_total], [dca_requests_timeout_total],
-    [dca_worker_restarts_total], [dca_slow_requests_total]; the
-    [dca_queue_depth] gauge tracks the connection queue). *)
+    [dca_worker_restarts_total]; the [dca_queue_depth] gauge tracks
+    the connection queue). *)
 
 type config = {
   sv_socket : string;  (** Unix-domain socket path *)
@@ -33,9 +35,10 @@ type config = {
       (** JSONL access log, one object per request (appended); each
           entry carries the server-assigned [req] id also found in the
           reply's [rp_req] and the request's trace span.  Timed-out
-          requests log status ["timeout"]; requests slower than
-          [sv_slow_request_ms] carry ["slow": true]; a line that does
-          not parse gets its own [req] id and logs op ["invalid"]. *)
+          requests log status ["timeout"], crashed ones ["busy"]; a
+          line that does not parse gets its own [req] id and logs op
+          ["invalid"].  A log that stops being writable is reported
+          once to stderr and otherwise ignored. *)
   sv_metrics_file : string option;
       (** Prometheus-style {!Metrics.exposition}, atomically rewritten
           (temp + rename) after every request and on shutdown — a
@@ -45,8 +48,8 @@ type config = {
       (** stop after serving this many requests — tests and smoke runs.
           Exact under concurrency and crashes: admission reserves a
           budget slot before the engine runs, and a crashed request
-          still consumes its slot (its reply is the [busy] the
-          supervision layer sent). *)
+          still consumes its slot (its reply is the [busy] its worker
+          sent). *)
   sv_max_queue : int;
       (** overload bound (default 64): a connection accepted while this
           many are already queued gets an immediate [busy] reply and is
@@ -60,9 +63,6 @@ type config = {
       (** graceful-drain bound (default 30s): in-flight workers still
           running past it are abandoned with a stderr note instead of
           blocking the exit forever *)
-  sv_slow_request_ms : int option;
-      (** threshold for the ["slow"] access-log marker and the
-          [dca_slow_requests_total] counter *)
   sv_handle_signals : bool;
       (** install SIGTERM/SIGINT handlers that trigger a graceful
           drain: stop accepting, finish in-flight requests, flush the
@@ -77,10 +77,12 @@ val default_config : string -> config
 
 val run : config -> int
 (** Bind (reclaiming a stale socket file from a crashed daemon first,
-    but never a live one), then serve until a [shutdown] request, the
-    request budget is exhausted, or a drain signal arrives.  Returns
-    the number of requests served (admitted requests exactly — crashed
-    and timed-out requests count, shed connections do not).  The socket
-    file is removed on the way out, also on exception.  SIGPIPE is ignored for the daemon's lifetime: a
-    client hanging up mid-reply surfaces as a swallowed [EPIPE], never
-    a dead daemon. *)
+    but never a live daemon's socket and never a path that is not a
+    socket — either makes [bind] fail with [EADDRINUSE]), then serve
+    until a [shutdown] request, the request budget is exhausted, or a
+    drain signal arrives.  Returns the number of requests served
+    (admitted requests exactly — crashed and timed-out requests count,
+    shed connections do not).  The socket file is removed on the way
+    out, also on exception.  SIGPIPE is
+    ignored for the daemon's lifetime: a client hanging up mid-reply
+    surfaces as a swallowed [EPIPE], never a dead daemon. *)

@@ -1,13 +1,22 @@
 (* Two-level content-addressed verdict cache.
 
-   Level 1 is an in-memory LRU over marshal-free entries; level 2 is an
-   on-disk store (one file per key) that survives daemon restarts.  Keys
-   come from Progdigest.loop_key; values are the per-loop (decision,
-   outcome) pair — everything Report needs to render a summary line and
-   the counters footer byte-identically to a cold run.  The containing
+   Level 1 is an in-memory LRU; level 2 is an on-disk store (one file
+   per key) that survives daemon restarts.  Keys come from
+   Progdigest.loop_key; values are the per-loop (decision, outcome)
+   pair — everything Report needs to render a summary line and the
+   counters footer byte-identically to a cold run.  The containing
    Loops.loop and the label are *not* stored: they are rebuilt from the
    fresh static analysis on every request (the cheap part), which also
    guarantees a hit can never resurrect stale structural data.
+
+   Both levels hold an entry as its Marshal payload, and a hit decodes
+   it afresh (microseconds, next to the request's frontend and static
+   analyses).  A decoded entry is dozens of small blocks, born amid a
+   miss's dynamic-stage garbage; kept resident in the OCaml 5 major
+   heap, which never moves a block, they would pin pools that are
+   otherwise free, and the daemon's heap would grow with every verdict
+   stored by several times the verdict's own size.  A payload is one
+   block.
 
    Disk format (all bytes after the header are Marshal output):
 
@@ -63,13 +72,16 @@ let c_corrupt = counter "cache.corrupt"
 let c_degraded = counter "dca_cache_degraded_total"
 let g_entries = counter ~gauge:true "cache.mem_entries"
 
+(* A resident entry: its Marshal payload and its last-use tick. *)
+type slot = { payload : string; mutable last : int }
+
 type t = {
   dir : string option;
   capacity : int;
   on_degrade : string -> unit;
   tele : Telemetry.Ctx.t;  (* where the cache's facts are counted *)
   lock : Mutex.t;
-  mem : (string, entry * int ref) Hashtbl.t;  (* key → entry, last-use tick *)
+  mem : (string, slot) Hashtbl.t;
   mutable clock : int;
   mutable degraded : bool;  (* disk writes disabled after the first failure *)
 }
@@ -108,10 +120,10 @@ let enforce_capacity t =
   while Hashtbl.length t.mem > t.capacity do
     let victim = ref None in
     Hashtbl.iter
-      (fun k (_, last) ->
+      (fun k s ->
         match !victim with
-        | Some (_, lbest) when !last >= lbest -> ()
-        | _ -> victim := Some (k, !last))
+        | Some (_, lbest) when s.last >= lbest -> ()
+        | _ -> victim := Some (k, s.last))
       t.mem;
     match !victim with
     | Some (k, _) ->
@@ -121,16 +133,12 @@ let enforce_capacity t =
     | None -> ()
   done
 
-let mem_insert t key entry =
+let mem_insert t key payload =
   if not (Hashtbl.mem t.mem key) then add t g_entries 1;
-  Hashtbl.replace t.mem key (entry, ref (tick t));
+  Hashtbl.replace t.mem key { payload; last = tick t };
   enforce_capacity t
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let decode payload : entry = Marshal.from_string payload 0
 
 let disk_read t key =
   match path t key with
@@ -139,7 +147,7 @@ let disk_read t key =
       if not (Sys.file_exists file) then None
       else begin
         match
-          let raw = read_file file in
+          let raw = In_channel.with_open_bin file In_channel.input_all in
           (* header: magic line, digest line, payload *)
           let nl1 = String.index raw '\n' in
           let nl2 = String.index_from raw (nl1 + 1) '\n' in
@@ -148,9 +156,9 @@ let disk_read t key =
           let payload = String.sub raw (nl2 + 1) (String.length raw - nl2 - 1) in
           if head <> magic then failwith "bad magic";
           if Digest.to_hex (Digest.string payload) <> want then failwith "digest mismatch";
-          (Marshal.from_string payload 0 : entry)
+          (payload, decode payload)
         with
-        | entry -> Some entry
+        | read -> Some read
         | exception _ ->
             add t c_corrupt 1;
             None
@@ -164,14 +172,13 @@ let disk_read t key =
    the embedder can log the event.  Reads keep probing the disk: a
    read-only directory still serves its old entries.  A daemon restart
    re-probes the disk (degradation is per-instance). *)
-let disk_write t key entry =
+let disk_write t key payload =
   match path t key with
   | None -> ()
   | Some file -> (
       if not t.degraded then
         try
           Faultpoint.hit_unit fp_write;
-          let payload = Marshal.to_string entry [] in
           let tmp = file ^ ".tmp" in
           let oc = open_out_bin tmp in
           Fun.protect
@@ -201,9 +208,9 @@ let valid ~prog_digest entry =
 
 let find t ~prog_digest key =
   Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.mem key with
-      | Some (entry, last) when valid ~prog_digest entry ->
-          last := tick t;
+      match Option.map (fun s -> (s, decode s.payload)) (Hashtbl.find_opt t.mem key) with
+      | Some (s, entry) when valid ~prog_digest entry ->
+          s.last <- tick t;
           add t c_mem_hits 1;
           Some entry
       | Some _ ->
@@ -213,17 +220,18 @@ let find t ~prog_digest key =
           None
       | None -> (
           match disk_read t key with
-          | Some entry when valid ~prog_digest entry ->
+          | Some (payload, entry) when valid ~prog_digest entry ->
               add t c_disk_hits 1;
-              mem_insert t key entry;
+              mem_insert t key payload;
               Some entry
           | _ ->
               add t c_misses 1;
               None))
 
 let store t key entry =
+  let payload = Marshal.to_string entry [] in
   Mutex.protect t.lock (fun () ->
       add t c_stores 1;
-      mem_insert t key entry;
-      disk_write t key entry)
+      mem_insert t key payload;
+      disk_write t key payload)
 

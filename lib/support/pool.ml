@@ -13,7 +13,7 @@ let fp_task = Faultpoint.site "pool.task"
 (* Workers loop forever: run whatever is queued, sleep when idle, exit on
    shutdown.  Tasks never raise — [map] wraps user functions so failures
    are captured into the result slots. *)
-let worker_body t =
+let worker_loop t =
   let running = ref true in
   while !running do
     Mutex.lock t.lock;
@@ -36,7 +36,7 @@ let create ~jobs =
   let t =
     { jobs; lock = Mutex.create (); cond = Condition.create (); queue = Queue.create (); live = true; workers = [] }
   in
-  if jobs > 1 then t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_body t));
+  if jobs > 1 then t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let shutdown t =

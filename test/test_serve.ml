@@ -1138,6 +1138,19 @@ let request_shutdown socket =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e
 
+(* Server.run removes its socket on the way out: poll for that for at
+   most five seconds rather than join a daemon that may never stop. *)
+let daemon_stops socket =
+  let rec poll n =
+    (not (Sys.file_exists socket))
+    || n > 0
+       && begin
+            Unix.sleepf 0.02;
+            poll (n - 1)
+          end
+  in
+  poll 250
+
 (* Overload shedding: with one worker held mid-request (an injected
    engine delay) and a queue bound of one, a third connection gets an
    immediate [busy] line and a close — while the held request still
@@ -1234,16 +1247,59 @@ let test_server_request_timeout () =
   request_shutdown socket;
   ignore (Domain.join server)
 
+(* One writer per reply: once the watchdog has claimed an overdue
+   request, the worker that finishes it later loses its claim — it
+   sends nothing and logs the request as timed out, not as served. *)
+let test_server_timeout_has_one_writer () =
+  let dir = fresh_dir "server" in
+  let socket = Filename.concat dir "dca.sock" in
+  let access = Filename.concat dir "access.jsonl" in
+  let cfg =
+    {
+      (Server.default_config socket) with
+      Server.sv_jobs = Some 1;
+      sv_workers = 1;
+      sv_request_timeout_ms = Some 100;
+      sv_access_log = Some access;
+    }
+  in
+  let server = start_server cfg in
+  let slow =
+    { (analyze_rq ~faults:"engine.analyze@1=delay:400" (two_funcs 2)) with Protocol.rq_id = 25 }
+  in
+  let fd = raw_connect socket in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  send_line fd (Protocol.request_line slow);
+  let ic = Unix.in_channel_of_descr fd in
+  (match Protocol.parse_response (input_line ic) with
+  | Ok rp -> Alcotest.(check bool) "the watchdog replied" false (Protocol.ok rp)
+  | Error e -> Alcotest.fail e);
+  Unix.close fd;
+  (* the drain waits for the worker to finish the delayed engine call *)
+  request_shutdown socket;
+  ignore (Domain.join server);
+  let status =
+    In_channel.with_open_bin access In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.find_map (fun line ->
+           match Json.of_string_result line with
+           | Ok j when Option.bind (Json.member "id" j) Json.to_int_opt = Some 25 ->
+               Option.bind (Json.member "status" j) Json.to_str_opt
+           | _ -> None)
+  in
+  Alcotest.(check (option string)) "the worker lost its claim" (Some "timeout") status
+
 (* Worker crash recovery: an injected [serve.worker] crash busy-replies
-   the in-flight request and the supervisor respawns the domain; a
-   retrying client converges to the normal reply, and the crashed
+   the in-flight request and the same worker domain — the only one —
+   takes the next connection, twice in a row; a retrying client
+   converges to the normal reply on its third attempt, and each crashed
    request still consumed its budget slot. *)
-let test_server_worker_crash_respawns () =
+let test_server_worker_crash_recovers () =
   let dir = fresh_dir "server" in
   let socket = Filename.concat dir "dca.sock" in
   let cfg = { (Server.default_config socket) with Server.sv_jobs = Some 1; sv_workers = 1 } in
   let server = start_server cfg in
-  Faultpoint.arm_string "serve.worker@1=raise";
+  Faultpoint.arm_string "serve.worker@1=raise;serve.worker@2=raise";
   Fun.protect
     ~finally:Faultpoint.disarm
     (fun () ->
@@ -1254,16 +1310,16 @@ let test_server_worker_crash_respawns () =
       match Client.request_retry ~backoff socket rq with
       | Ok rp ->
           Alcotest.(check bool) "retry converged to ok" true (Protocol.ok rp);
-          Alcotest.(check int) "nothing was cached by the crashed attempt" 2
+          Alcotest.(check int) "nothing was cached by the crashed attempts" 2
             rp.Protocol.rp_misses
       | Error e -> Alcotest.fail e);
   let stats = request_stats socket in
-  Alcotest.(check int) "exactly one respawn" 1
+  Alcotest.(check int) "one restart per crash" 2
     (metrics_counter stats "dca_worker_restarts_total");
   request_shutdown socket;
   let served = Domain.join server in
-  (* ready ping + crashed attempt + retried analyze + stats + shutdown *)
-  Alcotest.(check int) "crashed request consumed its slot" 5 served
+  (* ready ping + two crashed attempts + retried analyze + stats + shutdown *)
+  Alcotest.(check int) "crashed requests consumed their slots" 6 served
 
 (* --max-requests accounting across a crash: ok and busy replies
    together exhaust the budget exactly, and Server.run agrees. *)
@@ -1301,6 +1357,105 @@ let test_server_max_requests_with_crash () =
   Alcotest.(check int) "one crash became a busy reply" 1 !busy;
   Alcotest.(check int) "every other request was served" (budget - 2) !ok
 
+(* An access log that cannot be written (/dev/full fails every write
+   with ENOSPC, even for root) is reported once and otherwise ignored:
+   both requests on one connection are answered, only an injected crash
+   counts as one and the request after it is served, and a shutdown
+   request still ends the daemon.  Every read is bounded, so a daemon
+   that stops answering fails the test instead of hanging it. *)
+let test_server_unwritable_access_log () =
+  let dir = fresh_dir "server" in
+  let socket = Filename.concat dir "dca.sock" in
+  let cfg =
+    {
+      (Server.default_config socket) with
+      Server.sv_jobs = Some 1;
+      sv_workers = 1;
+      sv_access_log = Some "/dev/full";
+    }
+  in
+  let server = start_server cfg in
+  let ask fd ic rq =
+    match
+      send_line fd (Protocol.request_line rq);
+      Protocol.parse_response (input_line ic)
+    with
+    | Ok rp -> rp
+    | Error e -> Alcotest.fail e
+    | exception (End_of_file | Sys_error _ | Unix.Unix_error _) ->
+        Alcotest.failf "request %d got no reply" rq.Protocol.rq_id
+  in
+  let with_conn f =
+    let fd = raw_connect socket in
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> f (ask fd (Unix.in_channel_of_descr fd)))
+  in
+  let request ?(op = Protocol.Ping) id =
+    with_conn (fun ask -> ask { Protocol.default_request with Protocol.rq_id = id; rq_op = op })
+  in
+  let restarts () = metrics_counter (request ~op:Protocol.Stats 0) "dca_worker_restarts_total" in
+  with_conn (fun ask ->
+      List.iter
+        (fun id ->
+          let rp = ask { Protocol.default_request with Protocol.rq_id = id } in
+          Alcotest.(check bool) (Printf.sprintf "request %d on one connection answered" id) true
+            (Protocol.ok rp))
+        [ 2; 3 ]);
+  Alcotest.(check int) "a failing log is not a crash" 0 (restarts ());
+  Faultpoint.arm_string "serve.worker@1=raise";
+  let crashed = Fun.protect ~finally:Faultpoint.disarm (fun () -> request 4) in
+  Alcotest.(check bool) "the crashed request is busy" true
+    (crashed.Protocol.rp_status = Protocol.Busy);
+  Alcotest.(check bool) "the request after the crash is served" true (Protocol.ok (request 5));
+  Alcotest.(check int) "the injected crash is the one restart" 1 (restarts ());
+  Alcotest.(check bool) "shutdown acknowledged" true
+    (Protocol.ok (request ~op:Protocol.Shutdown 6));
+  if not (daemon_stops socket) then Alcotest.fail "a shutdown request did not end Server.run";
+  (* ready ping + two pings + stats + crashed + served + stats + shutdown *)
+  Alcotest.(check int) "every request counted" 8 (Domain.join server)
+
+(* A path that is not a socket is never reclaimed: a regular file where
+   the socket should go is left intact, and [bind] fails with
+   [EADDRINUSE] (the CLI's "cannot listen on PATH").  A daemon that
+   comes up over the file anyway is shut down before the test fails. *)
+let test_server_keeps_foreign_file () =
+  let dir = fresh_dir "server" in
+  let socket = Filename.concat dir "dca.sock" in
+  let content = "notes, not a socket\n" in
+  Out_channel.with_open_bin socket (fun oc -> output_string oc content);
+  let cfg = { (Server.default_config socket) with Server.sv_jobs = Some 1; sv_workers = 1 } in
+  let outcome = Atomic.make None in
+  let server =
+    Domain.spawn (fun () ->
+        Atomic.set outcome (Some (match run_server cfg with n -> Ok n | exception e -> Error e)))
+  in
+  let is_socket () =
+    match Unix.lstat socket with
+    | { Unix.st_kind = Unix.S_SOCK; _ } -> true
+    | _ | (exception Unix.Unix_error _) -> false
+  in
+  let rec settle n =
+    match Atomic.get outcome with
+    | Some r -> r
+    | None when is_socket () ->
+        request_shutdown socket;
+        ignore (Domain.join server);
+        Alcotest.fail "the daemon replaced a regular file with its socket"
+    | None when n = 0 -> Alcotest.fail "Server.run neither failed nor bound"
+    | None ->
+        Unix.sleepf 0.02;
+        settle (n - 1)
+  in
+  (match settle 250 with
+  | Error (Unix.Unix_error (Unix.EADDRINUSE, "bind", _)) -> ()
+  | Error e -> Alcotest.failf "unexpected failure: %s" (Printexc.to_string e)
+  | Ok _ -> Alcotest.fail "the daemon served over a regular file");
+  ignore (Domain.join server);
+  Alcotest.(check string) "the file is intact" content
+    (In_channel.with_open_bin socket In_channel.input_all)
+
 (* Graceful drain: SIGTERM mid-request stops admissions, lets the
    in-flight request finish, removes the socket, and Server.run returns
    normally. *)
@@ -1331,6 +1486,48 @@ let test_server_sigterm_drains () =
   let served = Domain.join server in
   Alcotest.(check int) "ready ping + drained request" 2 served;
   Alcotest.(check bool) "socket removed on drain" true (not (Sys.file_exists socket))
+
+(* A persistent connection left idle after its reply does not hold a
+   [shutdown] to the drain timeout: stopping read-shuts every active
+   connection, so the worker parked on it sees end-of-file. *)
+let test_server_idle_connection_stops () =
+  let dir = fresh_dir "server" in
+  let socket = Filename.concat dir "dca.sock" in
+  let cfg = { (Server.default_config socket) with Server.sv_jobs = Some 1; sv_workers = 2 } in
+  let server = start_server cfg in
+  let idle = raw_connect socket in
+  Unix.setsockopt_float idle Unix.SO_RCVTIMEO 5.0;
+  send_line idle (Protocol.request_line { Protocol.default_request with Protocol.rq_id = 47 });
+  ignore (input_line (Unix.in_channel_of_descr idle));
+  request_shutdown socket;
+  let stopped = daemon_stops socket in
+  Unix.close idle;
+  ignore (Domain.join server);
+  Alcotest.(check bool) "Server.run ended with a connection still open" true stopped
+
+(* A client that hangs up before its reply is written leaves the daemon
+   standing: the write fails with EPIPE, which the reply path swallows,
+   instead of a SIGPIPE killing the process. *)
+let test_server_client_hangup () =
+  let dir = fresh_dir "server" in
+  let socket = Filename.concat dir "dca.sock" in
+  let cfg = { (Server.default_config socket) with Server.sv_jobs = Some 1; sv_workers = 1 } in
+  let server = start_server cfg in
+  let slow =
+    { (analyze_rq ~faults:"engine.analyze@1=delay:200" (two_funcs 2)) with Protocol.rq_id = 45 }
+  in
+  let fd = raw_connect socket in
+  send_line fd (Protocol.request_line slow);
+  Unix.close fd;
+  (* the ping queues behind the slow request, whose reply finds no reader *)
+  (match
+     Client.with_client socket (fun c ->
+         Client.request c { Protocol.default_request with Protocol.rq_id = 46 })
+   with
+  | Ok rp -> Alcotest.(check bool) "daemon alive after a hang-up" true (Protocol.ok rp)
+  | Error e -> Alcotest.fail e);
+  request_shutdown socket;
+  ignore (Domain.join server)
 
 (* Protocol hardening: seeded garbage over a real socket — malformed,
    truncated, oversized, binary — must always produce an error reply or
@@ -1530,10 +1727,19 @@ let suites =
           test_server_max_requests_concurrent;
         Alcotest.test_case "sheds when overloaded" `Quick test_server_sheds_when_overloaded;
         Alcotest.test_case "request timeout" `Quick test_server_request_timeout;
-        Alcotest.test_case "worker crash respawns" `Quick test_server_worker_crash_respawns;
+        Alcotest.test_case "timeout has one writer" `Quick test_server_timeout_has_one_writer;
+        Alcotest.test_case "worker crash recovers in place" `Quick
+          test_server_worker_crash_recovers;
         Alcotest.test_case "max-requests exact across a crash" `Quick
           test_server_max_requests_with_crash;
+        Alcotest.test_case "unwritable access log is not a crash" `Quick
+          test_server_unwritable_access_log;
+        Alcotest.test_case "foreign file at the socket path kept" `Quick
+          test_server_keeps_foreign_file;
         Alcotest.test_case "SIGTERM drains gracefully" `Quick test_server_sigterm_drains;
+        Alcotest.test_case "idle connection does not hold a shutdown" `Quick
+          test_server_idle_connection_stops;
+        Alcotest.test_case "client hang-up mid-request" `Quick test_server_client_hangup;
         Alcotest.test_case "survives fuzzed input" `Quick test_server_survives_fuzzed_input;
       ] );
     ( "serve.client",
