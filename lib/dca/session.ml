@@ -180,7 +180,8 @@ let profile t =
       let info = proginfo t in
       in_ctx t (fun () ->
           Telemetry.span ~cat:"profile" "session.profile" (fun () ->
-              Dca_profiling.Depprof.profile_program ~input:t.s_input info)))
+              Dca_profiling.Depprof.profile_program ~fuel:t.s_spec.Commutativity.rs_fuel
+                ~input:t.s_input info)))
     (fun v -> t.s_profile <- Some v)
 
 (* The pool exists only while the session wants parallel stages: started on

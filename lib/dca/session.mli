@@ -139,7 +139,8 @@ val proginfo : t -> Dca_analysis.Proginfo.t
 (** All static analyses over {!ir}. *)
 
 val profile : t -> Dca_profiling.Depprof.profile
-(** One instrumented run: dependences, costs, coverage. *)
+(** One instrumented run: dependences, costs, coverage.  The run gets
+    the fuel of the session's run spec. *)
 
 val dca_results : t -> Driver.loop_result list
 (** The DCA verdict for every loop, in program order.  Runs on the

@@ -17,7 +17,19 @@
 
     Loop contexts span function calls: an access performed by a callee is
     attributed to every loop active on the call stack, so loops containing
-    calls are profiled correctly. *)
+    calls are profiled correctly.
+
+    {2 Cost model}
+
+    An executed instruction costs one counter increment.  Loop costs and
+    coverage buckets are differences of that counter, taken only where
+    the stack of active loop contexts changes (loop entry and exit, back
+    edges, returns).  A read or write costs one shadow-memory lookup plus
+    a few integer compares per active loop context; a dependence that a
+    location carries on every iteration is looked up in the context's
+    dependence table once, not on every iteration.  Shadow records live
+    for the whole run: memory grows with the locations touched times the
+    loop-nesting depths they are touched at (DESIGN.md §16). *)
 
 type dep_kind = Raw | War | Waw
 
@@ -40,7 +52,9 @@ type loop_profile = {
 type profile = {
   pr_loops : (string, loop_profile) Hashtbl.t;  (** keyed by loop id *)
   pr_total_cost : int;  (** all executed instructions *)
-  pr_buckets : (string list * int) list;  (** active-loop-stack → cost *)
+  pr_buckets : (string list * int) list;
+      (** active-loop-stack → cost, one entry per stack that executed at
+          least one instruction; the order of the list is unspecified *)
 }
 
 val profile_program : ?fuel:int -> ?input:int list -> Dca_analysis.Proginfo.t -> profile

@@ -173,6 +173,155 @@ let test_rng_dependence () =
   in
   Alcotest.(check bool) "drand chains through the generator" true rng_raw
 
+(* ------------------------------------------------------------------ *)
+(* Differential check against the reference profiler                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A profile as plain data: total cost, buckets as a sorted list, and per
+   loop (by id) the total cost, the iterations, and the kept invocations
+   and the dependences in order. *)
+let view_of total buckets loops =
+  (total, List.sort compare buckets, List.sort compare loops)
+
+let view (p : Depprof.profile) =
+  view_of p.Depprof.pr_total_cost p.Depprof.pr_buckets
+    (Hashtbl.fold
+       (fun id (lp : Depprof.loop_profile) acc ->
+         ( id,
+           ( lp.lp_total_cost,
+             lp.lp_total_iters,
+             List.map (fun (i : Depprof.invocation) -> (i.inv_iters, i.inv_iter_costs)) lp.lp_invocations,
+             List.map
+               (fun (d : Depprof.dep) ->
+                 (Depprof.dep_kind_to_string d.d_kind, d.d_write_iid, d.d_read_iid, d.d_loc))
+               lp.lp_deps ) )
+         :: acc)
+       p.Depprof.pr_loops [])
+
+let ref_view (p : Depprof_ref.profile) =
+  view_of p.Depprof_ref.pr_total_cost p.Depprof_ref.pr_buckets
+    (Hashtbl.fold
+       (fun id (lp : Depprof_ref.loop_profile) acc ->
+         ( id,
+           ( lp.lp_total_cost,
+             lp.lp_total_iters,
+             List.map (fun (i : Depprof_ref.invocation) -> (i.inv_iters, i.inv_iter_costs)) lp.lp_invocations,
+             List.map
+               (fun (d : Depprof_ref.dep) ->
+                 (Depprof_ref.dep_kind_to_string d.d_kind, d.d_write_iid, d.d_read_iid, d.d_loc))
+               lp.lp_deps ) )
+         :: acc)
+       p.Depprof_ref.pr_loops [])
+
+let check_same_profile name ?input info =
+  let total, buckets, loops = view (Depprof.profile_program ?input info) in
+  let r_total, r_buckets, r_loops = ref_view (Depprof_ref.profile_program ?input info) in
+  Alcotest.(check int) (name ^ ": total cost") r_total total;
+  Alcotest.(check (list (pair (list string) int))) (name ^ ": buckets") r_buckets buckets;
+  Alcotest.(check (list string)) (name ^ ": loops") (List.map fst r_loops) (List.map fst loops);
+  List.iter2
+    (fun (id, (rc, ri, rinv, rdeps)) (_, (c, i, inv, deps)) ->
+      let what field = Printf.sprintf "%s: %s %s" name id field in
+      Alcotest.(check int) (what "total cost") rc c;
+      Alcotest.(check int) (what "total iterations") ri i;
+      Alcotest.(check bool) (what "invocations") true (rinv = inv);
+      Alcotest.(check int) (what "dependence count") (List.length rdeps) (List.length deps);
+      Alcotest.(check bool) (what "dependences") true (rdeps = deps))
+    r_loops loops
+
+(* Every registry program with its input: recursion (treeadd, perimeter),
+   loops containing calls, and inner loops with more invocations than a
+   profile keeps. *)
+let test_registry_matches_reference () =
+  let names = List.map (fun bm -> bm.Dca_progs.Benchmark.bm_name) Dca_progs.Registry.all in
+  List.iter
+    (fun n -> Alcotest.(check bool) (n ^ " is profiled") true (List.mem n names))
+    [ "treeadd"; "perimeter" ];
+  List.iter
+    (fun bm ->
+      let info = Proginfo.analyze (Dca_progs.Benchmark.compile bm) in
+      check_same_profile bm.Dca_progs.Benchmark.bm_name ~input:bm.Dca_progs.Benchmark.bm_input info)
+    Dca_progs.Registry.all
+
+let test_generated_match_reference () =
+  let root = Dca_support.Prng.create 42 in
+  for k = 1 to 200 do
+    let g = Dca_gen.Gen_program.generate ~max_iters:5 (Dca_support.Prng.split root) in
+    let info = Proginfo.analyze (Dca_ir.Lower.compile ~file:"<gen>" g.Dca_gen.Gen_program.g_source) in
+    check_same_profile (Printf.sprintf "generated #%d" k) info
+  done
+
+(* A loop re-entered by recursion from its own body, returns out of
+   nested loops, loops never iterated, and a loop entered 300 times. *)
+let edge_src =
+  {|
+  int acc;
+  int a[64];
+  int walk(int n) {
+    int i;
+    int j;
+    int s;
+    s = 0;
+    for (i = 0; i < n; i = i + 1) {
+      if (i == 2) { s = s + walk(n - 1); }
+      for (j = 0; j < i; j = j + 1) {
+        a[i + j] = a[i + j] + s;
+        if (a[i + j] > 100) { return s; }
+      }
+    }
+    while (n < 0) { n = n + 1; }
+    return s + n;
+  }
+  void main() {
+    int k;
+    int j;
+    for (k = 0; k < 300; k = k + 1) {
+      for (j = 0; j < 3; j = j + 1) { acc = acc + j; }
+      if (k < 6) { acc = acc + walk(5); }
+    }
+    printi(acc);
+  }
+  |}
+
+let test_edge_cases_match_reference () =
+  let info = Proginfo.analyze (Dca_ir.Lower.compile ~file:"<edge>" edge_src) in
+  check_same_profile "edge cases" info
+
+(* ------------------------------------------------------------------ *)
+(* Locations that are no cell                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* An access outside every block traps exactly as in a plain run, and
+   the profiler allocates nothing sized by the stray offset. *)
+let test_stray_locations_trap () =
+  let trap_of f = match f () with () -> None | exception Dca_interp.Eval.Trap msg -> Some msg in
+  List.iter
+    (fun (what, body, expected) ->
+      let src =
+        Printf.sprintf
+          "int a[16]; void main() { int i; int s; int *p; s = 0; p = new int[0]; for (i = 0; i < 8; i = i + 1) { a[i] = i; } for (i = 0; i < 8; i = i + 1) { %s } printi(s); }"
+          body
+      in
+      let prog = Dca_ir.Lower.compile ~file:"<stray>" src in
+      let plain = trap_of (fun () -> Dca_interp.Eval.run_main (Dca_interp.Eval.create prog)) in
+      Alcotest.(check (option string)) (what ^ ": plain run") (Some expected) plain;
+      let info = Proginfo.analyze prog in
+      Gc.full_major ();
+      let before = (Gc.quick_stat ()).Gc.heap_words in
+      let profiled = trap_of (fun () -> ignore (Depprof.profile_program info)) in
+      let grown = (Gc.quick_stat ()).Gc.heap_words - before in
+      Alcotest.(check (option string)) (what ^ ": profiled run") plain profiled;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: major heap grew by %d words" what grown)
+        true (grown < 1_000_000))
+    [
+      ("negative offset", "s = s + a[i - 5];", "memory trap: out-of-bounds load at block 0 offset -5");
+      ( "huge offset",
+        "s = s + a[i + 1000000000];",
+        "memory trap: out-of-bounds load at block 0 offset 1000000000" );
+      ("block without cells", "p[i] = s;", "memory trap: out-of-bounds store at block 1 offset 0");
+    ]
+
 let suites =
   [
     ( "depprof",
@@ -186,5 +335,9 @@ let suites =
         Alcotest.test_case "coverage" `Quick test_coverage;
         Alcotest.test_case "coverage union" `Quick test_coverage_union_no_double_count;
         Alcotest.test_case "rng dependence" `Quick test_rng_dependence;
+        Alcotest.test_case "registry matches reference" `Slow test_registry_matches_reference;
+        Alcotest.test_case "generated match reference" `Quick test_generated_match_reference;
+        Alcotest.test_case "edge cases match reference" `Quick test_edge_cases_match_reference;
+        Alcotest.test_case "stray locations trap" `Quick test_stray_locations_trap;
       ] );
   ]

@@ -188,6 +188,20 @@ let test_plan_memoization () =
       Alcotest.(check bool) "explicit plan is fresh" true (Session.plan ~machine:m s != q1);
       Alcotest.(check bool) "default plan still cached" true (Session.plan s == p1))
 
+(* The profiler runs on the fuel of the session's run spec, like the
+   dynamic stage. *)
+let test_profile_uses_session_fuel () =
+  let source =
+    "int acc; void main() { int i; for (i = 0; i < 50000; i = i + 1) { acc = acc + i; } printi(acc); }"
+  in
+  let options =
+    Session.Options.(default |> with_jobs 1 |> with_spec (Commutativity.make_run_spec ~fuel:10_000 []))
+  in
+  Session.with_session ~options (Session.Source { file = "<fuel>"; source; input = [] }) (fun s ->
+      match Session.profile s with
+      | _ -> Alcotest.fail "the profile outran the session's fuel"
+      | exception Dca_interp.Eval.Out_of_fuel -> ())
+
 let suites =
   [
     ( "session",
@@ -200,5 +214,6 @@ let suites =
         Alcotest.test_case "load resolution" `Quick test_session_load;
         Alcotest.test_case "close idempotent" `Quick test_session_close;
         Alcotest.test_case "plan memoization" `Quick test_plan_memoization;
+        Alcotest.test_case "profile uses session fuel" `Quick test_profile_uses_session_fuel;
       ] );
   ]
