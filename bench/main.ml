@@ -138,11 +138,13 @@ let run_perf () =
 (* ------------------------------------------------------------------ *)
 
 let run_jobs () =
-  section "Worker-pool scaling (Session jobs=1 vs jobs=N)";
-  (* LU is the largest NPB program by analysis time: the per-loop tests and
-     per-schedule replays dominate, which is exactly the work the pool
-     fans out.  N is the width a session picks by default.  Reports must
-     be bit-identical across jobs: a difference exits 1. *)
+  section "Worker-pool scaling (Session jobs=1 vs jobs=N, best of 3)";
+  (* LU is the largest NPB program by analysis time: the per-schedule
+     replays and the escalation runs dominate, which is exactly the work
+     the pool fans out.  N is the width a session picks by default.  A
+     single run varies too much on a shared machine, so each width is
+     timed as the best of three.  Reports must be bit-identical across
+     jobs and runs: a difference exits 1. *)
   let bm = Dca_progs.Registry.find_exn "LU" in
   let analyze jobs =
     Dca_core.Session.with_session
@@ -154,12 +156,16 @@ let run_jobs () =
     let report = analyze jobs in
     (seconds_since t0, report)
   in
+  let best jobs =
+    let runs = List.init 3 (fun _ -> time jobs) in
+    (List.fold_left (fun acc (t, _) -> Float.min acc t) infinity runs, List.map snd runs)
+  in
   let n = Dca_support.Pool.default_jobs () in
-  let t1, r1 = time 1 in
+  let t1, r1 = best 1 in
   Printf.printf "  %-22s %8.2fs\n%!" "LU analyze, jobs=1" t1;
-  let tn, rn = time n in
+  let tn, rn = best n in
   Printf.printf "  %-22s %8.2fs  (%.2fx)\n%!" (Printf.sprintf "LU analyze, jobs=%d" n) tn (t1 /. tn);
-  let identical = String.equal r1 rn in
+  let identical = List.for_all (String.equal (List.hd r1)) (r1 @ rn) in
   Printf.printf "  reports identical: %b\n%!" identical;
   if not identical then exit 1
 

@@ -125,15 +125,17 @@ let faults_arg =
 
 let deadline_arg =
   let doc =
-    "Wall-clock budget in milliseconds for each dynamic-stage invocation; exceeding it aborts \
-     that loop's test (with one 4x-escalated retry), not the session."
+    "Wall-clock budget in milliseconds for each tested loop's run of the program: the plain \
+     execution plus that loop's own tests (each whole-program verification run has its own).  \
+     Exceeding it aborts that loop's test (with one 4x-escalated retry), not the session."
   in
   Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
 
 let heap_arg =
   let doc =
-    "Major-heap growth budget in words for each dynamic-stage invocation; exceeding it aborts \
-     that loop's test, not the session."
+    "Major-heap growth budget in words for each program run of the dynamic stage; exceeding it \
+     during a loop's test aborts that loop's test, and during the plain execution every loop \
+     still under test, not the session."
   in
   Arg.(value & opt (some int) None & info [ "heap-words" ] ~docv:"W" ~doc)
 

@@ -64,7 +64,7 @@ type outcome = {
   oc_golden_runs : int;
       (** loop-local golden recordings (one per separability-widening
           attempt of every tested invocation; whole-program verification
-          runs are counted separately by the [dca.wp_*] counters) *)
+          runs are counted separately by [dca.wp_schedule_runs]) *)
   oc_replays : int;
       (** permuted replays whose decision was consumed, identity
           self-checks included.  Replays a parallel engine ran
@@ -105,16 +105,37 @@ val make_run_spec :
 
 val default_run_spec : run_spec
 
-val test_loop :
+val test_loops :
   ?pool:Dca_support.Pool.t ->
   config ->
   Dca_analysis.Proginfo.t ->
   run_spec ->
-  Dca_analysis.Proginfo.func_info ->
-  Iterator_rec.separation ->
-  outcome
-(** Run the whole program once with the loop under test intercepted (plus
-    whole-program verification runs if escalation triggers).
+  (Dca_analysis.Proginfo.func_info * Iterator_rec.separation) list ->
+  (outcome, exn * Printexc.raw_backtrace) result list
+(** Run the whole program once with every listed loop (distinct loops)
+    intercepted, and return each loop's outcome in list order — plus the
+    whole-program verification runs of the loops that escalate.
+
+    Each outcome equals what a run of the program with only that loop
+    intercepted gives.  At the header of a loop that still needs tested
+    invocations the engine tests the invocation with the other loops'
+    interceptors silenced, restores the entry state (also when the test
+    raises), then runs the loop plainly with every interceptor live, so
+    loops nested in it or in its callees are tested in the state of
+    their own runs.  Fuel and the wall-clock deadline are charged per
+    loop: the plain execution plus the loop's own tests, never a
+    sibling's.  A loop whose fuel runs out, in its own tests or in the
+    plain execution, is [Untestable "program ran out of fuel"]; a trap
+    of the plain program reaches every loop whose run is still going.
+    Escalation compares against the shared run's outputs, which are the
+    plain program's.
+
+    [Error (e, bt)] carries an exception that ended one loop's run — a
+    [Deadline_exceeded] or [Heap_exhausted] guard, an injected fault, an
+    analyzer bug — for the caller to classify; the shared run goes on
+    for the other loops.  An exception in the plain execution other than
+    a trap or fuel exhaustion ends the run of every loop still going
+    with it.  An empty list runs nothing.
 
     With [?pool] of width > 1, the per-schedule work fans out across
     domains: every permuted replay of an invocation runs on an
@@ -131,12 +152,13 @@ val test_loop_inputs :
   config ->
   Dca_analysis.Proginfo.t ->
   run_spec list ->
-  Dca_analysis.Proginfo.func_info ->
-  Iterator_rec.separation ->
-  outcome
+  (Dca_analysis.Proginfo.func_info * Iterator_rec.separation) list ->
+  outcome list
 (** Combined testing over several workloads (the paper's §V-D future-work
-    direction): the loop is commutative only if every input agrees; a
-    single non-commutative input refutes it; inputs that never execute the
-    loop contribute nothing.  [run_spec list] must be non-empty. *)
+    direction), one shared run per input: a loop is commutative only if
+    every input agrees; a single non-commutative input refutes it; inputs
+    that never execute the loop contribute nothing.  [run_spec list] must
+    be non-empty.  An [Error] of any run is raised, the first in input
+    then loop order. *)
 
 val verdict_to_string : verdict -> string

@@ -31,8 +31,8 @@ type loop_result = {
 }
 
 (* Work counters: one tick per loop outcome, always at the point where
-   the result record is built — reached exactly once per loop in both the
-   sequential and the pool-mapped paths, so totals are jobs-invariant. *)
+   the result record is built — reached exactly once per loop at any
+   worker count, so totals are jobs-invariant. *)
 let c_examined = Telemetry.counter "dca.loops_examined"
 let c_rejected = Telemetry.counter "dca.loops_rejected"
 let c_subsumed = Telemetry.counter "dca.loops_subsumed"
@@ -91,8 +91,6 @@ let escalate_spec (spec : Commutativity.run_spec) =
 let analyze_program ?(config = Commutativity.default_config)
     ?(spec = Commutativity.default_run_spec) ?(hierarchical = false) ?(static = true) ?pool
     ?lookup info =
-  (* loops arrive outermost-first within each function, so a commutative
-     ancestor is always decided before its descendants *)
   let commutative_ancestors : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let subsuming_ancestor (fi : Proginfo.func_info) (loop : Loops.loop) =
     if not hierarchical then None
@@ -101,191 +99,180 @@ let analyze_program ?(config = Commutativity.default_config)
       |> List.find_opt (fun anc ->
              anc.Loops.l_id <> loop.Loops.l_id && Hashtbl.mem commutative_ancestors anc.Loops.l_id)
   in
-  (* [examine_and_test] is free of shared mutable state, so calls for
-     distinct loops can run on distinct domains: each dynamic test builds
-     its own evaluator over the (read-only) program info.
-
-     It is also the containment boundary: any exception escaping one
-     loop's examine or test — guest traps that slipped past the harness,
-     resource-guard raises, injected faults, genuine analyzer bugs — is
-     classified into [abort_cause] and recorded as an [Aborted] verdict,
-     so every other loop still runs and the merge stays deterministic.
-     [Fuel]/[Deadline] escapes get one bounded retry with escalated
-     budgets before giving up. *)
-  let examine_and_test (fi, loop) =
+  (* A result this call computed (not a cached one): the containment
+     counters tick here, once per loop. *)
+  let computed loop label decision outcome provenance =
+    (match decision with
+    | Aborted { ab_cause; _ } ->
+        Telemetry.incr c_aborted;
+        (match ab_cause with
+        | Crash { exn; _ } when Faultpoint.is_injected_message exn -> Telemetry.incr c_faults_injected
+        | Trap m when Faultpoint.is_injected_message m -> Telemetry.incr c_faults_injected
+        | _ -> ())
+    | Non_commutative why | Untestable why ->
+        if Faultpoint.is_injected_message why then Telemetry.incr c_faults_injected
+    | _ -> ());
+    {
+      lr_loop = loop;
+      lr_label = label;
+      lr_decision = decision;
+      lr_outcome = outcome;
+      lr_provenance = provenance;
+    }
+  in
+  (* The static stage of one loop: the [driver.loop] fault point,
+     [Candidate.examine] and the prover.  It returns the loop's result,
+     or the separation the dynamic stage must test.  Any exception is
+     contained here and classified like a test-stage escape, but never
+     retried (the static stage has no resource budget to escalate). *)
+  let static_stage (fi, loop) =
     let label = Proginfo.loop_label info loop in
     Telemetry.incr c_examined;
-    Telemetry.span ~cat:"dynamic" ("loop " ^ label) (fun () ->
-        let decision, outcome, provenance =
-          match
-            (match Faultpoint.hit ~ctx:label fp_loop with
-            | Faultpoint.Pass -> ()
-            | Faultpoint.Fire_trap ->
-                raise (Eval.Trap (Faultpoint.injected_msg ~ctx:label "driver.loop"))
-            | Faultpoint.Fire_fuel -> raise Eval.Out_of_fuel);
-            Telemetry.span ~cat:"static" "examine" (fun () -> Candidate.examine info fi loop)
-          with
-          | Candidate.Rejected r ->
-              Telemetry.incr c_rejected;
-              (Rejected r, None, Dynamic)
-          | Candidate.Accepted sep -> (
-              (* The static fast-path runs only on loops the dynamic stage
-                 would otherwise test, so a statically-provable but
-                 dynamically-rejected loop keeps its rejection, and the
-                 examined/rejected counters are invariant under
-                 [--no-static].  A prover crash degrades to a bailout:
-                 the dynamic stage still produces the verdict. *)
-              let static_proof =
-                if not static then None
-                else
-                  Some
-                    (Telemetry.span ~cat:"static" "staticproof" (fun () ->
-                         try Staticproof.prove info fi loop
-                         with e -> Staticproof.Bail ("prover crash: " ^ Printexc.to_string e)))
-              in
-              match static_proof with
-              | Some (Staticproof.Proved _) ->
-                  Telemetry.incr c_static_proved;
-                  (Commutative, None, Static)
-              | _ -> (
-              (match static_proof with
-              | Some (Staticproof.Fission _) -> Telemetry.incr c_static_fission
-              | Some (Staticproof.Bail _) -> Telemetry.incr c_static_bailouts
-              | _ -> ());
-              let rec run spec retries =
-                match Commutativity.test_loop ?pool config info spec fi sep with
-                | outcome -> Ok outcome
-                | exception e -> (
-                    let bt = Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ()) in
-                    let cause = classify_abort e bt in
-                    (match cause with Deadline -> Telemetry.incr c_deadline_hits | _ -> ());
-                    match cause with
-                    | (Fuel | Deadline) when retries < retry_limit ->
-                        Telemetry.incr c_retries;
-                        run (escalate_spec spec) (retries + 1)
-                    | cause -> Error (cause, retries))
-              in
-              match run spec 0 with
-              | Ok outcome ->
-                  let decision =
-                    match outcome.Commutativity.oc_verdict with
-                    | Commutativity.Commutative -> Commutative
-                    | Commutativity.Non_commutative why -> Non_commutative why
-                    | Commutativity.Untestable why -> Untestable why
-                  in
-                  (decision, Some outcome, Dynamic)
-              | Error (cause, retries) ->
-                  (Aborted { ab_cause = cause; ab_retries = retries }, None, Dynamic)))
-          | exception e ->
-              (* examine-stage crash, or the loop-boundary fault point:
-                 classified like a test-stage escape but never retried
-                 (the static stage has no resource budget to escalate) *)
-              let bt = Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ()) in
-              (Aborted { ab_cause = classify_abort e bt; ab_retries = 0 }, None, Dynamic)
+    match
+      (match Faultpoint.hit ~ctx:label fp_loop with
+      | Faultpoint.Pass -> ()
+      | Faultpoint.Fire_trap -> raise (Eval.Trap (Faultpoint.injected_msg ~ctx:label "driver.loop"))
+      | Faultpoint.Fire_fuel -> raise Eval.Out_of_fuel);
+      Telemetry.span ~cat:"static" "examine" (fun () -> Candidate.examine info fi loop)
+    with
+    | Candidate.Rejected r ->
+        Telemetry.incr c_rejected;
+        `Done (computed loop label (Rejected r) None Dynamic)
+    | Candidate.Accepted sep -> (
+        (* The static fast-path runs only on loops the dynamic stage
+           would otherwise test, so a statically-provable but
+           dynamically-rejected loop keeps its rejection, and the
+           examined/rejected counters are invariant under [--no-static].
+           A prover crash degrades to a bailout: the dynamic stage still
+           produces the verdict. *)
+        let static_proof =
+          if not static then None
+          else
+            Some
+              (Telemetry.span ~cat:"static" "staticproof" (fun () ->
+                   try Staticproof.prove info fi loop
+                   with e -> Staticproof.Bail ("prover crash: " ^ Printexc.to_string e)))
         in
-        (match decision with
-        | Aborted { ab_cause; _ } ->
-            Telemetry.incr c_aborted;
-            (match ab_cause with
-            | Crash { exn; _ } when Faultpoint.is_injected_message exn ->
-                Telemetry.incr c_faults_injected
-            | Trap m when Faultpoint.is_injected_message m -> Telemetry.incr c_faults_injected
-            | _ -> ())
-        | Non_commutative why | Untestable why ->
-            if Faultpoint.is_injected_message why then Telemetry.incr c_faults_injected
-        | _ -> ());
-        {
-          lr_loop = loop;
-          lr_label = label;
-          lr_decision = decision;
-          lr_outcome = outcome;
-          lr_provenance = provenance;
-        })
+        match static_proof with
+        | Some (Staticproof.Proved _) ->
+            Telemetry.incr c_static_proved;
+            `Done (computed loop label Commutative None Static)
+        | _ ->
+            (match static_proof with
+            | Some (Staticproof.Fission _) -> Telemetry.incr c_static_fission
+            | Some (Staticproof.Bail _) -> Telemetry.incr c_static_bailouts
+            | _ -> ());
+            `Test (label, sep))
+    | exception e ->
+        let bt = Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ()) in
+        let decision = Aborted { ab_cause = classify_abort e bt; ab_retries = 0 } in
+        `Done (computed loop label decision None Dynamic)
   in
-  (* A cache front end resolves a loop before any work is queued for it.
-     The lookup must be pure and domain-safe (it runs inside pool tasks);
-     the serve engine passes a closed-over, read-only table.  A resolved
-     result short-circuits [examine_and_test] entirely, so none of the
-     per-loop work counters tick for it — cache hits are visible as
-     missing [dca.*] work, which the invalidation tests rely on. *)
+  (* A cache front end resolves a loop before any work is done for it.  A
+     resolved result short-circuits the static stage and the test
+     entirely, so none of the per-loop work counters tick for it — cache
+     hits are visible as missing [dca.*] work, which the invalidation
+     tests rely on. *)
   let resolve ((fi, loop) as fl) =
-    match lookup with
-    | None -> examine_and_test fl
-    | Some find -> ( match find fi loop with Some r -> r | None -> examine_and_test fl)
+    match subsuming_ancestor fi loop with
+    | Some anc ->
+        Telemetry.incr c_subsumed;
+        `Done
+          {
+            lr_loop = loop;
+            lr_label = Proginfo.loop_label info loop;
+            lr_decision = Subsumed anc.Loops.l_id;
+            lr_outcome = None;
+            lr_provenance = Dynamic;
+          }
+    | None -> (
+        match Option.bind lookup (fun find -> find fi loop) with
+        | Some r -> `Done r
+        | None -> static_stage fl)
   in
-  let note_commutative r =
-    match r.lr_decision with
-    | Commutative -> Hashtbl.replace commutative_ancestors r.lr_loop.Loops.l_id ()
-    | _ -> ()
+  (* The dynamic stage of a wave: one shared program run tests all its
+     loops.  A loop whose run ended on the fuel or deadline guard is
+     retried, together with the others that did, in one more shared run
+     with escalated budgets. *)
+  let rec test spec retries tests =
+    let results =
+      Commutativity.test_loops ?pool config info spec tests
+      |> List.map (function
+           | Ok outcome -> Ok outcome
+           | Error (e, bt) ->
+               let cause = classify_abort e (Printexc.raw_backtrace_to_string bt) in
+               (match cause with Deadline -> Telemetry.incr c_deadline_hits | _ -> ());
+               Error (cause, retries))
+    in
+    let retryable = function Error ((Fuel | Deadline), _) -> retries < retry_limit | _ -> false in
+    let paired = List.combine tests results in
+    match List.filter (fun (_, r) -> retryable r) paired with
+    | [] -> results
+    | again ->
+        Telemetry.add c_retries (List.length again);
+        let retried = ref (test (escalate_spec spec) (retries + 1) (List.map fst again)) in
+        List.map
+          (fun (_, r) ->
+            if not (retryable r) then r
+            else
+              match !retried with
+              | r' :: rest ->
+                  retried := rest;
+                  r'
+              | [] -> assert false)
+          paired
   in
-  let loops = Proginfo.all_loops info in
-  match pool with
-  | Some p when Pool.jobs p > 1 ->
-      if not hierarchical then
-        (* every loop's test is independent: one pool task per loop,
-           results collected in program order *)
-        Pool.map p resolve loops
-      else begin
-        (* Hierarchical mode tests in waves of equal nesting depth.  A
-           loop's only inter-loop dependence is on its ancestors (all of
-           strictly smaller depth), so when a wave starts, every ancestor
-           verdict is final — the wave can check subsumption up front,
-           skip the subsumed loops entirely (the sequential cancellation
-           semantics), and fan the surviving tests out in parallel. *)
-        let indexed = List.mapi (fun i fl -> (i, fl)) loops in
-        let waves =
-          Listx.group_by (fun (_, (_, loop)) -> loop.Loops.l_depth) indexed
-          |> List.sort (fun (d1, _) (d2, _) -> compare d1 d2)
-          |> List.map snd
-        in
-        let results : (int, loop_result) Hashtbl.t = Hashtbl.create 16 in
-        List.iter
-          (fun wave ->
-            let to_test =
-              List.filter
-                (fun (i, (fi, loop)) ->
-                  match subsuming_ancestor fi loop with
-                  | Some anc ->
-                      Telemetry.incr c_subsumed;
-                      Hashtbl.replace results i
-                        {
-                          lr_loop = loop;
-                          lr_label = Proginfo.loop_label info loop;
-                          lr_decision = Subsumed anc.Loops.l_id;
-                          lr_outcome = None;
-                          lr_provenance = Dynamic;
-                        };
-                      false
-                  | None -> true)
-                wave
-            in
-            let tested = Pool.map p (fun (_, fl) -> resolve fl) to_test in
-            List.iter2
-              (fun (i, _) r ->
-                note_commutative r;
-                Hashtbl.replace results i r)
-              to_test tested)
-          waves;
-        List.mapi (fun i _ -> Hashtbl.find results i) loops
-      end
-  | _ ->
-      List.map
-        (fun (fi, loop) ->
-          match subsuming_ancestor fi loop with
-          | Some anc ->
-              Telemetry.incr c_subsumed;
-              {
-                lr_loop = loop;
-                lr_label = Proginfo.loop_label info loop;
-                lr_decision = Subsumed anc.Loops.l_id;
-                lr_outcome = None;
-                lr_provenance = Dynamic;
-              }
-          | None ->
-              let r = resolve (fi, loop) in
-              note_commutative r;
-              r)
-        loops
+  (* Loops arrive outermost-first within each function.  Hierarchical
+     mode tests them in waves of equal nesting depth: a loop's only
+     inter-loop dependence is on its ancestors, all of strictly smaller
+     depth, so when a wave starts every ancestor verdict is final and a
+     subsumed loop is skipped before any work is done for it.  Without
+     subsumption all loops form one wave. *)
+  let loops = List.mapi (fun i fl -> (i, fl)) (Proginfo.all_loops info) in
+  let waves =
+    if not hierarchical then [ loops ]
+    else
+      Listx.group_by (fun (_, (_, loop)) -> loop.Loops.l_depth) loops
+      |> List.sort (fun (d1, _) (d2, _) -> compare d1 d2)
+      |> List.map snd
+  in
+  let results = Array.make (List.length loops) None in
+  List.iter
+    (fun wave ->
+      let pending =
+        List.filter_map
+          (fun (i, ((fi, loop) as fl)) ->
+            match resolve fl with
+            | `Done r ->
+                results.(i) <- Some r;
+                None
+            | `Test (label, sep) -> Some (i, loop, label, (fi, sep)))
+          wave
+      in
+      List.iter2
+        (fun (i, loop, label, _) r ->
+          let decision, outcome =
+            match r with
+            | Ok outcome ->
+                ( (match outcome.Commutativity.oc_verdict with
+                  | Commutativity.Commutative -> Commutative
+                  | Commutativity.Non_commutative why -> Non_commutative why
+                  | Commutativity.Untestable why -> Untestable why),
+                  Some outcome )
+            | Error (cause, retries) -> (Aborted { ab_cause = cause; ab_retries = retries }, None)
+          in
+          results.(i) <- Some (computed loop label decision outcome Dynamic))
+        pending
+        (test spec 0 (List.map (fun (_, _, _, t) -> t) pending));
+      List.iter
+        (fun (i, _) ->
+          match results.(i) with
+          | Some { lr_decision = Commutative; lr_loop; _ } ->
+              Hashtbl.replace commutative_ancestors lr_loop.Loops.l_id ()
+          | _ -> ())
+        wave)
+    waves;
+  Array.to_list results |> List.map Option.get
 
 let analyze_source ?config ?spec ?hierarchical ?static ?pool ~file src =
   let prog = Dca_ir.Lower.compile ~file src in

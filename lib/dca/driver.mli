@@ -1,6 +1,9 @@
-(** Whole-program DCA pipeline: static candidate selection followed by one
-    dynamic commutativity test per loop (paper Fig. 3).  Loops are tested
-    one per program execution, as in §IV-E. *)
+(** Whole-program DCA pipeline (paper Fig. 3): a static stage per loop —
+    cache lookup, candidate selection, the affine prover — then one
+    dynamic commutativity test per remaining loop.  The paper tests one
+    loop per program execution (§IV-E); here one execution of the program
+    tests every remaining loop ({!Commutativity.test_loops}), with the
+    verdicts those separate executions give. *)
 
 type abort_cause =
   | Trap of string  (** a guest trap escaped the harness's own handling *)
@@ -54,14 +57,18 @@ val analyze_program :
   loop_result list
 (** Results in program order (function order, then outermost-first).
 
+    Each loop first goes through the static stage, in program order: the
+    [driver.loop] fault point, {!Candidate.examine}, then the prover.
+    The loops left for the dynamic stage are tested together by one
+    shared program run ({!Commutativity.test_loops}).
+
     [?lookup] lets a cache front end (the serve daemon's verdict cache)
-    resolve a loop without testing it: consulted before any per-loop work
-    is queued, a [Some result] is used verbatim — it participates in
+    resolve a loop without testing it: consulted before the static
+    stage, a [Some result] is used verbatim — it participates in
     hierarchical subsumption like a freshly computed verdict but ticks no
-    work counters.  The function must be pure and safe to call from
-    worker domains.  Subsumption is decided {e before} the lookup, so a
-    cached verdict never resurrects a loop the sequential engine would
-    have skipped.
+    work counters.  The function must be pure.  Subsumption is decided
+    {e before} the lookup, so a cached verdict never resurrects a loop
+    the engine would have skipped.
 
     With [~static:true] (the default), every loop the static candidate
     stage {e accepts} first goes to the {!Dca_analysis.Staticproof}
@@ -78,28 +85,27 @@ val analyze_program :
     [~static:false] ([--no-static]) disables the fast-path for A/B runs;
     verdicts must not change, only [dca.golden-runs]/[dca.replays] work
     and the provenance markers do.
+
     With [~hierarchical:true] (default [false]), loops nested inside a
     loop already found commutative are not tested and come back
     [Subsumed] — the paper's top-down exploration, which saves dynamic
-    test invocations when outer parallelism is preferred anyway.
+    test invocations when outer parallelism is preferred anyway.  Loops
+    then go through both stages in waves of equal nesting depth, one
+    shared run per wave: by the time a wave starts, every ancestor
+    verdict is final, so a subsumed loop is skipped before any work is
+    done for it.  Without it, all loops form a single wave.
 
-    With [?pool] of width > 1 the per-loop dynamic tests fan out across
-    domains (each test owns its evaluator; the program info is shared
-    read-only), and the pool is also threaded into each test's
-    per-schedule replays.  Results are returned in program order and are
-    bit-identical to the sequential path.  Hierarchical mode proceeds in
-    nesting-depth waves: by the time a wave is scheduled, every ancestor
-    verdict is final, so subsumed descendants are cancelled before any
-    work is queued for them — the parallel engine never tests a loop the
-    sequential engine would have skipped.
+    With [?pool] of width > 1 the per-schedule replays of each tested
+    invocation, and the whole-program runs of an escalation, fan out
+    across domains.  Results are bit-identical to [jobs = 1].
 
-    {b Crash containment}: no exception raised by one loop's examine or
-    dynamic test escapes this function.  Escapes are classified into
-    {!abort_cause} and returned as [Aborted] results; [Fuel]/[Deadline]
-    causes get one retry with 4x-escalated budgets first.  Containment
-    happens inside the per-loop task, so the deterministic merge (and
-    jobs=1 vs jobs=n bit-identity) is preserved under faults that fire
-    at deterministic points. *)
+    {b Crash containment}: no exception raised by one loop's static
+    stage or dynamic test escapes this function.  Escapes are classified
+    into {!abort_cause} and returned as [Aborted] results, and the other
+    loops' verdicts are unchanged: a loop whose test raises is restored
+    and dropped from the shared run, which goes on for the others.
+    Loops whose run ended on the [Fuel] or [Deadline] guard are retried
+    together, in one more shared run with 4x-escalated budgets. *)
 
 val analyze_source :
   ?config:Commutativity.config ->

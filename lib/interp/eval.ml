@@ -100,8 +100,8 @@ and ctx = {
   funcs : (string, dfunc) Hashtbl.t;
   mutable sink : Events.sink option;
   mutable nsteps : int;
-  fuel : int;
-  deadline : int;  (** absolute [Telemetry.now_ns] bound; [max_int] = none *)
+  mutable fuel : int;  (** absolute step bound *)
+  mutable deadline : int;  (** absolute [Telemetry.now_ns] bound; [max_int] = none *)
   heap_limit : int;  (** absolute major-heap words ceiling; [max_int] = none *)
   mutable next_guard : int;  (** step count of the next periodic guard check *)
   mutable interceptors : interceptor list;
@@ -221,6 +221,11 @@ let fork ctx =
 let program ctx = ctx.prog
 let store ctx = ctx.st
 let steps ctx = ctx.nsteps
+
+let set_limits ctx ~fuel ~deadline =
+  ctx.fuel <- fuel;
+  ctx.deadline <- deadline
+
 let set_sink ctx sink = ctx.sink <- sink
 let outputs ctx = Store.outputs ctx.st
 
@@ -337,6 +342,16 @@ let guard_check ctx =
     raise Deadline_exceeded;
   if ctx.heap_limit <> max_int && (Gc.quick_stat ()).Gc.heap_words > ctx.heap_limit then
     raise Heap_exhausted
+
+(* The idle interceptor of block [bid] of [fname], if any.  One shared
+   run intercepts every tested loop, so this runs on every block transfer
+   with several interceptors installed: compare the header first. *)
+let rec interceptor_at its fname bid =
+  match its with
+  | [] -> None
+  | it :: rest ->
+      if it.it_header = bid && (not it.it_active) && String.equal it.it_fname fname then Some it
+      else interceptor_at rest fname bid
 
 let rec exec_instr ctx frame (d : dinstr) =
   ctx.nsteps <- ctx.nsteps + 1;
@@ -495,12 +510,7 @@ and call_user ctx name (vargs : Value.t array) : Value.t option =
 and exec_from ctx frame bid ~stop ~control ~src : stop_reason =
   (* interceptors fire on transfers into their header during any execution
      in which they are not already active *)
-  match
-    List.find_opt
-      (fun it ->
-        it.it_fname = frame.ffunc.Ir.fname && it.it_header = bid && not it.it_active)
-      ctx.interceptors
-  with
+  match interceptor_at ctx.interceptors frame.ffunc.Ir.fname bid with
   | Some it ->
       it.it_active <- true;
       let continue_at =
@@ -564,7 +574,10 @@ let add_interceptor ctx ~fname ~header handler =
     { it_fname = fname; it_header = header; it_active = false; it_handler = Handler handler }
     :: ctx.interceptors
 
-let clear_interceptors ctx = ctx.interceptors <- []
+let without_interceptors ctx f =
+  let saved = ctx.interceptors in
+  ctx.interceptors <- [];
+  Fun.protect ~finally:(fun () -> ctx.interceptors <- saved) f
 
 let globals_of ctx =
   Array.to_list (Array.mapi (fun slot g -> (g, Store.read_global ctx.st slot)) ctx.prog.Ir.p_globals)

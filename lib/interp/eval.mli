@@ -12,11 +12,15 @@
     - {!add_interceptor} installs a hook that fires when normal execution
       is about to enter a given block (a loop header): the hook takes over,
       runs the loop under the DCA harness, and returns the block where
-      execution must resume — this is how whole-program verification runs
-      a program "with loop L permuted".
+      execution must resume — this is how one program run tests every
+      candidate loop, and how whole-program verification runs a program
+      "with loop L permuted".  {!without_interceptors} silences every
+      hook for the extent of one loop's test.
 
-    Executed instructions are counted in {!steps}; a configurable fuel
-    bound aborts runaway executions ({!Out_of_fuel}). *)
+    Executed instructions are counted in {!steps}; a fuel bound aborts
+    runaway executions ({!Out_of_fuel}).  {!set_limits} moves the fuel
+    bound and the deadline while a context runs, so one execution can
+    charge each tested loop only its own share of the work. *)
 
 exception Trap of string
 exception Out_of_fuel
@@ -64,16 +68,25 @@ val create :
 
 val fork : ctx -> ctx
 (** A private replica of the context at its current state: the store is
-    deep-copied ({!Store.copy}), the (read-only) program and function
-    table are shared, and the replica starts with no sink and no
-    interceptors.  Forking is how DCA's parallel engine gives each
-    permuted replay its own interpreter — replicas on different domains
-    never share mutable state.  The step counter is inherited so the fuel
-    headroom of the replica matches the parent at the fork point. *)
+    copied with {!Store.copy} (copy-on-write in [Journal] mode, eager in
+    [Deep] mode), the (read-only) program and function table are shared,
+    and the replica starts with no sink and no interceptors.  Forking is
+    how DCA's parallel engine gives each permuted replay its own
+    interpreter — replicas on different domains never share mutable
+    state.  The step counter, the fuel bound and the deadline are
+    inherited, so the replica has the parent's headroom at the fork
+    point. *)
 
 val program : ctx -> Dca_ir.Ir.program
 val store : ctx -> Store.t
 val steps : ctx -> int
+
+val set_limits : ctx -> fuel:int -> deadline:int -> unit
+(** Replace the fuel bound — {!Out_of_fuel} is raised by the instruction
+    that takes {!steps} past [fuel] — and the deadline, an absolute
+    [Telemetry.now_ns] value ([max_int]: none).  Both start as
+    {!create} sets them; the heap budget cannot be moved. *)
+
 val set_sink : ctx -> Events.sink option -> unit
 
 val run_main : ctx -> unit
@@ -113,7 +126,9 @@ val add_interceptor : ctx -> fname:string -> header:int -> (ctx -> frame -> int)
     the block id where execution continues (typically the loop's unique
     exit target).  The handler is not re-entered while it is active. *)
 
-val clear_interceptors : ctx -> unit
+val without_interceptors : ctx -> (unit -> 'a) -> 'a
+(** [without_interceptors ctx f] runs [f] with every interceptor of [ctx]
+    silenced, and reinstates them when [f] returns or raises. *)
 
 val globals_of : ctx -> (Dca_ir.Ir.gdef * Value.t) list
 (** Current values of the global table, in slot order. *)

@@ -566,6 +566,14 @@ let input_dependent_src =
   }
   |}
 
+(* One loop through the shared-run engine: its outcome, or the exception
+   that ended its run. *)
+let test_one_loop config info spec fi sep =
+  match Commutativity.test_loops config info spec [ (fi, sep) ] with
+  | [ Ok outcome ] -> outcome
+  | [ Error (e, bt) ] -> Printexc.raise_with_backtrace e bt
+  | _ -> Alcotest.fail "test_loops: expected one result"
+
 let test_multi_input_refutes () =
   let prog = Dca_ir.Lower.compile ~file:"<test>" input_dependent_src in
   let info = Proginfo.analyze prog in
@@ -573,15 +581,18 @@ let test_multi_input_refutes () =
   let loop = List.hd (Loops.loops fi.Proginfo.fi_forest) in
   let sep = Iterator_rec.separate fi loop in
   let spec input = Commutativity.make_run_spec ~fuel:50_000_000 input in
-  let benign = Commutativity.test_loop Commutativity.default_config info (spec [ 0 ]) fi sep in
-  let hostile = Commutativity.test_loop Commutativity.default_config info (spec [ 1 ]) fi sep in
+  let benign = test_one_loop Commutativity.default_config info (spec [ 0 ]) fi sep in
+  let hostile = test_one_loop Commutativity.default_config info (spec [ 1 ]) fi sep in
   Alcotest.(check bool) "benign input: commutative" true
     (benign.Commutativity.oc_verdict = Commutativity.Commutative);
   Alcotest.(check bool) "hostile input: refuted" true
     (match hostile.Commutativity.oc_verdict with Commutativity.Non_commutative _ -> true | _ -> false);
   (* combined testing over both inputs must be refuted (paper §V-D) *)
   let combined =
-    Commutativity.test_loop_inputs Commutativity.default_config info [ spec [ 0 ]; spec [ 1 ] ] fi sep
+    List.hd
+      (Commutativity.test_loop_inputs Commutativity.default_config info
+         [ spec [ 0 ]; spec [ 1 ] ]
+         [ (fi, sep) ])
   in
   Alcotest.(check bool) "combined inputs: refuted" true
     (match combined.Commutativity.oc_verdict with Commutativity.Non_commutative _ -> true | _ -> false);
@@ -619,7 +630,7 @@ let test_per_invocation_verdicts () =
   let loop = List.hd (Loops.loops fi.Proginfo.fi_forest) in
   let sep = Iterator_rec.separate fi loop in
   let outcome =
-    Commutativity.test_loop Commutativity.default_config info Commutativity.default_run_spec fi sep
+    test_one_loop Commutativity.default_config info Commutativity.default_run_spec fi sep
   in
   (* the aggregate verdict is refuted ... *)
   Alcotest.(check bool) "aggregate refuted" true

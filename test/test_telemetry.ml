@@ -133,6 +133,19 @@ let test_work_counters_jobs_invariant () =
       check_snapshots (name ^ ": work counters jobs=1 vs jobs=4") seq par)
     [ "DC"; "treeadd"; "hash" ]
 
+(* One shared run of the program tests all of its loops: every registry
+   program runs exactly once in the dynamic stage, at any job count
+   (escalation's permuted runs are counted apart, in dca.wp_schedule_runs). *)
+let test_one_program_run () =
+  List.iter
+    (fun (bm : Dca_progs.Benchmark.t) ->
+      List.iter
+        (fun jobs ->
+          let runs = Option.value (List.assoc_opt "dca.program_runs" (work_snapshot bm jobs)) ~default:0 in
+          Alcotest.(check int) (Printf.sprintf "%s: program runs at jobs=%d" bm.bm_name jobs) 1 runs)
+        [ 1; 4 ])
+    Dca_progs.Registry.all
+
 let test_work_counters_checkpoint_invariant () =
   let bm = Dca_progs.Registry.find_exn "DC" in
   let journal = work_snapshot ~checkpoint:Dca_interp.Store.Journal bm 2 in
@@ -382,6 +395,7 @@ let suites =
         Alcotest.test_case "disabled path allocates nothing" `Quick
           test_disabled_path_allocates_nothing;
         Alcotest.test_case "work counters: jobs=1 = jobs=4" `Quick test_work_counters_jobs_invariant;
+        Alcotest.test_case "one program run per registry program" `Quick test_one_program_run;
         Alcotest.test_case "work counters: journal = deep" `Quick
           test_work_counters_checkpoint_invariant;
         Alcotest.test_case "fault counters: jobs=1 = jobs=4" `Quick
