@@ -138,35 +138,69 @@ let run_perf () =
 (* ------------------------------------------------------------------ *)
 
 let run_jobs () =
-  section "Worker-pool scaling (Session jobs=1 vs jobs=N, best of 3)";
-  (* LU is the largest NPB program by analysis time: the per-schedule
-     replays and the escalation runs dominate, which is exactly the work
-     the pool fans out.  N is the width a session picks by default.  A
-     single run varies too much on a shared machine, so each width is
-     timed as the best of three.  Reports must be bit-identical across
-     jobs and runs: a difference exits 1. *)
-  let bm = Dca_progs.Registry.find_exn "LU" in
-  let analyze jobs =
-    Dca_core.Session.with_session
-      ~options:Dca_core.Session.Options.(default |> with_jobs jobs)
-      (Dca_core.Session.Benchmark bm) Dca_core.Session.report
-  in
-  let time jobs =
-    let t0 = Telemetry.now_ns () in
-    let report = analyze jobs in
-    (seconds_since t0, report)
-  in
-  let best jobs =
-    let runs = List.init 3 (fun _ -> time jobs) in
-    (List.fold_left (fun acc (t, _) -> Float.min acc t) infinity runs, List.map snd runs)
-  in
+  section "Worker-pool scaling over the registry (jobs=1 vs jobs=N, best of 3)";
+  (* Every registry program is analyzed at jobs=1 and at N, the width a
+     session picks by default, three times each, alternating the widths;
+     a single run varies too much on a shared machine, so each width is
+     timed as the best of its three.  Reports and interpreted
+     instructions must be identical across widths and runs: a
+     difference exits 1.  The table goes to BENCH_jobs.json. *)
   let n = Dca_support.Pool.default_jobs () in
-  let t1, r1 = best 1 in
-  Printf.printf "  %-22s %8.2fs\n%!" "LU analyze, jobs=1" t1;
-  let tn, rn = best n in
-  Printf.printf "  %-22s %8.2fs  (%.2fx)\n%!" (Printf.sprintf "LU analyze, jobs=%d" n) tn (t1 /. tn);
-  let identical = List.for_all (String.equal (List.hd r1)) (r1 @ rn) in
-  Printf.printf "  reports identical: %b\n%!" identical;
+  let analyze bm jobs =
+    let tele = Telemetry.Ctx.create ~counting:true () in
+    let t0 = Telemetry.now_ns () in
+    let report, counters =
+      Dca_core.Session.with_session
+        ~options:Dca_core.Session.Options.(default |> with_jobs jobs |> with_telemetry tele)
+        (Dca_core.Session.Benchmark bm)
+        (fun s ->
+          let report = Dca_core.Session.report s in
+          (report, Dca_core.Session.telemetry s))
+    in
+    let t = seconds_since t0 in
+    (t, (report, Option.value (List.assoc_opt "interp.instructions" counters) ~default:0))
+  in
+  let best runs = List.fold_left (fun acc (t, _) -> Float.min acc t) infinity runs in
+  let rows =
+    List.map
+      (fun (bm : Dca_progs.Benchmark.t) ->
+        let pairs = List.init 3 (fun _ -> (analyze bm 1, analyze bm n)) in
+        let seq = List.map fst pairs and par = List.map snd pairs in
+        let results = List.map snd (seq @ par) in
+        let identical = List.for_all (( = ) (List.hd results)) results in
+        let t1 = best seq and tn = best par and instructions = snd (List.hd results) in
+        Printf.printf "  %-14s jobs=1 %6.3fs  jobs=%d %6.3fs  (%.2fx)  %10d instructions%s\n%!"
+          bm.bm_name t1 n tn (t1 /. tn) instructions
+          (if identical then "" else "  REPORT OR INSTRUCTIONS DIFFER");
+        (bm.bm_name, t1, tn, instructions, identical))
+      Dca_progs.Registry.all
+  in
+  let sum f = List.fold_left (fun acc row -> acc +. f row) 0.0 rows in
+  let t1 = sum (fun (_, t, _, _, _) -> t) and tn = sum (fun (_, _, t, _, _) -> t) in
+  let instructions = List.fold_left (fun acc (_, _, _, i, _) -> acc + i) 0 rows in
+  let identical = List.for_all (fun (_, _, _, _, ok) -> ok) rows in
+  Printf.printf "  %-14s jobs=1 %6.3fs  jobs=%d %6.3fs  (%.2fx)  %10d instructions\n%!" "total" t1 n
+    tn (t1 /. tn) instructions;
+  Printf.printf "  reports and instructions identical: %b\n%!" identical;
+  let oc = open_out "BENCH_jobs.json" in
+  Printf.fprintf oc
+    "{\n  \"jobs_default\": %d,\n  \"cores\": %d,\n  \"timing\": \"wall seconds of one in-process \
+     analysis (Session report, as dca analyze), best of 3 per width\",\n  \"programs\": [\n"
+    n (Domain.recommended_domain_count ());
+  List.iteri
+    (fun k (name, t1, tn, instructions, ok) ->
+      Printf.fprintf oc
+        "    {\"name\": %S, \"jobs1_s\": %.3f, \"jobsN_s\": %.3f, \"speedup\": %.2f, \
+         \"instructions\": %d, \"identical\": %b}%s\n"
+        name t1 tn (t1 /. tn) instructions ok
+        (if k = List.length rows - 1 then "" else ","))
+    rows;
+  Printf.fprintf oc
+    "  ],\n  \"total_jobs1_s\": %.3f,\n  \"total_jobsN_s\": %.3f,\n  \"total_instructions\": %d,\n  \
+     \"identical\": %b\n}\n"
+    t1 tn instructions identical;
+  close_out oc;
+  Printf.printf "  wrote BENCH_jobs.json\n%!";
   if not identical then exit 1
 
 (* ------------------------------------------------------------------ *)

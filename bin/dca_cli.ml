@@ -274,7 +274,7 @@ let speedup_cmd =
         let machine = Dca_parallel.Machine.with_workers Dca_parallel.Machine.default workers in
         let plan = Session.plan ~machine s in
         let result = Dca_parallel.Speedup.simulate ~machine (Session.proginfo s) (Session.profile s) plan in
-        Printf.printf "parallel plan:\n%s\n" (Dca_parallel.Plan.to_string plan);
+        Printf.printf "parallel plan:\n%s\n" (Dca_parallel.Codegen.plan_to_string plan);
         List.iter
           (fun sl ->
             Printf.printf "  %-24s seq %12.0f  par %12.0f  saved %12.0f\n"
@@ -331,21 +331,10 @@ let export_c_cmd =
                   let privates =
                     List.filter (fun n -> not (List.mem n inner)) lp.Dca_parallel.Plan.lp_private
                   in
-                  let priv =
-                    match privates with
-                    | [] -> ""
-                    | l -> " private(" ^ String.concat ", " l ^ ")"
-                  in
-                  let reds =
-                    String.concat ""
-                      (List.map
-                         (fun (name, op) ->
-                           Printf.sprintf " reduction(%s:%s)"
-                             (Dca_analysis.Scalars.reduction_op_to_string op)
-                             name)
-                         lp.Dca_parallel.Plan.lp_reductions)
-                  in
-                  Some (line, Printf.sprintf "#pragma omp parallel for schedule(static)%s%s" priv reds)
+                  Some
+                    ( line,
+                      Dca_parallel.Codegen.pragma ~privates
+                        ~reductions:lp.Dca_parallel.Plan.lp_reductions )
               | None -> None)
             plan.Dca_parallel.Plan.plan_loops
         in

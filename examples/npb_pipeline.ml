@@ -42,7 +42,7 @@ let () =
   (* plan and simulate *)
   let plan = Figures.dca_plan_for ev in
   Printf.printf "\nparallel plan (expert-profitable commutative loops):\n%s\n"
-    (Dca_parallel.Plan.to_string plan);
+    (Dca_parallel.Codegen.plan_to_string plan);
   let result =
     Dca_parallel.Speedup.simulate ~machine:Evaluation.machine ev.Evaluation.ev_info
       ev.Evaluation.ev_profile plan

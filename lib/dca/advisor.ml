@@ -17,20 +17,6 @@ type advice = {
   ad_notes : string list;
 }
 
-let pragma_for info profile loop_id =
-  ignore profile;
-  let privates = Planner.privates_of info loop_id in
-  let reductions = Planner.reductions_of info loop_id in
-  let priv = match privates with [] -> "" | l -> " private(" ^ String.concat ", " l ^ ")" in
-  let reds =
-    String.concat ""
-      (List.map
-         (fun (name, op) ->
-           Printf.sprintf " reduction(%s:%s)" (Dca_analysis.Scalars.reduction_op_to_string op) name)
-         reductions)
-  in
-  Printf.sprintf "#pragma omp parallel for schedule(static)%s%s" priv reds
-
 let advise ?(machine = Machine.default) info profile (results : Driver.loop_result list) =
   let advice_of (r : Driver.loop_result) =
     let id = r.Driver.lr_loop.Loops.l_id in
@@ -82,7 +68,10 @@ let advise ?(machine = Machine.default) info profile (results : Driver.loop_resu
             | Some _ -> Planner.estimated_benefit ~machine profile id > 0.0
             | None -> false
           in
-          let pragma = pragma_for info profile id in
+          let pragma =
+            Codegen.pragma ~privates:(Planner.privates_of info id)
+              ~reductions:(Planner.reductions_of info id)
+          in
           if not profitable then
             (Not_profitable "the launch overheads exceed the parallel gain at this input size", Some pragma)
           else

@@ -67,10 +67,9 @@ type outcome = {
           runs are counted separately by [dca.wp_schedule_runs]) *)
   oc_replays : int;
       (** permuted replays whose decision was consumed, identity
-          self-checks included.  Replays a parallel engine ran
-          speculatively but discarded (schedules past a trap) are not
-          counted, so this total — like every field of this record — is
-          identical across worker counts. *)
+          self-checks included.  The replicas of schedules past a trap
+          run but are discarded uncounted, so this total — like every
+          field of this record — is identical across worker counts. *)
   oc_replay_steps : int;  (** interpreter instructions those replays executed *)
   oc_separation : Iterator_rec.separation;  (** final (possibly widened) separation *)
   oc_per_invocation : verdict list;
@@ -137,15 +136,19 @@ val test_loops :
     a trap or fuel exhaustion ends the run of every loop still going
     with it.  An empty list runs nothing.
 
-    With [?pool] of width > 1, the per-schedule work fans out across
-    domains: every permuted replay of an invocation runs on an
-    {!Dca_interp.Eval.fork}ed replica of the entry state, and every
-    whole-program verification run (which builds its own evaluator anyway)
-    becomes one pool task.  Outcomes are merged in schedule order under
-    the sequential decision rule, so the verdict, the escalation trail and
-    [oc_per_invocation] are bit-identical to the [jobs = 1] path — the
-    parallel engine only ever runs {e speculatively}, never decides
-    differently. *)
+    [?pool] (default: a width-1 pool, which runs its tasks in order in
+    the caller) carries two fan-outs, the same code at every width.
+    Every permuted replay of a tested invocation runs on an
+    {!Dca_interp.Eval.fork}ed replica of the entry state; the outcomes
+    are folded in schedule order under the sequential rule.  The fold
+    charges each replica's instructions to its loop
+    ({!Dca_interp.Eval.charge}), so the loop's fuel runs out at the same
+    replay as if the replays had run one after another; it re-raises the
+    first exception, and a trap ends it.  After the shared run, the pool
+    fans out over the loops: each loop's escalation runs its
+    whole-program verification runs in schedule order and stops at the
+    first that decides.  Verdicts, outcomes and work counters —
+    [interp.instructions] included — are bit-identical at every width. *)
 
 val test_loop_inputs :
   ?pool:Dca_support.Pool.t ->

@@ -95,9 +95,11 @@ val analyze_program :
     verdict is final, so a subsumed loop is skipped before any work is
     done for it.  Without it, all loops form a single wave.
 
-    With [?pool] of width > 1 the per-schedule replays of each tested
-    invocation, and the whole-program runs of an escalation, fan out
-    across domains.  Results are bit-identical to [jobs = 1].
+    [?pool] (default: width 1) runs the permuted replays of each tested
+    invocation, each on a replica of the entry state, and the
+    escalations of a shared run's loops, one task per loop
+    ({!Commutativity.test_loops}).  Results are bit-identical at every
+    width.
 
     {b Crash containment}: no exception raised by one loop's static
     stage or dynamic test escapes this function.  Escapes are classified

@@ -186,7 +186,8 @@ let profile t =
 
 (* The pool exists only while the session wants parallel stages: started on
    first demand, torn down by [close].  A closed session (or [jobs = 1])
-   yields no pool and the stages run sequentially. *)
+   yields no pool, and the stages run on the engine's default width-1
+   pool: the same code, in order, in the caller. *)
 let pool_of t =
   if t.s_jobs <= 1 || t.s_closed then None
   else

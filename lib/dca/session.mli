@@ -18,11 +18,12 @@
     across every front end.
 
     With [jobs] > 1 the dynamic stage runs on a {!Dca_support.Pool}
-    shared by the session: per-loop commutativity tests and per-schedule
-    permuted replays fan out across OCaml domains with a deterministic
-    merge — verdicts and reports are bit-identical to [jobs = 1].  The
-    pool is created lazily on the first stage that needs it and released
-    by {!close} (or automatically by {!with_session}).
+    shared by the session: the permuted replays of each tested invocation
+    and the escalations of the tested loops fan out across OCaml domains,
+    folded in order — verdicts, reports and work counters are
+    bit-identical at every width.  The pool is created lazily on the
+    first stage that needs it and released by {!close} (or automatically
+    by {!with_session}).  It spawns [jobs - 1] domains.
 
     {2 Configuring a session}
 
@@ -169,10 +170,10 @@ val telemetry : t -> (string * int) list
     the one pinned through {!Options.with_telemetry}, else the
     creator's ambient context (the global one by default).  In a
     process running many sessions — the serve daemon — each session
-    sees only its own work.  The work-kind deltas ([dca.*]) are
-    deterministic — bit-identical across [jobs] settings and checkpoint
-    modes; the diagnostic ones ([store.*], [interp.instructions]) are
-    not.
+    sees only its own work.  The work-kind deltas ([dca.*],
+    [interp.instructions]) are deterministic — bit-identical across
+    [jobs] settings and checkpoint modes; the diagnostic ones
+    ([store.*]) are not.
 
     Sequential sessions over one shared context are separable by the
     baseline subtraction alone; {e concurrent} sessions additionally

@@ -226,6 +226,15 @@ let set_limits ctx ~fuel ~deadline =
   ctx.fuel <- fuel;
   ctx.deadline <- deadline
 
+(* A run that executed the [n] instructions itself would have stopped at
+   the instruction that passed the bound, so the count stops there too. *)
+let charge ctx n =
+  ctx.nsteps <- ctx.nsteps + n;
+  if ctx.nsteps > ctx.fuel then begin
+    ctx.nsteps <- ctx.fuel + 1;
+    raise Out_of_fuel
+  end
+
 let set_sink ctx sink = ctx.sink <- sink
 let outputs ctx = Store.outputs ctx.st
 

@@ -70,12 +70,13 @@ val fork : ctx -> ctx
 (** A private replica of the context at its current state: the store is
     copied with {!Store.copy} (copy-on-write in [Journal] mode, eager in
     [Deep] mode), the (read-only) program and function table are shared,
-    and the replica starts with no sink and no interceptors.  Forking is
-    how DCA's parallel engine gives each permuted replay its own
-    interpreter — replicas on different domains never share mutable
-    state.  The step counter, the fuel bound and the deadline are
-    inherited, so the replica has the parent's headroom at the fork
-    point. *)
+    and the replica starts with no sink and no interceptors.  Every
+    permuted replay of DCA's dynamic stage runs on a replica of its
+    invocation's entry state, at every pool width — replicas on
+    different domains never share mutable state.  The step counter, the
+    fuel bound and the deadline are inherited, so the replica has the
+    parent's headroom at the fork point, and its guard checks count
+    from the inherited step count. *)
 
 val program : ctx -> Dca_ir.Ir.program
 val store : ctx -> Store.t
@@ -86,6 +87,12 @@ val set_limits : ctx -> fuel:int -> deadline:int -> unit
     that takes {!steps} past [fuel] — and the deadline, an absolute
     [Telemetry.now_ns] value ([max_int]: none).  Both start as
     {!create} sets them; the heap budget cannot be moved. *)
+
+val charge : ctx -> int -> unit
+(** [charge ctx n] adds [n] instructions executed elsewhere — on a
+    {!fork}ed replica — to {!steps}, and raises {!Out_of_fuel} if that
+    passes the fuel bound, leaving {!steps} one past the bound, where
+    executing the instructions on [ctx] would have stopped. *)
 
 val set_sink : ctx -> Events.sink option -> unit
 

@@ -383,13 +383,14 @@ let copy t =
          pre-fork array as potentially shared, so whichever store writes a
          shared block first privatizes its own copy.  Concurrent forks of
          a quiescent parent are safe: each writes the same bumped epoch
-         and watermark values and shares the same frozen arrays. *)
+         and watermark values and shares the same frozen arrays.  Only
+         the allocated prefix is copied: [alloc_raw] grows the arrays. *)
       t.epoch <- t.epoch + 1;
       t.shared_below <- t.epoch;
       {
         t with
-        blocks = Array.copy t.blocks;
-        owned = Array.make (Array.length t.blocks) (-1);
+        blocks = Array.sub t.blocks 0 t.next_block;
+        owned = Array.make t.next_block (-1);
         globals = Array.copy t.globals;
         gowned = Array.make (Array.length t.gowned) (-1);
         journal = [||];

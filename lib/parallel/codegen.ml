@@ -1,15 +1,24 @@
 open Dca_analysis
 
-let pragma_line (lp : Plan.loop_plan) =
-  let priv = match lp.Plan.lp_private with [] -> "" | l -> " private(" ^ String.concat ", " l ^ ")" in
+let pragma ~privates ~reductions =
+  let priv = match privates with [] -> "" | l -> " private(" ^ String.concat ", " l ^ ")" in
   let reds =
     String.concat ""
       (List.map
          (fun (name, op) ->
            Printf.sprintf " reduction(%s:%s)" (Scalars.reduction_op_to_string op) name)
-         lp.Plan.lp_reductions)
+         reductions)
   in
-  Printf.sprintf "// #pragma omp parallel for schedule(static)%s%s" priv reds
+  "#pragma omp parallel for schedule(static)" ^ priv ^ reds
+
+let plan_pragma (lp : Plan.loop_plan) =
+  pragma ~privates:lp.Plan.lp_private ~reductions:lp.Plan.lp_reductions
+
+let pragma_line lp = "// " ^ plan_pragma lp
+
+let plan_to_string plan =
+  String.concat "\n"
+    (List.map (fun lp -> plan_pragma lp ^ "  // " ^ lp.Plan.lp_label) plan.Plan.plan_loops)
 
 let annotate_source info ~source plan =
   let lines = String.split_on_char '\n' source |> Array.of_list in

@@ -11,4 +11,18 @@ val annotate_source :
     be recovered are listed in a trailing comment instead of silently
     dropped. *)
 
+val pragma :
+  privates:string list -> reductions:(string * Dca_analysis.Scalars.reduction_op) list -> string
+(** The one OpenMP pragma renderer: [#pragma omp parallel for
+    schedule(static)] with a [private] clause over [privates] (if any)
+    and one [reduction] clause per reduction, in list order.  Every
+    front end that shows a pragma — [advise], [annotate], [export-c],
+    the plan listing — adds only its own prefix or suffix. *)
+
 val pragma_line : Plan.loop_plan -> string
+(** The plan loop's pragma as a MiniC comment line, as {!annotate_source}
+    inserts it. *)
+
+val plan_to_string : Plan.t -> string
+(** One line per planned loop: its pragma, then [  // ] and the loop's
+    label. *)

@@ -19,20 +19,3 @@ type t = { plan_loops : loop_plan list }
 let empty = { plan_loops = [] }
 
 let loop_ids plan = List.map (fun lp -> lp.lp_loop_id) plan.plan_loops
-
-let pragma_of lp =
-  let priv = match lp.lp_private with [] -> "" | l -> " private(" ^ String.concat ", " l ^ ")" in
-  let reds =
-    match lp.lp_reductions with
-    | [] -> ""
-    | l ->
-        " "
-        ^ String.concat " "
-            (List.map
-               (fun (name, op) ->
-                 Printf.sprintf "reduction(%s:%s)" (Scalars.reduction_op_to_string op) name)
-               l)
-  in
-  Printf.sprintf "#pragma omp parallel for schedule(static)%s%s  // %s" priv reds lp.lp_label
-
-let to_string plan = String.concat "\n" (List.map pragma_of plan.plan_loops)

@@ -8,9 +8,12 @@
    connections concurrently.  The engine underneath is stateless apart
    from its locked verdict cache (each request runs under its own
    session, telemetry context and, if it carries one, fault plan), so
-   replies are byte-identical to a serial daemon's.  The daemon's
+   replies are byte-identical to a serial daemon's.  The daemon's own
    domains are fixed at start-up: the workers, plus the watchdog when
-   [sv_request_timeout_ms] is set.
+   [sv_request_timeout_ms] is set.  A request with a cache miss also
+   runs on its session's pool, which spawns [jobs - 1] domains (the
+   request's width, else [sv_jobs], else [Pool.default_jobs], 2 on a
+   2-core machine) and joins them when the session closes.
 
    Request admission is a reservation: a worker reserves a budget slot
    under the state lock *before* handing the line to the engine — with

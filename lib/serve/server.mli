@@ -18,9 +18,13 @@
     raises is busy-replied by its own worker, which closes the
     connection and takes the next one; SIGTERM/SIGINT (with
     [sv_handle_signals]) trigger a graceful drain bounded by
-    [sv_drain_timeout_s].  The daemon's domains are fixed at start-up:
-    the workers, plus the watchdog.  Each defense ticks its own
-    Telemetry descriptor in the daemon's context
+    [sv_drain_timeout_s].  The daemon's own domains are fixed at
+    start-up: the workers, plus the watchdog.  A request with a cache
+    miss also runs on its session's pool, which spawns [jobs - 1]
+    domains — [jobs] is the request's width, else [sv_jobs], else
+    {!Dca_support.Pool.default_jobs} (2 on a 2-core machine) — and
+    joins them when the request's session closes.  Each defense ticks
+    its own Telemetry descriptor in the daemon's context
     ([dca_requests_shed_total], [dca_requests_timeout_total],
     [dca_worker_restarts_total]; the [dca_queue_depth] gauge tracks
     the connection queue). *)

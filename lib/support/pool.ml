@@ -66,9 +66,8 @@ let map t f xs =
         (* Tasks run under the submitter's telemetry context and fault
            plan, whichever domain picks them up: counters and spans land
            in the scope that requested the work, and injected faults
-           fire only in it.  Captured once per map — a drain loop
-           stealing a task from a sibling map still installs *that*
-           map's scope. *)
+           fire only in it.  Captured once per map, so a task carries its
+           own map's scope into whichever domain runs it. *)
         let tele = Telemetry.current () and faults = Faultpoint.current () in
         let run i () =
           let r =
@@ -104,14 +103,12 @@ let map t f xs =
           Queue.add (run i) t.queue
         done;
         Condition.broadcast t.cond;
-        (* Participate until every slot of *this* map is filled.  The task
-           we pick up may belong to a sibling or nested map — running it
-           still makes global progress, and our own slots are guaranteed to
-           fill because every queued task is eventually executed by someone
-           whose wait loop woke up.  The drain span covers exactly this
+        (* Participate until every slot of this map is filled: run queued
+           tasks, and wait when the queue is empty but a task of ours is
+           still running elsewhere.  The drain span covers exactly this
            participate-or-wait region, so the deterministic-merge stall
            (caller blocked on the last straggler) is visible in the trace
-           as drain time not covered by nested task spans. *)
+           as drain time not covered by task spans. *)
         Telemetry.begin_span ~cat:"pool" "drain";
         while !remaining > 0 do
           match Queue.take_opt t.queue with

@@ -1,8 +1,9 @@
 (** Fixed-size worker pool over OCaml 5 domains.
 
-    The DCA dynamic stage is an embarrassingly parallel fan-out: every
-    (loop, schedule, invocation) commutativity test depends only on its
-    own snapshot of the program state, never on a sibling test.  The pool
+    The DCA dynamic stage fans out at two points, and the tasks of each
+    are independent: the permuted replays of one tested invocation, each
+    on its own replica of the entry state, and the escalations of the
+    loops of one shared run, each with its own evaluators.  The pool
     turns that independence into multicore execution while keeping every
     user-visible result {e deterministic}: {!map} returns results in input
     order, and when several tasks raise, the exception of the
@@ -10,14 +11,13 @@
     [List.map] would have surfaced first.
 
     A pool created with [~jobs:1] spawns no domains and runs everything in
-    the calling domain ([map] is literally [List.map]), so [jobs = 1] is
-    bit-identical to the historical sequential path by construction.
+    the calling domain ([map] is literally [List.map]), so every width
+    runs the same code, and width 1 runs it in order.
 
-    Nested use is supported: a task running on a worker may itself call
-    {!map} on the same pool.  The waiting caller {e participates} — it
-    drains queued tasks (its own or siblings') instead of blocking a
-    worker slot — so nested fan-outs (per-loop tests spawning per-schedule
-    replays) cannot deadlock. *)
+    Maps do not nest: the engine submits its replay maps from the main
+    domain inside a shared run, and escalation tasks do not map.  A caller
+    waiting on its map {e participates} — it runs queued tasks instead of
+    blocking — so its map finishes even while every worker is busy. *)
 
 type t
 

@@ -140,7 +140,7 @@ let test_plan_pragmas () =
       ~detected:(Dca_core.Driver.commutative_ids dca)
       ~strategy:Planner.Best_benefit
   in
-  let text = Plan.to_string plan in
+  let text = Codegen.plan_to_string plan in
   Alcotest.(check bool) "pragma text mentions omp" true
     (String.length text > 0
     &&

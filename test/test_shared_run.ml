@@ -58,11 +58,12 @@ let candidates info =
       | Candidate.Rejected _ -> None)
     (Proginfo.all_loops info)
 
-(* The two engines' keys per candidate loop, labelled. *)
-let compare_engines ?(config = Commutativity.default_config) ?fuel info input =
+(* The two engines' keys per candidate loop, labelled; [?pool] is the
+   shared-run engine's pool (default: width 1). *)
+let compare_engines ?(config = Commutativity.default_config) ?fuel ?pool info input =
   let loops = candidates info in
   let shared =
-    Commutativity.test_loops config info (Commutativity.make_run_spec ?fuel input) loops
+    Commutativity.test_loops ?pool config info (Commutativity.make_run_spec ?fuel input) loops
   in
   let spec = Ref.make_run_spec ?fuel input in
   List.map2
@@ -278,7 +279,10 @@ let test_raising_test_contained () =
 
 (* Two sibling loops inside an outer loop, with very different test work:
    their own runs run out of fuel at different budgets, inside a test or
-   in the plain part, and neither may be charged the other's work. *)
+   in the plain part, and neither may be charged the other's work.  The
+   sweep runs at pool widths 1 and 2: replays run on replicas at both,
+   and each replica's instructions must be charged to its loop in
+   schedule order, so a budget runs out at the same replay either way. *)
 let fuel_sweep_src =
   {|
   int a[40];
@@ -304,18 +308,24 @@ let test_fuel_sweep () =
     Dca_interp.Eval.steps ctx
   in
   let starved = Hashtbl.create 4 and split = ref false in
-  let fuel = ref (plain - 20) in
-  while !fuel < plain + 15_000 do
-    let keys = compare_engines ~fuel:!fuel info [] in
-    List.iter
-      (fun (label, shared, own) ->
-        Alcotest.(check string) (Printf.sprintf "fuel %d: %s" !fuel label) own shared;
-        if starts_out_of_fuel own then Hashtbl.replace starved label ())
-      keys;
-    let n = List.length (List.filter (fun (_, _, own) -> starts_out_of_fuel own) keys) in
-    if n > 0 && n < List.length keys then split := true;
-    fuel := !fuel + 5
-  done;
+  Dca_support.Pool.with_pool ~jobs:2 (fun pool2 ->
+      let fuel = ref (plain - 20) in
+      while !fuel < plain + 15_000 do
+        List.iter
+          (fun (width, pool) ->
+            let keys = compare_engines ~fuel:!fuel ?pool info [] in
+            List.iter
+              (fun (label, shared, own) ->
+                Alcotest.(check string)
+                  (Printf.sprintf "fuel %d, width %d: %s" !fuel width label)
+                  own shared;
+                if starts_out_of_fuel own then Hashtbl.replace starved label ())
+              keys;
+            let n = List.length (List.filter (fun (_, _, own) -> starts_out_of_fuel own) keys) in
+            if n > 0 && n < List.length keys then split := true)
+          [ (1, None); (2, Some pool2) ];
+        fuel := !fuel + 5
+      done);
   (* the sweep crossed every loop's own threshold, not all at one budget *)
   Alcotest.(check int) "every loop ran out of fuel at some budget" 3 (Hashtbl.length starved);
   Alcotest.(check bool) "some budget starves a loop but not its siblings" true !split

@@ -279,7 +279,7 @@ let analyze_ab bm static =
                   r.Driver.lr_provenance ))
               (Session.dca_results s)
           in
-          let plan = Dca_parallel.Plan.to_string (Session.plan s) in
+          let plan = Dca_parallel.Codegen.plan_to_string (Session.plan s) in
           { ab_rows = rows; ab_plan = plan; ab_golden = Telemetry.value golden - before }))
 
 let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p

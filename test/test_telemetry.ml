@@ -135,15 +135,24 @@ let test_work_counters_jobs_invariant () =
 
 (* One shared run of the program tests all of its loops: every registry
    program runs exactly once in the dynamic stage, at any job count
-   (escalation's permuted runs are counted apart, in dca.wp_schedule_runs). *)
+   (escalation's permuted runs are counted apart, in dca.wp_schedule_runs).
+   The instructions interpreted are the same at both job counts: replicas
+   are charged in schedule order, and escalation starts only the runs the
+   sequential rule starts. *)
 let test_one_program_run () =
   List.iter
     (fun (bm : Dca_progs.Benchmark.t) ->
+      let counter name snapshot = Option.value (List.assoc_opt name snapshot) ~default:0 in
+      let snapshots = List.map (fun jobs -> (jobs, work_snapshot bm jobs)) [ 1; 4 ] in
       List.iter
-        (fun jobs ->
-          let runs = Option.value (List.assoc_opt "dca.program_runs" (work_snapshot bm jobs)) ~default:0 in
-          Alcotest.(check int) (Printf.sprintf "%s: program runs at jobs=%d" bm.bm_name jobs) 1 runs)
-        [ 1; 4 ])
+        (fun (jobs, snapshot) ->
+          Alcotest.(check int) (Printf.sprintf "%s: program runs at jobs=%d" bm.bm_name jobs) 1
+            (counter "dca.program_runs" snapshot))
+        snapshots;
+      let instructions jobs = counter "interp.instructions" (List.assoc jobs snapshots) in
+      Alcotest.(check bool) (bm.bm_name ^ ": instructions counted") true (instructions 1 > 0);
+      Alcotest.(check int) (bm.bm_name ^ ": instructions at jobs=1 vs jobs=4") (instructions 1)
+        (instructions 4))
     Dca_progs.Registry.all
 
 let test_work_counters_checkpoint_invariant () =
