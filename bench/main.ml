@@ -235,20 +235,28 @@ let run_interp () =
   let reps_dca = if smoke then 1 else 5 in
   let bms = [ Registry.find_exn "LU"; Registry.find_exn "treeadd" ] in
   let entries = ref [] in
-  let push name v =
-    Printf.printf "  %-34s %14.0f\n%!" name v;
-    entries := (name, v) :: !entries
+  let push ?(decimals = 0) name v =
+    Printf.printf "  %-34s %14.*f\n%!" name decimals v;
+    entries := (name, (decimals, v)) :: !entries
   in
-  (* 1. golden runs: the pre-decoded evaluator end to end *)
+  (* 1. plain runs: the compiled evaluator end to end, and the minor words
+     one of them allocates per executed instruction — deterministic, so it
+     is recorded beside the timings *)
   List.iter
     (fun bm ->
       let prog = Dca_ir.Lower.compile ~file:bm.Benchmark.bm_name bm.Benchmark.bm_source in
-      let ns =
-        sample_ns ~reps:reps_run (fun () ->
-            let ctx = Eval.create ~input:bm.Benchmark.bm_input prog in
-            Eval.run_main ctx)
+      let run () =
+        let ctx = Eval.create ~input:bm.Benchmark.bm_input prog in
+        Eval.run_main ctx;
+        ctx
       in
-      push (Printf.sprintf "interp_run_%s_ns" bm.Benchmark.bm_name) ns)
+      let ns = sample_ns ~reps:reps_run (fun () -> ignore (run ())) in
+      push (Printf.sprintf "interp_run_%s_ns" bm.Benchmark.bm_name) ns;
+      let words0 = Gc.minor_words () in
+      let ctx = run () in
+      push ~decimals:2
+        (Printf.sprintf "interp_minor_words_per_step_%s" bm.Benchmark.bm_name)
+        ((Gc.minor_words () -. words0) /. float_of_int (Eval.steps ctx)))
     bms;
   (* 2. snapshot + dirty + restore cycle on a <=10%-dirtied heap: the undo
      journal's O(dirty) against the deep oracle's O(heap) *)
@@ -300,8 +308,8 @@ let run_interp () =
   output_string oc "{\n";
   let rec emit = function
     | [] -> ()
-    | (name, v) :: rest ->
-        Printf.fprintf oc "  %S: %.0f%s\n" name v (if rest = [] then "" else ",");
+    | (name, (decimals, v)) :: rest ->
+        Printf.fprintf oc "  %S: %.*f%s\n" name decimals v (if rest = [] then "" else ",");
         emit rest
   in
   emit (List.rev !entries);

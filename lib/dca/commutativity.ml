@@ -116,13 +116,61 @@ let fault_hit ?ctx site name =
 (* Golden recording                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Memory locations, hashed without the polymorphic hash. *)
+module Loc_tbl = Hashtbl.Make (struct
+  type t = Events.loc
+
+  let equal (a : t) (b : t) =
+    match (a, b) with
+    | Events.Lheap (b1, o1), Events.Lheap (b2, o2) -> b1 = b2 && o1 = o2
+    | Events.Lglob s1, Events.Lglob s2 -> s1 = s2
+    | Events.Lreg v1, Events.Lreg v2 -> v1 = v2
+    | Events.Lrng, Events.Lrng -> true
+    | _ -> false
+
+  let mix h =
+    let h = h * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+
+  let hash = function
+    | Events.Lheap (b, o) -> mix ((b lsl 32) + o)
+    | Events.Lglob s -> mix (s lor (1 lsl 61))
+    | Events.Lreg v -> mix (v lor (1 lsl 60))
+    | Events.Lrng -> 1
+end)
+
 (* Memory footprint of the golden run, split by slice/payload attribution. *)
 type footprint = {
-  mutable fp_slice_reads : (Events.loc, unit) Hashtbl.t;
-  mutable fp_slice_writes : (Events.loc, unit) Hashtbl.t;
-  fp_payload_reads : (Events.loc, Intset.t ref) Hashtbl.t;  (** loc → payload iids *)
-  fp_payload_writes : (Events.loc, Intset.t ref) Hashtbl.t;
+  fp_slice_reads : unit Loc_tbl.t;
+  fp_slice_writes : unit Loc_tbl.t;
+  fp_payload_reads : Intset.t ref Loc_tbl.t;  (** loc → payload iids *)
+  fp_payload_writes : Intset.t ref Loc_tbl.t;
 }
+
+(* Slice or payload role of every instruction id of a separation's loop,
+   in an array over the ids' range — classified once per separation, so
+   golden recording looks an instruction up without a set search.  An id
+   in both sets is a slice instruction. *)
+type roles = { ro_base : int; ro_roles : Bytes.t }
+
+let role_none = '\000'
+let role_slice = '\001'
+let role_payload = '\002'
+
+let roles_of sep =
+  let all = Intset.union sep.sep_slice sep.sep_payload in
+  if Intset.is_empty all then { ro_base = 0; ro_roles = Bytes.empty }
+  else begin
+    let base = Intset.min_elt all in
+    let roles = Bytes.make (Intset.max_elt all - base + 1) role_none in
+    Intset.iter (fun iid -> Bytes.set roles (iid - base) role_payload) sep.sep_payload;
+    Intset.iter (fun iid -> Bytes.set roles (iid - base) role_slice) sep.sep_slice;
+    { ro_base = base; ro_roles = roles }
+  end
+
+let role roles iid =
+  let k = iid - roles.ro_base in
+  if k >= 0 && k < Bytes.length roles.ro_roles then Bytes.get roles.ro_roles k else role_none
 
 type golden = {
   g_transitions : (int * int) array;  (** frame-level control transfers; (-1, header) marks iteration start *)
@@ -131,16 +179,11 @@ type golden = {
   g_snaps : Value.t array array;  (** interface values at each header arrival *)
   g_exit_snap : Value.t array;
   g_exit_block : int;
-  g_digest : Observable.t;
   g_footprint : footprint;
 }
 
 let iface_values frame sep =
   Array.of_list (List.map (fun iv -> frame.Eval.regs.(iv.if_var.Ir.vslot)) sep.sep_interface)
-
-let is_mem_loc = function
-  | Events.Lheap _ | Events.Lglob _ | Events.Lrng -> true
-  | Events.Lreg _ -> false
 
 (* The live-out interface of [loop] in the current machine state: scalar
    values in fixed order plus the global aggregate roots.  Feeds both
@@ -183,8 +226,10 @@ let matches_digest ~eps golden fi loop ctx frame =
   let scalars, roots = digest_liveout fi loop ctx frame in
   Observable.matches ~eps golden (Eval.store ctx) ~scalars ~roots
 
-(* Run the loop once in original order under a recording sink. *)
-let record_golden ctx frame fi sep =
+(* Run the loop once in original order under a recording sink.  The
+   live-out digest is not part of the recording: only the loop-local test
+   compares against it, so it captures it itself. *)
+let record_golden ctx frame sep roles =
   fault_hit fp_golden "commutativity.golden";
   let loop = sep.sep_loop in
   let header = loop.Loops.l_header in
@@ -194,29 +239,29 @@ let record_golden ctx frame fi sep =
   let cur_iid = ref (-1) in
   let fp =
     {
-      fp_slice_reads = Hashtbl.create 64;
-      fp_slice_writes = Hashtbl.create 64;
-      fp_payload_reads = Hashtbl.create 64;
-      fp_payload_writes = Hashtbl.create 64;
+      fp_slice_reads = Loc_tbl.create 64;
+      fp_slice_writes = Loc_tbl.create 64;
+      fp_payload_reads = Loc_tbl.create 64;
+      fp_payload_writes = Loc_tbl.create 64;
     }
   in
-  let in_slice iid = Intset.mem iid sep.sep_slice in
-  let in_payload iid = Intset.mem iid sep.sep_payload in
-  let touch tbl loc =
-    if not (Hashtbl.mem tbl loc) then Hashtbl.replace tbl loc ()
-  in
+  let touch tbl loc = if not (Loc_tbl.mem tbl loc) then Loc_tbl.add tbl loc () in
   let touch_set tbl loc iid =
-    match Hashtbl.find_opt tbl loc with
-    | Some s -> s := Intset.add iid !s
-    | None -> Hashtbl.replace tbl loc (ref (Intset.singleton iid))
+    match Loc_tbl.find tbl loc with
+    | s -> s := Intset.add iid !s
+    | exception Not_found -> Loc_tbl.add tbl loc (ref (Intset.singleton iid))
   in
   let record_access is_read loc =
-    if is_mem_loc loc && !cur_iid >= 0 then begin
-      let iid = !cur_iid in
-      if in_slice iid then touch (if is_read then fp.fp_slice_reads else fp.fp_slice_writes) loc
-      else if in_payload iid then
-        touch_set (if is_read then fp.fp_payload_reads else fp.fp_payload_writes) loc iid
-    end
+    match loc with
+    | Events.Lreg _ -> ()
+    | Events.Lheap _ | Events.Lglob _ | Events.Lrng ->
+        let iid = !cur_iid in
+        if iid >= 0 then begin
+          let r = role roles iid in
+          if r = role_slice then touch (if is_read then fp.fp_slice_reads else fp.fp_slice_writes) loc
+          else if r = role_payload then
+            touch_set (if is_read then fp.fp_payload_reads else fp.fp_payload_writes) loc iid
+        end
   in
   let sink =
     {
@@ -252,7 +297,6 @@ let record_golden ctx frame fi sep =
   let result = Fun.protect ~finally:(fun () -> Eval.set_sink ctx None) (fun () -> run ()) in
   let exit_block, snaps = result in
   let exit_snap = iface_values frame sep in
-  let digest = capture_digest fi loop ctx frame in
   let trans = Array.of_list (List.rev !transitions) in
   (* segments: ranges between (-1, header) markers *)
   let segments = ref [] and seg_start = ref None in
@@ -285,7 +329,6 @@ let record_golden ctx frame fi sep =
     g_snaps = Array.of_list snaps;
     g_exit_snap = exit_snap;
     g_exit_block = exit_block;
-    g_digest = digest;
     g_footprint = fp;
   }
 
@@ -295,14 +338,14 @@ let record_golden ctx frame fi sep =
 let separability_violations g =
   let fp = g.g_footprint in
   let acc = ref Intset.empty in
-  Hashtbl.iter
+  Loc_tbl.iter
     (fun loc iids ->
-      if Hashtbl.mem fp.fp_slice_reads loc || Hashtbl.mem fp.fp_slice_writes loc then
+      if Loc_tbl.mem fp.fp_slice_reads loc || Loc_tbl.mem fp.fp_slice_writes loc then
         acc := Intset.union !acc !iids)
     fp.fp_payload_writes;
-  Hashtbl.iter
+  Loc_tbl.iter
     (fun loc iids ->
-      if Hashtbl.mem fp.fp_slice_writes loc then acc := Intset.union !acc !iids)
+      if Loc_tbl.mem fp.fp_slice_writes loc then acc := Intset.union !acc !iids)
     fp.fp_payload_reads;
   !acc
 
@@ -344,6 +387,9 @@ let replay ctx frame fi sep g sched =
       sc_override = (fun bid -> Some (consume_direction trans cursor n_trans bid));
     }
   in
+  (* one payload filter for every payload iteration: the evaluator keeps
+     a filter's decisions per block, keyed on the closure *)
+  let payload_filter i = Intset.mem i.Ir.iid sep.sep_payload in
   (match
      Eval.exec_upto ctx frame ~start:header ~stop:(fun b -> not (in_loop b)) ~control:(Some iter_control)
    with
@@ -387,7 +433,7 @@ let replay ctx frame fi sep g sched =
       let cursor = ref seg_start in
       let control =
         {
-          Eval.sc_filter = (fun i -> Intset.mem i.Ir.iid sep.sep_payload);
+          Eval.sc_filter = payload_filter;
           sc_override =
             (fun bid ->
               if Intset.mem bid sep.sep_slice_cbr_blocks then
@@ -407,10 +453,11 @@ let replay ctx frame fi sep g sched =
   List.iter (fun (v, value) -> frame.Eval.regs.(v.Ir.vslot) <- value) slice_exit_values
 
 (* Replay under [sched], then compare the state left behind against the
-   golden digest in place (no second capture is materialized). *)
-let replay_matches ~eps ctx frame fi sep g sched =
+   golden run's live-out [digest] in place (no second capture is
+   materialized). *)
+let replay_matches ~eps ctx frame fi sep g digest sched =
   replay ctx frame fi sep g sched;
-  matches_digest ~eps g.g_digest fi sep.sep_loop ctx frame
+  matches_digest ~eps digest fi sep.sep_loop ctx frame
 
 (* ------------------------------------------------------------------ *)
 (* Mode A: loop-local testing via interception                         *)
@@ -418,6 +465,7 @@ let replay_matches ~eps ctx frame fi sep g sched =
 
 type tester_state = {
   mutable ts_sep : separation;
+  mutable ts_roles : roles;  (** [roles_of ts_sep] *)
   mutable ts_tested : int;
   mutable ts_failure : verdict option;
   mutable ts_needs_escalation : Schedule.t list;
@@ -446,6 +494,7 @@ let widen_or_fail fi state violations =
   else if Iterator_rec.is_iterator_only sep' then Error "iterator absorbed the whole payload"
   else begin
     state.ts_sep <- sep';
+    state.ts_roles <- roles_of sep';
     state.ts_promotions <- state.ts_promotions + 1;
     Ok ()
   end
@@ -468,7 +517,7 @@ let sift_schedules schedules n_iters = Schedule.sift schedules n_iters
    executed, or the exception that ended it.  Nothing is raised, so a
    replica never fails the pool's map; the fold below decides what its
    outcome means.  The replica's checkpoint traffic is flushed here. *)
-let replay_replica ~eps ctx frame fi sep g sched =
+let replay_replica ~eps ctx frame fi sep g digest sched =
   let ctx = Eval.fork ctx and frame = Eval.copy_frame frame in
   let traced = Telemetry.tracing () in
   let name = if traced then "replay " ^ Schedule.to_string sched else "" in
@@ -478,7 +527,7 @@ let replay_replica ~eps ctx frame fi sep g sched =
   let r =
     match
       fault_hit ~ctx:(Schedule.to_string sched) fp_replay "commutativity.replay";
-      replay_matches ~eps ctx frame fi sep g sched
+      replay_matches ~eps ctx frame fi sep g digest sched
     with
     | true ->
         label := "match";
@@ -517,14 +566,14 @@ let replay_replica ~eps ctx frame fi sep g sched =
    presets equal at this trip count need not coincide), so escalation
    marks are rebuilt over the full preset list — verdicts are identical
    to replaying everything. *)
-let run_schedules pool config fi state ctx frame g =
+let run_schedules pool config fi state ctx frame g digest =
   let n_iters = List.length g.g_payload_segments in
   let identity = Array.init n_iters (fun i -> i) in
   let schedules, skipped = sift_schedules config.cc_schedules n_iters in
   state.ts_skipped <- state.ts_skipped + skipped;
   let outcomes =
     Pool.map pool
-      (fun (sched, _) -> replay_replica ~eps:config.cc_eps ctx frame fi state.ts_sep g sched)
+      (fun (sched, _) -> replay_replica ~eps:config.cc_eps ctx frame fi state.ts_sep g digest sched)
       schedules
   in
   let rec fold acc = function
@@ -584,10 +633,14 @@ let test_invocation pool config fi state ctx frame =
   let rec attempt rounds =
     restore0 ();
     state.ts_goldens <- state.ts_goldens + 1;
-    match Telemetry.span ~cat:"dynamic" "golden" (fun () -> record_golden ctx frame fi state.ts_sep) with
+    let golden () =
+      let g = record_golden ctx frame state.ts_sep state.ts_roles in
+      (g, capture_digest fi state.ts_sep.sep_loop ctx frame)
+    in
+    match Telemetry.span ~cat:"dynamic" "golden" golden with
     | exception Replay_mismatch msg -> Untestable msg
     | exception Eval.Trap msg -> Untestable ("trap during golden run: " ^ msg)
-    | g -> begin
+    | g, digest -> begin
         let violations = separability_violations g in
         if not (Intset.is_empty violations) then begin
           if rounds > 0 then
@@ -608,7 +661,7 @@ let test_invocation pool config fi state ctx frame =
           in
           match
             Telemetry.span ~cat:"dynamic" "replay identity" (fun () ->
-                replay_matches ~eps:config.cc_eps ctx frame fi state.ts_sep g Schedule.Identity)
+                replay_matches ~eps:config.cc_eps ctx frame fi state.ts_sep g digest Schedule.Identity)
           with
           | exception Replay_mismatch msg ->
               count ();
@@ -622,7 +675,7 @@ let test_invocation pool config fi state ctx frame =
           | true ->
               count ();
               restore0 ();
-              run_schedules pool config fi state ctx frame g
+              run_schedules pool config fi state ctx frame g digest
         end
       end
   in
@@ -644,6 +697,7 @@ let whole_program_run (info : Proginfo.t) spec fi sep sched =
   let prog = Proginfo.program info in
   let ctx = context_of_spec spec prog in
   let loop = sep.sep_loop in
+  let roles = roles_of sep in
   let handler ctx frame =
     let st = Eval.store ctx in
     let s0 = Store.snapshot st in
@@ -655,7 +709,7 @@ let whole_program_run (info : Proginfo.t) spec fi sep sched =
     Fun.protect
       ~finally:(fun () -> Store.release st s0)
       (fun () ->
-        let g = record_golden ctx frame fi sep in
+        let g = record_golden ctx frame sep roles in
         if not (Intset.is_empty (separability_violations g)) then
           raise (Replay_mismatch "separability violated in whole-program run");
         restore0 ();
@@ -841,6 +895,7 @@ let shared_run pool config info spec slots =
 let new_state sep =
   {
     ts_sep = sep;
+    ts_roles = roles_of sep;
     ts_tested = 0;
     ts_failure = None;
     ts_needs_escalation = [];

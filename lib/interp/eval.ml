@@ -7,91 +7,43 @@ exception Deadline_exceeded
 exception Heap_exhausted
 
 (* ------------------------------------------------------------------ *)
-(* Pre-decoded code                                                    *)
+(* Closure-compiled code                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The evaluator does not interpret [Ir.instr] lists directly: at context
-   creation every function is decoded once into arrays of pre-resolved
-   instructions.  Constant operands become ready-made values (no [VInt]
-   allocation per use), [Alloc] types become pre-computed cell-kind
-   patterns, call targets are classified (builtin id / user function), and
-   instruction lists become arrays.  Every decoded instruction keeps the
-   original [Ir.instr] for sinks, filters and diagnostics, so event
-   streams are identical to the direct interpreter's. *)
+(* The evaluator does not interpret [Ir.instr] lists: every function of a
+   program is compiled once into arrays of OCaml closures, one per
+   instruction, and the block loop calls them.  Operands are resolved
+   when a closure is built: a register operand becomes a slot read that
+   keeps its uninitialized-variable trap, a constant becomes its
+   ready-made value, and every binary operator is its own closure.  Each
+   instruction is compiled twice: a plain closure that emits nothing, and
+   an observed one that emits exactly the sink events the instruction
+   produces (its register locations are built with the closure).  A block
+   chooses one array from the context's sink when it starts. *)
 
-type dop = Dconst of Value.t | Dvar of Ir.var
-
-type builtin =
-  | Bsqrt
-  | Bfabs
-  | Bsin
-  | Bcos
-  | Bexp
-  | Blog
-  | Bfloor
-  | Bpow
-  | Bfmod
-  | Bfmin
-  | Bfmax
-  | Bimin
-  | Bimax
-  | Biabs
-  | Bitof
-  | Bftoi
-  | Bhrand
-  | Bdrand
-  | Bdseed
-  | Breads
-
-let builtin_of_name = function
-  | "sqrt" -> Some Bsqrt
-  | "fabs" -> Some Bfabs
-  | "sin" -> Some Bsin
-  | "cos" -> Some Bcos
-  | "exp" -> Some Bexp
-  | "log" -> Some Blog
-  | "floor" -> Some Bfloor
-  | "pow" -> Some Bpow
-  | "fmod" -> Some Bfmod
-  | "fmin" -> Some Bfmin
-  | "fmax" -> Some Bfmax
-  | "imin" -> Some Bimin
-  | "imax" -> Some Bimax
-  | "iabs" -> Some Biabs
-  | "itof" -> Some Bitof
-  | "ftoi" -> Some Bftoi
-  | "hrand" -> Some Bhrand
-  | "drand" -> Some Bdrand
-  | "dseed" -> Some Bdseed
-  | "reads" -> Some Breads
-  | _ -> None
-
-type ddesc =
-  | DBin of Ir.var * Ir.binop * dop * dop
-  | DUn of Ir.var * Ir.unop * dop
-  | DMov of Ir.var * dop
-  | DLoad of Ir.var * dop
-  | DStore of dop * dop
-  | DGep of Ir.var * dop * dop * int
-  | DGload of Ir.var * Ir.var
-  | DGstore of Ir.var * dop
-  | DGaddr of Ir.var * Ir.var
-  | DAlloc of Ir.var * Layout.cellkind array * dop
-  | DCall of Ir.var option * string * builtin option * dop array
-  | DPrint of dop
-  | DPrints of string
-
-type dinstr = { di : Ir.instr;  (** the source instruction, for sinks and filters *) dd : ddesc }
-
-type dterm = TBr of int | TCbr of dop * int * int | TRet of dop option
-
-type dblock = { db_instrs : dinstr array; db_term : dterm }
-
-type dfunc = { df_func : Ir.func; df_blocks : dblock array }
+type rop =
+  | Oconst of Value.t
+  | Oreg of int * Ir.var * Events.loc  (** frame slot, the variable, its [Lreg] location *)
 
 type frame = { ffunc : Ir.func; fcode : dblock array; regs : Value.t array }
 
-type interceptor = { it_fname : string; it_header : int; mutable it_active : bool; it_handler : handler }
+and code = ctx -> frame -> unit
+
+and dblock = {
+  db_src : Ir.instr array;  (** the source instructions, for step-control filters *)
+  db_plain : code array;  (** run while the context has no sink *)
+  db_observed : code array;  (** the same instructions, emitting sink events *)
+  db_term : dterm;
+}
+
+and dterm = TBr of int | TCbr of rop * int * int | TRet of rop option
+
+(* [df_blocks] is filled in once while the program is compiled, before the
+   table is published: calls resolve their callee when they are built,
+   and functions may call each other in any order. *)
+and dfunc = { df_func : Ir.func; mutable df_blocks : dblock array }
+
+and interceptor = { it_fname : string; it_header : int; mutable it_active : bool; it_handler : handler }
 and handler = Handler of (ctx -> frame -> int)
 
 and ctx = {
@@ -105,7 +57,13 @@ and ctx = {
   heap_limit : int;  (** absolute major-heap words ceiling; [max_int] = none *)
   mutable next_guard : int;  (** step count of the next periodic guard check *)
   mutable interceptors : interceptor list;
+  mutable filtered : filtered list;  (** kept closures per step-control filter, newest first *)
 }
+
+(* The closures a filter keeps in one function's blocks, indexed by block
+   id and filled in as the blocks are first entered under the filter. *)
+and filtered = { fl_filter : Ir.instr -> bool; fl_code : dblock array; fl_kept : kept array }
+and kept = { k_plain : code array; k_observed : code array }
 
 type step_control = { sc_filter : Ir.instr -> bool; sc_override : int -> int option }
 
@@ -121,221 +79,28 @@ let default_fuel = 200_000_000
 let guard_interval = 4096
 let fp_step = Dca_support.Faultpoint.site "eval.step"
 
-let decode_op = function
-  | Ir.Ovar v -> Dvar v
-  | Ir.Oint n -> Dconst (VInt n)
-  | Ir.Ofloat f -> Dconst (VFloat f)
-  | Ir.Onull -> Dconst VNull
-
-let decode_instr layout (i : Ir.instr) =
-  let dd =
-    match i.Ir.idesc with
-    | Ir.Bin (d, op, a, b) -> DBin (d, op, decode_op a, decode_op b)
-    | Ir.Un (d, op, a) -> DUn (d, op, decode_op a)
-    | Ir.Mov (d, a) -> DMov (d, decode_op a)
-    | Ir.Load (d, p) -> DLoad (d, decode_op p)
-    | Ir.Store (p, src) -> DStore (decode_op p, decode_op src)
-    | Ir.Gep (d, base, idx, scale) -> DGep (d, decode_op base, decode_op idx, scale)
-    | Ir.Gload (d, g) -> DGload (d, g)
-    | Ir.Gstore (g, src) -> DGstore (g, decode_op src)
-    | Ir.Gaddr (d, g) -> DGaddr (d, g)
-    | Ir.Alloc (d, ty, count) -> DAlloc (d, Layout.cell_kinds layout ty, decode_op count)
-    | Ir.Call (dst, name, args) ->
-        DCall (dst, name, builtin_of_name name, Array.of_list (List.map decode_op args))
-    | Ir.Print v -> DPrint (decode_op v)
-    | Ir.Prints s -> DPrints s
-  in
-  { di = i; dd }
-
-let decode_block layout (b : Ir.block) =
-  {
-    db_instrs = Array.of_list (List.map (decode_instr layout) b.Ir.instrs);
-    db_term =
-      (match b.Ir.bterm with
-      | Ir.Br t -> TBr t
-      | Ir.Cbr (c, a, b) -> TCbr (decode_op c, a, b)
-      | Ir.Ret op -> TRet (Option.map decode_op op));
-  }
-
-let decode_func layout (f : Ir.func) =
-  { df_func = f; df_blocks = Array.map (decode_block layout) f.Ir.fblocks }
-
-(* Decoding is pure per program, and the dynamic stage builds evaluators
-   for the same program over and over (one per whole-program verification
-   run), so decoded function tables are memoized on physical program
-   identity.  A decoded table is immutable once published, hence safe to
-   share between contexts and across domains; the mutex only guards the
-   cache list.  The cache keeps the last few programs alive — bounded, and
-   negligible next to their heaps. *)
-let decode_cache : (Ir.program * (string, dfunc) Hashtbl.t) list ref = ref []
-let decode_cache_mutex = Mutex.create ()
-let decode_cache_limit = 8
-
-let decoded_funcs prog =
-  Mutex.protect decode_cache_mutex (fun () ->
-      match List.find_opt (fun (p, _) -> p == prog) !decode_cache with
-      | Some (_, funcs) -> funcs
-      | None ->
-          let funcs = Hashtbl.create 16 in
-          List.iter
-            (fun f -> Hashtbl.replace funcs f.Ir.fname (decode_func prog.Ir.p_layout f))
-            prog.Ir.p_funcs;
-          decode_cache :=
-            (prog, funcs) :: List.filteri (fun k _ -> k < decode_cache_limit - 1) !decode_cache;
-          funcs)
-
-let create ?(fuel = default_fuel) ?deadline_ns ?heap_words ?checkpoint ?(input = []) prog =
-  {
-    prog;
-    st = Store.create ?mode:checkpoint prog ~input;
-    funcs = decoded_funcs prog;
-    sink = None;
-    nsteps = 0;
-    fuel;
-    deadline =
-      (match deadline_ns with
-      | None -> max_int
-      | Some d -> Dca_support.Telemetry.now_ns () + d);
-    heap_limit =
-      (match heap_words with
-      | None -> max_int
-      | Some w -> (Gc.quick_stat ()).Gc.heap_words + w);
-    next_guard = guard_interval;
-    interceptors = [];
-  }
-
-let fork ctx =
-  {
-    prog = ctx.prog;
-    st = Store.copy ctx.st;
-    funcs = ctx.funcs;
-    sink = None;
-    nsteps = ctx.nsteps;
-    fuel = ctx.fuel;
-    deadline = ctx.deadline;
-    heap_limit = ctx.heap_limit;
-    next_guard = ctx.nsteps + guard_interval;
-    interceptors = [];
-  }
-
-let program ctx = ctx.prog
-let store ctx = ctx.st
-let steps ctx = ctx.nsteps
-
-let set_limits ctx ~fuel ~deadline =
-  ctx.fuel <- fuel;
-  ctx.deadline <- deadline
-
-(* A run that executed the [n] instructions itself would have stopped at
-   the instruction that passed the bound, so the count stops there too. *)
-let charge ctx n =
-  ctx.nsteps <- ctx.nsteps + n;
-  if ctx.nsteps > ctx.fuel then begin
-    ctx.nsteps <- ctx.fuel + 1;
-    raise Out_of_fuel
-  end
-
-let set_sink ctx sink = ctx.sink <- sink
-let outputs ctx = Store.outputs ctx.st
-
 let trap fmt = Printf.ksprintf (fun msg -> raise (Trap msg)) fmt
 
-let read_var frame (v : Ir.var) =
-  let x = frame.regs.(v.vslot) in
-  match x with VUndef -> trap "use of uninitialized variable '%s' in %s" v.vname frame.ffunc.fname | _ -> x
+let undefined frame (v : Ir.var) =
+  trap "use of uninitialized variable '%s' in %s" v.Ir.vname frame.ffunc.Ir.fname
 
-let write_var frame (v : Ir.var) x = frame.regs.(v.vslot) <- x
+let reg frame slot v = match frame.regs.(slot) with VUndef -> undefined frame v | x -> x
 
-(* Operand evaluation outside any instruction (terminators): register
-   reads are attributed to instruction id -1, constants are free. *)
-let eval_dop ctx frame = function
-  | Dvar v ->
-      (match ctx.sink with Some s -> s.Events.on_read (Events.Lreg v.Ir.vid) (-1) | None -> ());
-      read_var frame v
-  | Dconst v -> v
+(* Operand reads: plain, and observed — the register-read event comes
+   before the read, so it is emitted also when the read traps. *)
+let pread frame = function Oconst v -> v | Oreg (slot, v, _) -> reg frame slot v
 
-let eval_operand ctx frame op = eval_dop ctx frame (decode_op op)
+let oread (s : Events.sink) iid frame = function
+  | Oconst v -> v
+  | Oreg (slot, v, loc) ->
+      s.Events.on_read loc iid;
+      reg frame slot v
 
-(* ------------------------------------------------------------------ *)
-(* Operators                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let int2 name f a b =
-  match (a, b) with VInt x, VInt y -> VInt (f x y) | _ -> trap "%s expects ints" name
-
-let float2 name f a b =
-  match (a, b) with VFloat x, VFloat y -> VFloat (f x y) | _ -> trap "%s expects floats" name
-
-let compare_values rel a b =
-  let of_bool b = VInt (if b then 1 else 0) in
-  let ord cmp =
-    match rel with
-    | Ir.Req -> cmp = 0
-    | Ir.Rne -> cmp <> 0
-    | Ir.Rlt -> cmp < 0
-    | Ir.Rle -> cmp <= 0
-    | Ir.Rgt -> cmp > 0
-    | Ir.Rge -> cmp >= 0
-  in
-  match (a, b) with
-  | VInt x, VInt y -> of_bool (ord (compare x y))
-  | VFloat x, VFloat y -> of_bool (ord (compare x y))
-  | (VPtr _ | VNull), (VPtr _ | VNull) -> begin
-      match rel with
-      | Ir.Req -> of_bool (a = b)
-      | Ir.Rne -> of_bool (a <> b)
-      | _ -> trap "ordered comparison of pointers"
-    end
-  | _ -> trap "comparison of incompatible values %s and %s" (to_string a) (to_string b)
-
-let eval_binop op a b =
-  match op with
-  | Ir.Add -> int2 "add" ( + ) a b
-  | Ir.Sub -> int2 "sub" ( - ) a b
-  | Ir.Mul -> int2 "mul" ( * ) a b
-  | Ir.Div -> (
-      match b with VInt 0 -> trap "integer division by zero" | _ -> int2 "div" ( / ) a b)
-  | Ir.Mod -> (
-      match b with VInt 0 -> trap "integer modulo by zero" | _ -> int2 "mod" (fun x y -> x mod y) a b)
-  | Ir.Fadd -> float2 "fadd" ( +. ) a b
-  | Ir.Fsub -> float2 "fsub" ( -. ) a b
-  | Ir.Fmul -> float2 "fmul" ( *. ) a b
-  | Ir.Fdiv -> float2 "fdiv" ( /. ) a b
-  | Ir.Cmp rel -> compare_values rel a b
-  | Ir.Andl -> int2 "and" (fun x y -> if x <> 0 && y <> 0 then 1 else 0) a b
-  | Ir.Orl -> int2 "or" (fun x y -> if x <> 0 || y <> 0 then 1 else 0) a b
-
-let eval_unop op a =
-  match (op, a) with
-  | Ir.Neg, VInt x -> VInt (-x)
-  | Ir.Fneg, VFloat x -> VFloat (-.x)
-  | Ir.Not, VInt x -> VInt (if x = 0 then 1 else 0)
-  | Ir.Not, VNull -> VInt 1
-  | Ir.Not, VPtr _ -> VInt 0
-  | Ir.Itof, VInt x -> VFloat (float_of_int x)
-  | Ir.Ftoi, VFloat x -> VInt (int_of_float x)
-  | _ -> trap "unary %s applied to %s" (Ir.unop_to_string op) (to_string a)
-
-(* hrand: a pure hash-based PRN in [0,1) — splitmix64 finalizer. *)
-let hrand_of_int i =
-  let z = Int64.of_int i in
-  let z = Int64.add z 0x9E3779B97F4A7C15L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0
-
-let float1 name f = function VFloat x -> VFloat (f x) | v -> trap "%s expects a float, got %s" name (to_string v)
+let emit_write ctx loc iid = match ctx.sink with Some s -> s.Events.on_write loc iid | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let emit_read ctx loc instr =
-  match ctx.sink with Some s -> s.Events.on_read loc instr | None -> ()
-
-let emit_write ctx loc instr =
-  match ctx.sink with Some s -> s.Events.on_write loc instr | None -> ()
 
 (* Rare path of the periodic guard: refresh the threshold, give the
    [eval.step] fault point a deterministic hit, then check the wall-clock
@@ -362,161 +127,67 @@ let rec interceptor_at its fname bid =
       if it.it_header = bid && (not it.it_active) && String.equal it.it_fname fname then Some it
       else interceptor_at rest fname bid
 
-let rec exec_instr ctx frame (d : dinstr) =
-  ctx.nsteps <- ctx.nsteps + 1;
-  if ctx.nsteps > ctx.fuel then raise Out_of_fuel;
-  if ctx.nsteps >= ctx.next_guard then guard_check ctx;
-  let i = d.di in
-  (match ctx.sink with Some s -> s.Events.on_exec i | None -> ());
-  (* operand evaluation with register-read events attributed to [i] *)
-  let ev op =
-    match op with
-    | Dvar v ->
-        emit_read ctx (Events.Lreg v.Ir.vid) i.Ir.iid;
-        read_var frame v
-    | Dconst v -> v
-  in
-  let def v x =
-    emit_write ctx (Events.Lreg v.Ir.vid) i.Ir.iid;
-    write_var frame v x
-  in
-  match d.dd with
-  | DBin (dst, op, a, b) ->
-      let va = ev a in
-      let vb = ev b in
-      def dst (eval_binop op va vb)
-  | DUn (dst, op, a) -> def dst (eval_unop op (ev a))
-  | DMov (dst, a) -> def dst (ev a)
-  | DLoad (dst, p) -> begin
-      match ev p with
-      | VPtr (block, off) ->
-          emit_read ctx (Events.Lheap (block, off)) i.Ir.iid;
-          let v =
-            try Store.load ctx.st ~block ~off with Failure msg -> trap "%s" msg
-          in
-          def dst v
-      | VNull -> trap "load through null pointer at %s" (Dca_frontend.Loc.to_string i.Ir.iloc)
-      | v -> trap "load through non-pointer %s" (to_string v)
-    end
-  | DStore (p, src) -> begin
-      match ev p with
-      | VPtr (block, off) ->
-          let v = ev src in
-          emit_write ctx (Events.Lheap (block, off)) i.Ir.iid;
-          (try Store.store ctx.st ~block ~off v with Failure msg -> trap "%s" msg)
-      | VNull -> trap "store through null pointer at %s" (Dca_frontend.Loc.to_string i.Ir.iloc)
-      | v -> trap "store through non-pointer %s" (to_string v)
-    end
-  | DGep (dst, base, idx, scale) -> begin
-      match (ev base, ev idx) with
-      | VPtr (block, off), VInt k -> def dst (VPtr (block, off + (k * scale)))
-      | VNull, _ -> trap "pointer arithmetic on null at %s" (Dca_frontend.Loc.to_string i.Ir.iloc)
-      | vb, vi -> trap "gep on %s with index %s" (to_string vb) (to_string vi)
-    end
-  | DGload (dst, g) ->
-      emit_read ctx (Events.Lglob g.Ir.vslot) i.Ir.iid;
-      def dst (Store.read_global ctx.st g.Ir.vslot)
-  | DGstore (g, src) ->
-      let v = ev src in
-      emit_write ctx (Events.Lglob g.Ir.vslot) i.Ir.iid;
-      Store.write_global ctx.st g.Ir.vslot v
-  | DGaddr (dst, g) -> def dst (Store.read_global ctx.st g.Ir.vslot)
-  | DAlloc (dst, kinds, count) -> begin
-      match ev count with
-      | VInt n when n >= 0 ->
-          let id = Store.alloc ctx.st kinds ~count:n in
-          def dst (VPtr (id, 0))
-      | v -> trap "alloc with bad count %s" (to_string v)
-    end
-  | DCall (dst, name, builtin, args) -> begin
-      let n = Array.length args in
-      let vargs = Array.make n VNull in
-      for k = 0 to n - 1 do
-        vargs.(k) <- ev args.(k)
-      done;
-      let user_call () =
-        let ret = call_user ctx name vargs in
-        match (dst, ret) with
-        | Some d, Some v -> def d v
-        | Some d, None -> trap "function %s returned no value for %s" name d.Ir.vname
-        | None, _ -> ()
+(* The filter cache.  A filter is a pure function of the instruction, so
+   it is called once per block it meets and its verdicts are kept, keyed
+   on the filter closure's physical identity (the entry holds the closure,
+   so the key cannot be recycled).  One replay uses two filters; the few
+   newest are kept. *)
+let filter_cache_limit = 4
+let unfilled = { k_plain = [||]; k_observed = [||] }
+let no_filtered = { fl_filter = (fun _ -> false); fl_code = [||]; fl_kept = [||] }
+
+let rec find_filtered filter code = function
+  | [] -> no_filtered
+  | fl :: rest ->
+      if fl.fl_filter == filter && fl.fl_code == code then fl else find_filtered filter code rest
+
+let keep filter blk =
+  let idx = List.filter (fun k -> filter blk.db_src.(k)) (List.init (Array.length blk.db_src) Fun.id) in
+  let pick code = Array.of_list (List.map (fun k -> code.(k)) idx) in
+  { k_plain = pick blk.db_plain; k_observed = pick blk.db_observed }
+
+let kept_code ctx frame filter bid blk =
+  let fl =
+    let fl = find_filtered filter frame.fcode ctx.filtered in
+    if fl != no_filtered then fl
+    else begin
+      let fl =
+        { fl_filter = filter; fl_code = frame.fcode; fl_kept = Array.make (Array.length frame.fcode) unfilled }
       in
-      match builtin with
-      | Some b -> begin
-          (* a builtin name with the wrong arity falls through to a user
-             function of the same name, exactly like the name-based
-             dispatch did *)
-          match eval_builtin ctx i b vargs with
-          | Some result -> ( match dst with Some d -> def d result | None -> ())
-          | None -> user_call ()
-        end
-      | None -> user_call ()
+      ctx.filtered <- fl :: List.filteri (fun k _ -> k < filter_cache_limit - 1) ctx.filtered;
+      fl
     end
-  | DPrint v -> Store.print_value ctx.st (ev v)
-  | DPrints s -> Store.print_string_ ctx.st s
+  in
+  let k = fl.fl_kept.(bid) in
+  if k != unfilled then k
+  else begin
+    let k = keep filter blk in
+    fl.fl_kept.(bid) <- k;
+    k
+  end
 
-and eval_builtin ctx instr b (args : Value.t array) : Value.t option =
-  let iid = instr.Ir.iid in
-  match (b, args) with
-  | Bsqrt, [| v |] -> Some (float1 "sqrt" sqrt v)
-  | Bfabs, [| v |] -> Some (float1 "fabs" abs_float v)
-  | Bsin, [| v |] -> Some (float1 "sin" sin v)
-  | Bcos, [| v |] -> Some (float1 "cos" cos v)
-  | Bexp, [| v |] -> Some (float1 "exp" exp v)
-  | Blog, [| v |] -> Some (float1 "log" log v)
-  | Bfloor, [| v |] -> Some (float1 "floor" floor v)
-  | Bpow, [| a; b |] -> Some (float2 "pow" ( ** ) a b)
-  | Bfmod, [| a; b |] -> Some (float2 "fmod" Float.rem a b)
-  | Bfmin, [| a; b |] -> Some (float2 "fmin" Float.min a b)
-  | Bfmax, [| a; b |] -> Some (float2 "fmax" Float.max a b)
-  | Bimin, [| a; b |] -> Some (int2 "imin" min a b)
-  | Bimax, [| a; b |] -> Some (int2 "imax" max a b)
-  | Biabs, [| v |] -> Some (match v with VInt x -> VInt (abs x) | _ -> trap "iabs expects an int")
-  | Bitof, [| v |] -> Some (eval_unop Ir.Itof v)
-  | Bftoi, [| v |] -> Some (eval_unop Ir.Ftoi v)
-  | Bhrand, [| v |] -> Some (match v with VInt x -> VFloat (hrand_of_int x) | _ -> trap "hrand expects an int")
-  | Bdrand, [||] ->
-      emit_read ctx Events.Lrng iid;
-      emit_write ctx Events.Lrng iid;
-      Some (VFloat (Store.drand ctx.st))
-  | Bdseed, [| v |] ->
-      emit_write ctx Events.Lrng iid;
-      (match v with VInt x -> Store.dseed ctx.st x | _ -> trap "dseed expects an int");
-      Some (VInt 0)
-  | Breads, [||] -> Some (VInt (Store.read_input ctx.st))
-  | _ -> None
+let block_code ctx frame control bid blk =
+  match control with
+  | None -> ( match ctx.sink with None -> blk.db_plain | Some _ -> blk.db_observed)
+  | Some c -> (
+      let k = kept_code ctx frame c.sc_filter bid blk in
+      match ctx.sink with None -> k.k_plain | Some _ -> k.k_observed)
 
-and call_user ctx name (vargs : Value.t array) : Value.t option =
-  let f =
-    match Hashtbl.find_opt ctx.funcs name with
-    | Some f -> f
-    | None -> trap "call to undefined function '%s'" name
-  in
-  let fn = f.df_func in
-  let frame = { ffunc = fn; fcode = f.df_blocks; regs = Array.make fn.Ir.fnslots VUndef } in
-  let nargs = Array.length vargs in
-  let rec bind k = function
-    | [] -> if k <> nargs then trap "arity mismatch calling %s" name
-    | p :: ps ->
-        if k >= nargs then trap "arity mismatch calling %s" name
-        else begin
-          write_var frame p vargs.(k);
-          bind (k + 1) ps
-        end
-  in
-  bind 0 fn.Ir.fparams;
-  (match ctx.sink with Some s -> s.Events.on_call name | None -> ());
-  let result =
-    match exec_from ctx frame fn.Ir.fentry ~stop:(fun _ -> false) ~control:None ~src:(-1) with
-    | Returned v -> v
-    | Stopped_at _ -> assert false
-  in
-  (match ctx.sink with Some s -> s.Events.on_return name | None -> ());
-  result
+(* Terminator operands: register reads are attributed to instruction id
+   -1, constants are free. *)
+let term_read ctx frame = function
+  | Oconst v -> v
+  | Oreg (slot, v, loc) ->
+      (match ctx.sink with Some s -> s.Events.on_read loc (-1) | None -> ());
+      reg frame slot v
+
+let term_test ctx frame c = match term_read ctx frame c with VInt n -> n <> 0 | v -> truthy v
 
 (* Core block-chain executor.  [src] is the predecessor block (-1 on
-   entry); [stop] is consulted on every transfer except the initial one. *)
-and exec_from ctx frame bid ~stop ~control ~src : stop_reason =
+   entry); [stop] is consulted on every transfer except the initial one.
+   Every executed instruction counts the step, checks the fuel, checks
+   the guard, then runs its closure. *)
+let rec exec_from ctx frame bid ~stop ~control ~src : stop_reason =
   (* interceptors fire on transfers into their header during any execution
      in which they are not already active *)
   match interceptor_at ctx.interceptors frame.ffunc.Ir.fname bid with
@@ -528,53 +199,611 @@ and exec_from ctx frame bid ~stop ~control ~src : stop_reason =
           (fun () -> match it.it_handler with Handler h -> h ctx frame)
       in
       exec_from ctx frame continue_at ~stop ~control ~src:bid
-  | None ->
+  | None -> (
       (match ctx.sink with Some s -> s.Events.on_block ~fname:frame.ffunc.Ir.fname ~src ~dst:bid | None -> ());
       let blk = frame.fcode.(bid) in
-      let instrs = blk.db_instrs in
-      (match control with
-      | None ->
-          for k = 0 to Array.length instrs - 1 do
-            exec_instr ctx frame instrs.(k)
-          done
-      | Some c ->
-          for k = 0 to Array.length instrs - 1 do
-            let d = instrs.(k) in
-            if c.sc_filter d.di then exec_instr ctx frame d
-          done);
-      let continue_to target =
-        if stop target then begin
-          (* surface the pending transfer so recorders see loop-exit and
-             latch edges even though the target block is not executed *)
-          (match ctx.sink with
-          | Some s -> s.Events.on_block ~fname:frame.ffunc.Ir.fname ~src:bid ~dst:target
-          | None -> ());
-          Stopped_at target
-        end
-        else exec_from ctx frame target ~stop ~control ~src:bid
-      in
-      (match blk.db_term with
-      | TBr t -> continue_to t
-      | TCbr (c, a, b) -> begin
+      let code = block_code ctx frame control bid blk in
+      for k = 0 to Array.length code - 1 do
+        ctx.nsteps <- ctx.nsteps + 1;
+        if ctx.nsteps > ctx.fuel then raise Out_of_fuel;
+        if ctx.nsteps >= ctx.next_guard then guard_check ctx;
+        (Array.unsafe_get code k) ctx frame
+      done;
+      match blk.db_term with
+      | TBr t -> transfer ctx frame bid t ~stop ~control
+      | TCbr (c, a, b) -> (
           let forced = match control with Some ctl -> ctl.sc_override bid | None -> None in
           match forced with
-          | Some t -> continue_to t
-          | None ->
-              let v = eval_dop ctx frame c in
-              continue_to (if truthy v then a else b)
+          | Some t -> transfer ctx frame bid t ~stop ~control
+          | None -> transfer ctx frame bid (if term_test ctx frame c then a else b) ~stop ~control)
+      | TRet None -> Returned None
+      | TRet (Some op) -> Returned (Some (term_read ctx frame op)))
+
+and transfer ctx frame bid target ~stop ~control =
+  if stop target then begin
+    (* surface the pending transfer so recorders see loop-exit and latch
+       edges even though the target block is not executed *)
+    (match ctx.sink with
+    | Some s -> s.Events.on_block ~fname:frame.ffunc.Ir.fname ~src:bid ~dst:target
+    | None -> ());
+    Stopped_at target
+  end
+  else exec_from ctx frame target ~stop ~control ~src:bid
+
+let never _ = false
+
+(* Run [df] on the register file [regs], its parameters already bound. *)
+let enter ctx name df regs =
+  let fn = df.df_func in
+  let frame = { ffunc = fn; fcode = df.df_blocks; regs } in
+  (match ctx.sink with Some s -> s.Events.on_call name | None -> ());
+  let result =
+    match exec_from ctx frame fn.Ir.fentry ~stop:never ~control:None ~src:(-1) with
+    | Returned v -> v
+    | Stopped_at _ -> assert false
+  in
+  (match ctx.sink with Some s -> s.Events.on_return name | None -> ());
+  result
+
+let call_user ctx name callee (vargs : Value.t array) : Value.t option =
+  let df = match callee with Some df -> df | None -> trap "call to undefined function '%s'" name in
+  let fn = df.df_func in
+  let regs = Array.make fn.Ir.fnslots VUndef in
+  let nargs = Array.length vargs in
+  let rec bind k = function
+    | [] -> if k <> nargs then trap "arity mismatch calling %s" name
+    | (p : Ir.var) :: ps ->
+        if k >= nargs then trap "arity mismatch calling %s" name
+        else begin
+          regs.(p.Ir.vslot) <- vargs.(k);
+          bind (k + 1) ps
         end
-      | TRet op -> Returned (Option.map (eval_dop ctx frame) op))
+  in
+  bind 0 fn.Ir.fparams;
+  enter ctx name df regs
+
+(* ------------------------------------------------------------------ *)
+(* Operators                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let vzero = VInt 0
+let vone = VInt 1
+let of_bool b = if b then vone else vzero
+
+let compare_values rel a b =
+  let ord cmp =
+    match rel with
+    | Ir.Req -> cmp = 0
+    | Ir.Rne -> cmp <> 0
+    | Ir.Rlt -> cmp < 0
+    | Ir.Rle -> cmp <= 0
+    | Ir.Rgt -> cmp > 0
+    | Ir.Rge -> cmp >= 0
+  in
+  match (a, b) with
+  | VInt x, VInt y -> of_bool (ord (compare x y))
+  | VFloat x, VFloat y -> of_bool (ord (compare x y))
+  | (VPtr _ | VNull), (VPtr _ | VNull) -> begin
+      match rel with
+      | Ir.Req -> of_bool (a = b)
+      | Ir.Rne -> of_bool (a <> b)
+      | _ -> trap "ordered comparison of pointers"
+    end
+  | _ -> trap "comparison of incompatible values %s and %s" (to_string a) (to_string b)
+
+(* Comparisons take an int fast path; every other pair goes through
+   [compare_values]. *)
+let compare_op rel : Value.t -> Value.t -> Value.t =
+  let slow = compare_values rel in
+  match rel with
+  | Ir.Req -> fun a b -> ( match (a, b) with VInt x, VInt y -> of_bool (x = y) | _ -> slow a b)
+  | Ir.Rne -> fun a b -> ( match (a, b) with VInt x, VInt y -> of_bool (x <> y) | _ -> slow a b)
+  | Ir.Rlt -> fun a b -> ( match (a, b) with VInt x, VInt y -> of_bool (x < y) | _ -> slow a b)
+  | Ir.Rle -> fun a b -> ( match (a, b) with VInt x, VInt y -> of_bool (x <= y) | _ -> slow a b)
+  | Ir.Rgt -> fun a b -> ( match (a, b) with VInt x, VInt y -> of_bool (x > y) | _ -> slow a b)
+  | Ir.Rge -> fun a b -> ( match (a, b) with VInt x, VInt y -> of_bool (x >= y) | _ -> slow a b)
+
+let int2 name f a b =
+  match (a, b) with VInt x, VInt y -> VInt (f x y) | _ -> trap "%s expects ints" name
+
+let float2 name f a b =
+  match (a, b) with VFloat x, VFloat y -> VFloat (f x y) | _ -> trap "%s expects floats" name
+
+let binop (op : Ir.binop) : Value.t -> Value.t -> Value.t =
+  match op with
+  | Ir.Add -> fun a b -> ( match (a, b) with VInt x, VInt y -> VInt (x + y) | _ -> trap "add expects ints")
+  | Ir.Sub -> fun a b -> ( match (a, b) with VInt x, VInt y -> VInt (x - y) | _ -> trap "sub expects ints")
+  | Ir.Mul -> fun a b -> ( match (a, b) with VInt x, VInt y -> VInt (x * y) | _ -> trap "mul expects ints")
+  | Ir.Div -> (
+      fun a b ->
+        match (a, b) with
+        | _, VInt 0 -> trap "integer division by zero"
+        | VInt x, VInt y -> VInt (x / y)
+        | _ -> trap "div expects ints")
+  | Ir.Mod -> (
+      fun a b ->
+        match (a, b) with
+        | _, VInt 0 -> trap "integer modulo by zero"
+        | VInt x, VInt y -> VInt (x mod y)
+        | _ -> trap "mod expects ints")
+  | Ir.Fadd ->
+      fun a b -> ( match (a, b) with VFloat x, VFloat y -> VFloat (x +. y) | _ -> trap "fadd expects floats")
+  | Ir.Fsub ->
+      fun a b -> ( match (a, b) with VFloat x, VFloat y -> VFloat (x -. y) | _ -> trap "fsub expects floats")
+  | Ir.Fmul ->
+      fun a b -> ( match (a, b) with VFloat x, VFloat y -> VFloat (x *. y) | _ -> trap "fmul expects floats")
+  | Ir.Fdiv ->
+      fun a b -> ( match (a, b) with VFloat x, VFloat y -> VFloat (x /. y) | _ -> trap "fdiv expects floats")
+  | Ir.Cmp rel -> compare_op rel
+  | Ir.Andl -> int2 "and" (fun x y -> if x <> 0 && y <> 0 then 1 else 0)
+  | Ir.Orl -> int2 "or" (fun x y -> if x <> 0 || y <> 0 then 1 else 0)
+
+let unop (op : Ir.unop) : Value.t -> Value.t =
+  let fail a = trap "unary %s applied to %s" (Ir.unop_to_string op) (to_string a) in
+  match op with
+  | Ir.Neg -> ( function VInt x -> VInt (-x) | a -> fail a)
+  | Ir.Fneg -> ( function VFloat x -> VFloat (-.x) | a -> fail a)
+  | Ir.Not -> ( function VInt x -> of_bool (x = 0) | VNull -> vone | VPtr _ -> vzero | a -> fail a)
+  | Ir.Itof -> ( function VInt x -> VFloat (float_of_int x) | a -> fail a)
+  | Ir.Ftoi -> ( function VFloat x -> VInt (int_of_float x) | a -> fail a)
+
+(* hrand: a pure hash-based PRN in [0,1) — splitmix64 finalizer. *)
+let hrand_of_int i =
+  let z = Int64.of_int i in
+  let z = Int64.add z 0x9E3779B97F4A7C15L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+  Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0
+
+let float1 name f = function VFloat x -> VFloat (f x) | v -> trap "%s expects a float, got %s" name (to_string v)
+
+(* A builtin call whose argument count matches the builtin; any other
+   count falls through to a user function of the same name. *)
+type builtin =
+  | Pure1 of (Value.t -> Value.t)
+  | Pure2 of (Value.t -> Value.t -> Value.t)
+  | Drand
+  | Dseed
+  | Reads
+
+let builtin name nargs =
+  match (name, nargs) with
+  | "sqrt", 1 -> Some (Pure1 (float1 "sqrt" sqrt))
+  | "fabs", 1 -> Some (Pure1 (float1 "fabs" abs_float))
+  | "sin", 1 -> Some (Pure1 (float1 "sin" sin))
+  | "cos", 1 -> Some (Pure1 (float1 "cos" cos))
+  | "exp", 1 -> Some (Pure1 (float1 "exp" exp))
+  | "log", 1 -> Some (Pure1 (float1 "log" log))
+  | "floor", 1 -> Some (Pure1 (float1 "floor" floor))
+  | "pow", 2 -> Some (Pure2 (float2 "pow" ( ** )))
+  | "fmod", 2 -> Some (Pure2 (float2 "fmod" Float.rem))
+  | "fmin", 2 -> Some (Pure2 (float2 "fmin" Float.min))
+  | "fmax", 2 -> Some (Pure2 (float2 "fmax" Float.max))
+  | "imin", 2 -> Some (Pure2 (int2 "imin" min))
+  | "imax", 2 -> Some (Pure2 (int2 "imax" max))
+  | "iabs", 1 -> Some (Pure1 (function VInt x -> VInt (abs x) | _ -> trap "iabs expects an int"))
+  | "itof", 1 -> Some (Pure1 (unop Ir.Itof))
+  | "ftoi", 1 -> Some (Pure1 (unop Ir.Ftoi))
+  | "hrand", 1 -> Some (Pure1 (function VInt x -> VFloat (hrand_of_int x) | _ -> trap "hrand expects an int"))
+  | "drand", 0 -> Some Drand
+  | "dseed", 1 -> Some Dseed
+  | "reads", 0 -> Some Reads
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* Compilation                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let rop = function
+  | Ir.Ovar v -> Oreg (v.Ir.vslot, v, Events.Lreg v.Ir.vid)
+  | Ir.Oint n -> Oconst (VInt n)
+  | Ir.Ofloat f -> Oconst (VFloat f)
+  | Ir.Onull -> Oconst VNull
+
+let load_cell ctx block off = try Store.load ctx.st ~block ~off with Failure msg -> raise (Trap msg)
+let store_cell ctx block off v = try Store.store ctx.st ~block ~off v with Failure msg -> raise (Trap msg)
+let at (i : Ir.instr) = Dca_frontend.Loc.to_string i.Ir.iloc
+
+(* [observe i plain body]: the observed closure of [i].  It runs [plain]
+   if the sink went away since its block started. *)
+let observe (i : Ir.instr) (plain : code) body : code =
+ fun ctx frame ->
+  match ctx.sink with
+  | None -> plain ctx frame
+  | Some s ->
+      s.Events.on_exec i;
+      body s ctx frame
+
+let bin_plain f d a b : code =
+  match (a, b) with
+  | Oreg (sa, va, _), Oreg (sb, vb, _) ->
+      fun _ frame ->
+        let x = reg frame sa va in
+        let y = reg frame sb vb in
+        frame.regs.(d) <- f x y
+  | Oreg (sa, va, _), Oconst y -> fun _ frame -> frame.regs.(d) <- f (reg frame sa va) y
+  | Oconst x, Oreg (sb, vb, _) -> fun _ frame -> frame.regs.(d) <- f x (reg frame sb vb)
+  | Oconst x, Oconst y -> fun _ frame -> frame.regs.(d) <- f x y
+
+let compile_call funcs (i : Ir.instr) dst name args : code * code =
+  let iid = i.Ir.iid in
+  let args = Array.of_list (List.map rop args) in
+  let n = Array.length args in
+  let d, dloc = match dst with Some v -> (v.Ir.vslot, Events.Lreg v.Ir.vid) | None -> (-1, Events.Lrng) in
+  let set frame r = if d >= 0 then frame.regs.(d) <- r in
+  let oset s frame r =
+    if d >= 0 then begin
+      s.Events.on_write dloc iid;
+      frame.regs.(d) <- r
+    end
+  in
+  match builtin name n with
+  | Some (Pure1 f) ->
+      let a = args.(0) in
+      let plain _ frame = set frame (f (pread frame a)) in
+      (plain, observe i plain (fun s _ frame -> oset s frame (f (oread s iid frame a))))
+  | Some (Pure2 f) ->
+      let a = args.(0) and b = args.(1) in
+      let plain _ frame =
+        let x = pread frame a in
+        let y = pread frame b in
+        set frame (f x y)
+      in
+      ( plain,
+        observe i plain (fun s _ frame ->
+            let x = oread s iid frame a in
+            let y = oread s iid frame b in
+            oset s frame (f x y)) )
+  | Some Drand ->
+      let plain ctx frame = set frame (VFloat (Store.drand ctx.st)) in
+      ( plain,
+        observe i plain (fun s ctx frame ->
+            s.Events.on_read Events.Lrng iid;
+            s.Events.on_write Events.Lrng iid;
+            oset s frame (VFloat (Store.drand ctx.st))) )
+  | Some Dseed ->
+      let a = args.(0) in
+      let seed ctx = function VInt x -> Store.dseed ctx.st x | _ -> trap "dseed expects an int" in
+      let plain ctx frame =
+        seed ctx (pread frame a);
+        set frame vzero
+      in
+      ( plain,
+        observe i plain (fun s ctx frame ->
+            let v = oread s iid frame a in
+            s.Events.on_write Events.Lrng iid;
+            seed ctx v;
+            oset s frame vzero) )
+  | Some Reads ->
+      let plain ctx frame = set frame (VInt (Store.read_input ctx.st)) in
+      (plain, observe i plain (fun s ctx frame -> oset s frame (VInt (Store.read_input ctx.st))))
+  | None -> (
+      let finish ctx frame = function
+        | Some v ->
+            if d >= 0 then begin
+              emit_write ctx dloc iid;
+              frame.regs.(d) <- v
+            end
+        | None -> (
+            match dst with
+            | Some v -> trap "function %s returned no value for %s" name v.Ir.vname
+            | None -> ())
+      in
+      match Hashtbl.find_opt funcs name with
+      | Some df when List.length df.df_func.Ir.fparams = n ->
+          (* bind the arguments straight into the callee's registers, in
+             parameter order as [call_user] does *)
+          let params = Array.of_list (List.map (fun (p : Ir.var) -> p.Ir.vslot) df.df_func.Ir.fparams) in
+          let nslots = df.df_func.Ir.fnslots in
+          let plain ctx frame =
+            let regs = Array.make nslots VUndef in
+            for k = 0 to n - 1 do
+              regs.(params.(k)) <- pread frame args.(k)
+            done;
+            finish ctx frame (enter ctx name df regs)
+          in
+          ( plain,
+            observe i plain (fun s ctx frame ->
+                let regs = Array.make nslots VUndef in
+                for k = 0 to n - 1 do
+                  regs.(params.(k)) <- oread s iid frame args.(k)
+                done;
+                finish ctx frame (enter ctx name df regs)) )
+      | callee ->
+          let plain ctx frame =
+            let vargs = Array.make n VNull in
+            for k = 0 to n - 1 do
+              vargs.(k) <- pread frame args.(k)
+            done;
+            finish ctx frame (call_user ctx name callee vargs)
+          in
+          ( plain,
+            observe i plain (fun s ctx frame ->
+                let vargs = Array.make n VNull in
+                for k = 0 to n - 1 do
+                  vargs.(k) <- oread s iid frame args.(k)
+                done;
+                finish ctx frame (call_user ctx name callee vargs)) ))
+
+(* The plain and the observed closure of one instruction. *)
+let compile_instr funcs layout (i : Ir.instr) : code * code =
+  let iid = i.Ir.iid in
+  match i.Ir.idesc with
+  | Ir.Bin (dst, op, a, b) ->
+      let f = binop op and a = rop a and b = rop b in
+      let d = dst.Ir.vslot and dloc = Events.Lreg dst.Ir.vid in
+      let plain = bin_plain f d a b in
+      ( plain,
+        observe i plain (fun s _ frame ->
+            let x = oread s iid frame a in
+            let y = oread s iid frame b in
+            let r = f x y in
+            s.Events.on_write dloc iid;
+            frame.regs.(d) <- r) )
+  | Ir.Un (dst, op, a) ->
+      let f = unop op and a = rop a in
+      let d = dst.Ir.vslot and dloc = Events.Lreg dst.Ir.vid in
+      let plain _ frame = frame.regs.(d) <- f (pread frame a) in
+      ( plain,
+        observe i plain (fun s _ frame ->
+            let r = f (oread s iid frame a) in
+            s.Events.on_write dloc iid;
+            frame.regs.(d) <- r) )
+  | Ir.Mov (dst, a) ->
+      let a = rop a in
+      let d = dst.Ir.vslot and dloc = Events.Lreg dst.Ir.vid in
+      let plain : code =
+        match a with
+        | Oreg (sa, va, _) -> fun _ frame -> frame.regs.(d) <- reg frame sa va
+        | Oconst c -> fun _ frame -> frame.regs.(d) <- c
+      in
+      ( plain,
+        observe i plain (fun s _ frame ->
+            let r = oread s iid frame a in
+            s.Events.on_write dloc iid;
+            frame.regs.(d) <- r) )
+  | Ir.Load (dst, p) ->
+      let p = rop p in
+      let d = dst.Ir.vslot and dloc = Events.Lreg dst.Ir.vid in
+      let bad = function
+        | VNull -> trap "load through null pointer at %s" (at i)
+        | v -> trap "load through non-pointer %s" (to_string v)
+      in
+      let plain : code =
+        match p with
+        | Oreg (sp, varp, _) -> (
+            fun ctx frame ->
+              match reg frame sp varp with
+              | VPtr (block, off) -> frame.regs.(d) <- load_cell ctx block off
+              | v -> bad v)
+        | Oconst _ -> (
+            fun ctx frame ->
+              match pread frame p with VPtr (block, off) -> frame.regs.(d) <- load_cell ctx block off | v -> bad v)
+      in
+      ( plain,
+        observe i plain (fun s ctx frame ->
+            match oread s iid frame p with
+            | VPtr (block, off) ->
+                s.Events.on_read (Events.Lheap (block, off)) iid;
+                let v = load_cell ctx block off in
+                s.Events.on_write dloc iid;
+                frame.regs.(d) <- v
+            | v -> bad v) )
+  | Ir.Store (p, src) ->
+      let p = rop p and src = rop src in
+      let bad = function
+        | VNull -> trap "store through null pointer at %s" (at i)
+        | v -> trap "store through non-pointer %s" (to_string v)
+      in
+      let plain : code =
+        match p with
+        | Oreg (sp, varp, _) -> (
+            fun ctx frame ->
+              match reg frame sp varp with
+              | VPtr (block, off) -> store_cell ctx block off (pread frame src)
+              | v -> bad v)
+        | Oconst _ -> (
+            fun ctx frame ->
+              match pread frame p with VPtr (block, off) -> store_cell ctx block off (pread frame src) | v -> bad v)
+      in
+      ( plain,
+        observe i plain (fun s ctx frame ->
+            match oread s iid frame p with
+            | VPtr (block, off) ->
+                let v = oread s iid frame src in
+                s.Events.on_write (Events.Lheap (block, off)) iid;
+                store_cell ctx block off v
+            | v -> bad v) )
+  | Ir.Gep (dst, base, idx, scale) ->
+      (* the base is read before the index *)
+      let base = rop base and idx = rop idx in
+      let d = dst.Ir.vslot and dloc = Events.Lreg dst.Ir.vid in
+      let gep vb vi =
+        match (vb, vi) with
+        | VPtr (block, off), VInt k -> VPtr (block, off + (k * scale))
+        | VNull, _ -> trap "pointer arithmetic on null at %s" (at i)
+        | vb, vi -> trap "gep on %s with index %s" (to_string vb) (to_string vi)
+      in
+      (* [gep] traps on every pair but the one the fast paths handle *)
+      let plain : code =
+        match (base, idx) with
+        | Oreg (sb, varb, _), Oconst (VInt k as vi) -> (
+            let delta = k * scale in
+            fun _ frame ->
+              match reg frame sb varb with
+              | VPtr (block, off) -> frame.regs.(d) <- VPtr (block, off + delta)
+              | vb -> frame.regs.(d) <- gep vb vi)
+        | Oreg (sb, varb, _), Oreg (si, vari, _) -> (
+            fun _ frame ->
+              let vb = reg frame sb varb in
+              match (vb, reg frame si vari) with
+              | VPtr (block, off), VInt k -> frame.regs.(d) <- VPtr (block, off + (k * scale))
+              | vb, vi -> frame.regs.(d) <- gep vb vi)
+        | _ ->
+            fun _ frame ->
+              let vb = pread frame base in
+              frame.regs.(d) <- gep vb (pread frame idx)
+      in
+      ( plain,
+        observe i plain (fun s _ frame ->
+            let vb = oread s iid frame base in
+            let vi = oread s iid frame idx in
+            let r = gep vb vi in
+            s.Events.on_write dloc iid;
+            frame.regs.(d) <- r) )
+  | Ir.Gload (dst, g) ->
+      let gs = g.Ir.vslot and gloc = Events.Lglob g.Ir.vslot in
+      let d = dst.Ir.vslot and dloc = Events.Lreg dst.Ir.vid in
+      let plain ctx frame = frame.regs.(d) <- Store.read_global ctx.st gs in
+      ( plain,
+        observe i plain (fun s ctx frame ->
+            s.Events.on_read gloc iid;
+            let v = Store.read_global ctx.st gs in
+            s.Events.on_write dloc iid;
+            frame.regs.(d) <- v) )
+  | Ir.Gstore (g, src) ->
+      let gs = g.Ir.vslot and gloc = Events.Lglob g.Ir.vslot and src = rop src in
+      let plain ctx frame = Store.write_global ctx.st gs (pread frame src) in
+      ( plain,
+        observe i plain (fun s ctx frame ->
+            let v = oread s iid frame src in
+            s.Events.on_write gloc iid;
+            Store.write_global ctx.st gs v) )
+  | Ir.Gaddr (dst, g) ->
+      let gs = g.Ir.vslot in
+      let d = dst.Ir.vslot and dloc = Events.Lreg dst.Ir.vid in
+      let plain ctx frame = frame.regs.(d) <- Store.read_global ctx.st gs in
+      ( plain,
+        observe i plain (fun s ctx frame ->
+            let v = Store.read_global ctx.st gs in
+            s.Events.on_write dloc iid;
+            frame.regs.(d) <- v) )
+  | Ir.Alloc (dst, ty, count) ->
+      let kinds = Layout.cell_kinds layout ty and count = rop count in
+      let d = dst.Ir.vslot and dloc = Events.Lreg dst.Ir.vid in
+      let alloc ctx = function
+        | VInt n when n >= 0 -> VPtr (Store.alloc ctx.st kinds ~count:n, 0)
+        | v -> trap "alloc with bad count %s" (to_string v)
+      in
+      let plain ctx frame = frame.regs.(d) <- alloc ctx (pread frame count) in
+      ( plain,
+        observe i plain (fun s ctx frame ->
+            let r = alloc ctx (oread s iid frame count) in
+            s.Events.on_write dloc iid;
+            frame.regs.(d) <- r) )
+  | Ir.Call (dst, name, args) -> compile_call funcs i dst name args
+  | Ir.Print v ->
+      let v = rop v in
+      let plain ctx frame = Store.print_value ctx.st (pread frame v) in
+      (plain, observe i plain (fun s ctx frame -> Store.print_value ctx.st (oread s iid frame v)))
+  | Ir.Prints str ->
+      let plain ctx _ = Store.print_string_ ctx.st str in
+      (plain, observe i plain (fun _ ctx _ -> Store.print_string_ ctx.st str))
+
+let compile_block funcs layout (b : Ir.block) =
+  let src = Array.of_list b.Ir.instrs in
+  let code = Array.map (compile_instr funcs layout) src in
+  {
+    db_src = src;
+    db_plain = Array.map fst code;
+    db_observed = Array.map snd code;
+    db_term =
+      (match b.Ir.bterm with
+      | Ir.Br t -> TBr t
+      | Ir.Cbr (c, a, b) -> TCbr (rop c, a, b)
+      | Ir.Ret op -> TRet (Option.map rop op));
+  }
+
+let compile_program (prog : Ir.program) =
+  let funcs = Hashtbl.create 16 in
+  let dfuncs = List.map (fun f -> { df_func = f; df_blocks = [||] }) prog.Ir.p_funcs in
+  List.iter (fun df -> Hashtbl.replace funcs df.df_func.Ir.fname df) dfuncs;
+  List.iter
+    (fun df -> df.df_blocks <- Array.map (compile_block funcs prog.Ir.p_layout) df.df_func.Ir.fblocks)
+    dfuncs;
+  funcs
+
+(* Compilation is pure per program, and the dynamic stage builds
+   evaluators for the same program over and over (one per whole-program
+   verification run), so compiled function tables are memoized on
+   physical program identity.  A compiled table is immutable once
+   published and its closures capture no state of a run, so every
+   context and every fork, on any domain, shares it; the mutex guards the
+   cache list and publishes the table.  The cache keeps the last few
+   programs alive — bounded, and negligible next to their heaps. *)
+let decode_cache : (Ir.program * (string, dfunc) Hashtbl.t) list ref = ref []
+let decode_cache_mutex = Mutex.create ()
+let decode_cache_limit = 8
+
+let decoded_funcs prog =
+  Mutex.protect decode_cache_mutex (fun () ->
+      match List.find_opt (fun (p, _) -> p == prog) !decode_cache with
+      | Some (_, funcs) -> funcs
+      | None ->
+          let funcs = compile_program prog in
+          decode_cache :=
+            (prog, funcs) :: List.filteri (fun k _ -> k < decode_cache_limit - 1) !decode_cache;
+          funcs)
+
+let create ?(fuel = default_fuel) ?deadline_ns ?heap_words ?checkpoint ?(input = []) prog =
+  {
+    prog;
+    st = Store.create ?mode:checkpoint prog ~input;
+    funcs = decoded_funcs prog;
+    sink = None;
+    nsteps = 0;
+    fuel;
+    deadline =
+      (match deadline_ns with
+      | None -> max_int
+      | Some d -> Dca_support.Telemetry.now_ns () + d);
+    heap_limit =
+      (match heap_words with
+      | None -> max_int
+      | Some w -> (Gc.quick_stat ()).Gc.heap_words + w);
+    next_guard = guard_interval;
+    interceptors = [];
+    filtered = [];
+  }
+
+let fork ctx =
+  {
+    prog = ctx.prog;
+    st = Store.copy ctx.st;
+    funcs = ctx.funcs;
+    sink = None;
+    nsteps = ctx.nsteps;
+    fuel = ctx.fuel;
+    deadline = ctx.deadline;
+    heap_limit = ctx.heap_limit;
+    next_guard = ctx.nsteps + guard_interval;
+    interceptors = [];
+    filtered = [];
+  }
+
+let store ctx = ctx.st
+let steps ctx = ctx.nsteps
+
+let set_limits ctx ~fuel ~deadline =
+  ctx.fuel <- fuel;
+  ctx.deadline <- deadline
+
+(* A run that executed the [n] instructions itself would have stopped at
+   the instruction that passed the bound, so the count stops there too. *)
+let charge ctx n =
+  ctx.nsteps <- ctx.nsteps + n;
+  if ctx.nsteps > ctx.fuel then begin
+    ctx.nsteps <- ctx.fuel + 1;
+    raise Out_of_fuel
+  end
+
+let set_sink ctx sink = ctx.sink <- sink
+let outputs ctx = Store.outputs ctx.st
 
 let exec_upto ctx frame ~start ~stop ~control = exec_from ctx frame start ~stop ~control ~src:(-1)
 
-let call_function ctx name args = call_user ctx name (Array.of_list args)
-
-let run_main ctx = ignore (call_user ctx "main" [||])
-
-let frame_for ctx fname =
-  match Hashtbl.find_opt ctx.funcs fname with
-  | Some f -> { ffunc = f.df_func; fcode = f.df_blocks; regs = Array.make f.df_func.Ir.fnslots VUndef }
-  | None -> invalid_arg (Printf.sprintf "Eval.frame_for: no function '%s'" fname)
+let run_main ctx = ignore (call_user ctx "main" (Hashtbl.find_opt ctx.funcs "main") [||])
 
 let copy_frame frame = { frame with regs = Array.copy frame.regs }
 

@@ -40,14 +40,20 @@ exception Heap_exhausted
 type ctx
 
 type dblock
-(** A basic block pre-decoded at {!create} time: instruction arrays with
-    constant operands resolved to ready-made values — the direct-threaded
-    form the hot loop executes instead of re-interpreting [Ir.instr]
-    lists. *)
+(** A basic block compiled when the program's first context is created:
+    one OCaml closure per instruction, with its operands resolved, in a
+    plain form that emits nothing and an observed form that emits the
+    instruction's sink events.  A block picks one of the two from the
+    context's sink when it starts, so a sink installed or removed while a
+    block runs — from a sink callback, or by an interceptor handler that
+    does not restore it — takes effect from the next block on.  Compiled
+    code is memoized per program and shared by every context and every
+    {!fork}, on any domain. *)
 
 type frame = { ffunc : Dca_ir.Ir.func; fcode : dblock array; regs : Value.t array }
-(** [fcode] is the decoded body of [ffunc]; build frames with
-    {!frame_for} or {!copy_frame} rather than by hand. *)
+(** [fcode] is the compiled body of [ffunc]; build frames with
+    {!copy_frame} (or receive them from an interceptor) rather than by
+    hand. *)
 
 val guard_interval : int
 (** Step period of the resource-guard check: the deadline and heap
@@ -78,7 +84,6 @@ val fork : ctx -> ctx
     parent's headroom at the fork point, and its guard checks count
     from the inherited step count. *)
 
-val program : ctx -> Dca_ir.Ir.program
 val store : ctx -> Store.t
 val steps : ctx -> int
 
@@ -97,22 +102,19 @@ val charge : ctx -> int -> unit
 val set_sink : ctx -> Events.sink option -> unit
 
 val run_main : ctx -> unit
-val call_function : ctx -> string -> Value.t list -> Value.t option
 val outputs : ctx -> string list
 
-val eval_operand : ctx -> frame -> Dca_ir.Ir.operand -> Value.t
-val read_var : frame -> Dca_ir.Ir.var -> Value.t
-val write_var : frame -> Dca_ir.Ir.var -> Value.t -> unit
-
-val frame_for : ctx -> string -> frame
-(** A fresh frame (all slots [VUndef]) for the named function.  Raises
-    [Invalid_argument] on an unknown function. *)
-
 val copy_frame : frame -> frame
-(** Same function and decoded code, private copy of the register file. *)
+(** Same function and compiled code, private copy of the register file. *)
 
 type step_control = {
-  sc_filter : Dca_ir.Ir.instr -> bool;  (** execute only instructions satisfying this *)
+  sc_filter : Dca_ir.Ir.instr -> bool;
+      (** execute only instructions satisfying this.  The filter must be a
+          pure function of the instruction: a context asks it about a
+          block's instructions the first time it enters the block under
+          that filter and keeps the answer, keyed on the filter closure's
+          physical identity — so build a filter once and reuse it, rather
+          than a new closure for every {!exec_upto}. *)
   sc_override : int -> int option;
       (** forced successor for the conditional terminator of the given
           block ([None] = evaluate the condition normally) *)

@@ -4,7 +4,8 @@
     reads/writes classified by location, control transfers between blocks,
     and call boundaries.  The dependence profiler, the coverage profiler
     and DCA's dynamic stage are all sinks; running without a sink costs
-    nothing but a branch per event site. *)
+    nothing per event: a block runs code compiled without event sites
+    unless the context has a sink when the block starts. *)
 
 type loc =
   | Lheap of int * int  (** heap block, cell offset *)

@@ -348,6 +348,24 @@ let test_outputs_equal_tolerant () =
   Alcotest.(check bool) "different text" false (Observable.outputs_equal [ "a" ] [ "b" ]);
   Alcotest.(check bool) "different lengths" false (Observable.outputs_equal [ "1" ] [ "1"; "2" ])
 
+(* A plain run allocates little more than the values it computes: at
+   most 4 minor words per executed instruction — a boxed int result is 2
+   words, a float 4 — with the program's code compiled beforehand. *)
+let test_minor_words_per_step () =
+  List.iter
+    (fun name ->
+      let bm = Dca_progs.Registry.find_exn name in
+      let p = Lower.compile ~file:name bm.Dca_progs.Benchmark.bm_source in
+      ignore (Eval.create p);
+      let words0 = Gc.minor_words () in
+      let ctx = Eval.create ~input:bm.Dca_progs.Benchmark.bm_input p in
+      Eval.run_main ctx;
+      let per_step = (Gc.minor_words () -. words0) /. float_of_int (Eval.steps ctx) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per step" name per_step)
+        true (per_step <= 4.0))
+    [ "LU"; "mst" ]
+
 let suites =
   [
     ( "interp",
@@ -367,6 +385,7 @@ let suites =
         Alcotest.test_case "trap oob" `Quick test_trap_out_of_bounds;
         Alcotest.test_case "fuel" `Quick test_fuel;
         Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
+        Alcotest.test_case "no allocation per plain step" `Quick test_minor_words_per_step;
       ] );
     ( "observable",
       [
