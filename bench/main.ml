@@ -97,11 +97,9 @@ let bechamel_tests () =
       (Dca_core.Session.Source { file = "<bench>"; source = quickstart_src; input = [] })
       (fun s -> ignore (Dca_core.Session.dca_results s))
   in
-  let profile =
-    let prog = Dca_ir.Lower.compile ~file:"<bench>" quickstart_src in
-    let info = Dca_analysis.Proginfo.analyze prog in
-    fun () -> ignore (Dca_profiling.Depprof.profile_program info)
-  in
+  let info = Dca_analysis.Proginfo.analyze (Dca_ir.Lower.compile ~file:"<bench>" quickstart_src) in
+  let cost_pass () = ignore (Dca_profiling.Depprof.profile_program info) in
+  let dependence_pass () = ignore (Dca_profiling.Depprof.dependences info) in
   let ep = Dca_progs.Registry.find_exn "EP" in
   let table_probe name f = Test.make ~name (Staged.stage f) in
   [
@@ -109,7 +107,8 @@ let bechamel_tests () =
     table_probe "static-analyses" analyze;
     table_probe "interpreter-run" interpret;
     table_probe "dca-full-pipeline" dca_detect;
-    table_probe "dependence-profiler" profile;
+    table_probe "profiler-cost-pass" cost_pass;
+    table_probe "profiler-dependence-pass" dependence_pass;
     (* one probe per table/figure driver: a full per-benchmark evaluation
        is the unit of work behind each of them (EP = smallest NPB) *)
     Test.make ~name:"table1-row(EP)" (Staged.stage (fun () -> ignore (Evaluation.evaluate ep)));
@@ -303,6 +302,24 @@ let run_interp () =
           let key = String.map (fun c -> if c = '-' then '_' else c) key in
           push (Printf.sprintf "dca_%s_%s" bm.Benchmark.bm_name key) (float_of_int v))
         counters)
+    bms;
+  (* 4. profiling: the cost pass every profile runs and the dependence
+     pass only the dependence baselines force, with the deterministic
+     total cost and dependence count beside them *)
+  List.iter
+    (fun bm ->
+      let open Dca_profiling in
+      let name = bm.Benchmark.bm_name and input = bm.Benchmark.bm_input in
+      let info = Dca_analysis.Proginfo.analyze (Benchmark.compile bm) in
+      push (Printf.sprintf "profile_cost_pass_%s_ns" name)
+        (sample_ns ~reps:reps_run (fun () -> ignore (Depprof.profile_program ~input info)));
+      push (Printf.sprintf "profile_dependence_pass_%s_ns" name)
+        (sample_ns ~reps:reps_run (fun () -> ignore (Depprof.dependences ~input info)));
+      let p = Depprof.profile_program ~input info in
+      push (Printf.sprintf "profile_%s_total_cost" name) (float_of_int p.Depprof.pr_total_cost);
+      push (Printf.sprintf "profile_%s_dependences" name)
+        (float_of_int
+           (Hashtbl.fold (fun id _ n -> n + List.length (Depprof.deps_of p id)) p.Depprof.pr_loops 0)))
     bms;
   let oc = open_out "BENCH_interp.json" in
   output_string oc "{\n";

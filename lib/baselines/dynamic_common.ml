@@ -19,7 +19,7 @@ type filters = {
 let raw_blockers (profile : Depprof.profile) (loop : Loops.loop) (filters : filters) =
   match Depprof.loop_profile profile loop.Loops.l_id with
   | None -> Error "loop not executed by the workload"
-  | Some lp ->
+  | Some _ ->
       let blocking =
         List.filter
           (fun (d : Depprof.dep) ->
@@ -36,7 +36,7 @@ let raw_blockers (profile : Depprof.profile) (loop : Loops.loop) (filters : filt
                       (List.mem
                          (d.Depprof.d_read_iid, d.Depprof.d_write_iid)
                          filters.fl_rmw_pairs)))
-          lp.Depprof.lp_deps
+          (Depprof.deps_of profile loop.Loops.l_id)
       in
       Ok blocking
 

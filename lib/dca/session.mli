@@ -140,8 +140,9 @@ val proginfo : t -> Dca_analysis.Proginfo.t
 (** All static analyses over {!ir}. *)
 
 val profile : t -> Dca_profiling.Depprof.profile
-(** One instrumented run: dependences, costs, coverage.  The run gets
-    the fuel of the session's run spec. *)
+(** One run under a control-only sink: costs and coverage.  The run
+    gets the fuel of the session's run spec, and so does the dependence
+    pass that {!Dca_profiling.Depprof.deps_of} runs on first demand. *)
 
 val dca_results : t -> Driver.loop_result list
 (** The DCA verdict for every loop, in program order.  Runs on the

@@ -19,7 +19,9 @@ exception Heap_exhausted
    instruction is compiled twice: a plain closure that emits nothing, and
    an observed one that emits exactly the sink events the instruction
    produces (its register locations are built with the closure).  A block
-   chooses one array from the context's sink when it starts. *)
+   chooses one array from the context's instruction sink when it starts:
+   under a control-only sink ({!set_sink}) it runs the plain closures and
+   only its transfers, calls and returns are reported. *)
 
 type rop =
   | Oconst of Value.t
@@ -50,7 +52,9 @@ and ctx = {
   prog : Ir.program;
   st : Store.t;
   funcs : (string, dfunc) Hashtbl.t;
-  mutable sink : Events.sink option;
+  mutable sink : Events.sink option;  (** receives control events: transfers, calls, returns *)
+  mutable isink : Events.sink option;
+      (** receives instruction events: [sink], or [None] under a control-only sink *)
   mutable nsteps : int;
   mutable fuel : int;  (** absolute step bound *)
   mutable deadline : int;  (** absolute [Telemetry.now_ns] bound; [max_int] = none *)
@@ -96,7 +100,7 @@ let oread (s : Events.sink) iid frame = function
       s.Events.on_read loc iid;
       reg frame slot v
 
-let emit_write ctx loc iid = match ctx.sink with Some s -> s.Events.on_write loc iid | None -> ()
+let emit_write ctx loc iid = match ctx.isink with Some s -> s.Events.on_write loc iid | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -168,17 +172,17 @@ let kept_code ctx frame filter bid blk =
 
 let block_code ctx frame control bid blk =
   match control with
-  | None -> ( match ctx.sink with None -> blk.db_plain | Some _ -> blk.db_observed)
+  | None -> ( match ctx.isink with None -> blk.db_plain | Some _ -> blk.db_observed)
   | Some c -> (
       let k = kept_code ctx frame c.sc_filter bid blk in
-      match ctx.sink with None -> k.k_plain | Some _ -> k.k_observed)
+      match ctx.isink with None -> k.k_plain | Some _ -> k.k_observed)
 
 (* Terminator operands: register reads are attributed to instruction id
    -1, constants are free. *)
 let term_read ctx frame = function
   | Oconst v -> v
   | Oreg (slot, v, loc) ->
-      (match ctx.sink with Some s -> s.Events.on_read loc (-1) | None -> ());
+      (match ctx.isink with Some s -> s.Events.on_read loc (-1) | None -> ());
       reg frame slot v
 
 let term_test ctx frame c = match term_read ctx frame c with VInt n -> n <> 0 | v -> truthy v
@@ -406,10 +410,10 @@ let store_cell ctx block off v = try Store.store ctx.st ~block ~off v with Failu
 let at (i : Ir.instr) = Dca_frontend.Loc.to_string i.Ir.iloc
 
 (* [observe i plain body]: the observed closure of [i].  It runs [plain]
-   if the sink went away since its block started. *)
+   if the instruction sink went away since its block started. *)
 let observe (i : Ir.instr) (plain : code) body : code =
  fun ctx frame ->
-  match ctx.sink with
+  match ctx.isink with
   | None -> plain ctx frame
   | Some s ->
       s.Events.on_exec i;
@@ -752,6 +756,7 @@ let create ?(fuel = default_fuel) ?deadline_ns ?heap_words ?checkpoint ?(input =
     st = Store.create ?mode:checkpoint prog ~input;
     funcs = decoded_funcs prog;
     sink = None;
+    isink = None;
     nsteps = 0;
     fuel;
     deadline =
@@ -773,6 +778,7 @@ let fork ctx =
     st = Store.copy ctx.st;
     funcs = ctx.funcs;
     sink = None;
+    isink = None;
     nsteps = ctx.nsteps;
     fuel = ctx.fuel;
     deadline = ctx.deadline;
@@ -798,7 +804,10 @@ let charge ctx n =
     raise Out_of_fuel
   end
 
-let set_sink ctx sink = ctx.sink <- sink
+let set_sink ?(control_only = false) ctx sink =
+  ctx.sink <- sink;
+  ctx.isink <- (if control_only then None else sink)
+
 let outputs ctx = Store.outputs ctx.st
 
 let exec_upto ctx frame ~start ~stop ~control = exec_from ctx frame start ~stop ~control ~src:(-1)

@@ -44,9 +44,10 @@ type dblock
     one OCaml closure per instruction, with its operands resolved, in a
     plain form that emits nothing and an observed form that emits the
     instruction's sink events.  A block picks one of the two from the
-    context's sink when it starts, so a sink installed or removed while a
-    block runs — from a sink callback, or by an interceptor handler that
-    does not restore it — takes effect from the next block on.  Compiled
+    context's sink when it starts (the plain form under a control-only
+    sink, {!set_sink}), so a sink installed or removed while a block runs
+    — from a sink callback, or by an interceptor handler that does not
+    restore it — takes effect from the next block on.  Compiled
     code is memoized per program and shared by every context and every
     {!fork}, on any domain. *)
 
@@ -99,7 +100,13 @@ val charge : ctx -> int -> unit
     passes the fuel bound, leaving {!steps} one past the bound, where
     executing the instructions on [ctx] would have stopped. *)
 
-val set_sink : ctx -> Events.sink option -> unit
+val set_sink : ?control_only:bool -> ctx -> Events.sink option -> unit
+(** Attach a sink ([None]: detach).  With [~control_only:true] the sink
+    receives only [on_block], [on_call] and [on_return], exactly as a full
+    sink does, and every block runs its plain closures: no [on_exec],
+    [on_read] or [on_write] fires, and a run costs what a run without a
+    sink costs plus one callback per control event.  {!steps} is the
+    clock such a sink reads: every executed instruction is one step. *)
 
 val run_main : ctx -> unit
 val outputs : ctx -> string list

@@ -2,10 +2,14 @@
 
     A sink receives the dynamic event stream: executed instructions,
     reads/writes classified by location, control transfers between blocks,
-    and call boundaries.  The dependence profiler, the coverage profiler
-    and DCA's dynamic stage are all sinks; running without a sink costs
-    nothing per event: a block runs code compiled without event sites
-    unless the context has a sink when the block starts. *)
+    and call boundaries.  DCA's golden recording and the profiler's
+    dependence pass are full sinks.  A sink attached as control-only
+    ([Eval.set_sink ~control_only:true]) receives only [on_block],
+    [on_call] and [on_return]: the profiler's cost pass is one.  Running
+    without a sink costs nothing per event, and neither does an
+    instruction under a control-only sink: a block runs code compiled
+    without event sites unless the context has a full sink when the block
+    starts. *)
 
 type loc =
   | Lheap of int * int  (** heap block, cell offset *)

@@ -13,25 +13,44 @@ type loop_profile = {
   mutable lp_invocations : invocation list;
   mutable lp_total_cost : int;
   mutable lp_total_iters : int;
-  mutable lp_deps : dep list;
+}
+
+(* A profile's loop-carried dependences: the dependence pass, run on the
+   first demand and kept.  The lock makes the memo safe to force from
+   several domains at once; the second waits for the first's table. *)
+type dependences = {
+  dp_lock : Mutex.t;
+  dp_pass : unit -> (string, dep list) Hashtbl.t;
+  mutable dp_table : (string, dep list) Hashtbl.t option;
 }
 
 type profile = {
   pr_loops : (string, loop_profile) Hashtbl.t;
   pr_total_cost : int;
   pr_buckets : (string list * int) list;
+  pr_deps : dependences;
 }
 
 let max_invocations_kept = 256
+let c_dependence_runs = Dca_support.Telemetry.counter "profiling.dependence_runs"
 
-(* Cost model: [on_exec] bumps one counter, [total], and every cost is a
-   difference of [total] taken where the stack of active loop contexts
-   changes.  A context stays active from its entry to its exit, so its
-   cost is [total] at exit minus [total] at entry; the instructions run
-   between two changes of the stack all go to that stack's bucket. *)
+(* Two passes run [main] with the same fuel and input and share the stack
+   of loop contexts below.  The cost pass attaches a control-only sink:
+   blocks run their plain closures, and only transfers, calls and returns
+   reach the profiler.  The dependence pass attaches a full sink and
+   keeps shadow memory of every register and heap access.
 
-(* One static loop: its output record and the invocations that record keeps. *)
-type loop_state = { ls_lp : loop_profile; mutable ls_kept : int }
+   Cost model: the evaluator's step counter is the clock, read at every
+   control event into [total], and every cost is a difference of [total]
+   taken where the stack of active loop contexts changes.  A context
+   stays active from its entry to its exit, so its cost is [total] at
+   exit minus [total] at entry; the instructions run between two changes
+   of the stack all go to that stack's bucket. *)
+
+(* One static loop: its output record, the invocations that record keeps,
+   and the dependences the dependence pass found in it, newest context
+   first. *)
+type loop_state = { ls_lp : loop_profile; mutable ls_kept : int; mutable ls_deps : dep list }
 
 (* A node of the trie of active-loop stacks: the coverage bucket of the
    stack spelled by its path from the root.  A bucket's key lists the
@@ -91,7 +110,7 @@ let no_shadow : int array = [||]
 let new_region size = { r_size = size; r_depths = [||] }
 let no_region = new_region 0
 
-type t = {
+type shadow = {
   store : Store.t;
   iid_bits : int;  (** every [iid + 1] fits in this many bits *)
   regs : region;
@@ -100,7 +119,11 @@ type t = {
   mutable heap : region array;  (** by block id; [no_region] until touched *)
   stray : (Events.loc, region) Hashtbl.t;
       (** locations that are no cell: the evaluator traps right after them *)
-  mutable total : int;
+}
+
+type t = {
+  shadow : shadow option;  (** the dependence pass's; [None] in the cost pass *)
+  mutable total : int;  (** [Eval.steps] at the latest control event *)
   mutable flushed : int;  (** [total] at the last change of the stack *)
   root : bucket;
   states : (string, loop_state) Hashtbl.t;
@@ -139,12 +162,12 @@ let id_bounds (p : Dca_ir.Ir.program) =
   (!max_vid, !max_iid)
 
 (* A dependence of [kind] from instruction [w1 - 1] to [r1 - 1]. *)
-let dep_key t kind w1 r1 =
+let dep_key sd kind w1 r1 =
   let k = match kind with Raw -> 0 | War -> 1 | Waw -> 2 in
-  (((w1 lsl t.iid_bits) lor r1) lsl 2) lor k
+  (((w1 lsl sd.iid_bits) lor r1) lsl 2) lor k
 
-let note t cx sh slot kind w1 r1 loc =
-  let key = dep_key t kind w1 r1 in
+let note sd cx sh slot kind w1 r1 loc =
+  let key = dep_key sd kind w1 r1 in
   if sh.(slot) <> key then begin
     if not (Keys.mem cx.cx_keys key) then begin
       Keys.replace cx.cx_keys key ();
@@ -156,7 +179,7 @@ let note t cx sh slot kind w1 r1 loc =
 
 (* Location [i] of region [r] is accessed: update its record in every
    active context and note the cross-iteration dependences it closes. *)
-let touch t r i is_write loc iid =
+let touch t sd r i is_write loc iid =
   let n = Array.length r.r_depths in
   if n < t.depth then begin
     let bigger = Array.make (Array.length t.stack) no_shadow in
@@ -164,7 +187,7 @@ let touch t r i is_write loc iid =
     r.r_depths <- bigger
   end;
   let o = i * stride in
-  let mask = (1 lsl t.iid_bits) - 1 in
+  let mask = (1 lsl sd.iid_bits) - 1 in
   for d = 0 to t.depth - 1 do
     let cx = t.stack.(d) in
     let sh =
@@ -187,51 +210,51 @@ let touch t r i is_write loc iid =
     let now = cx.cx_stamp in
     let lw = sh.(o + f_write) in
     if is_write then begin
-      if lw >= 0 && lw < now then note t cx sh (o + f_waw) Waw (lw land mask) (iid + 1) loc;
+      if lw >= 0 && lw < now then note sd cx sh (o + f_waw) Waw (lw land mask) (iid + 1) loc;
       let lr = sh.(o + f_read) in
-      if lr >= 0 && lr < now then note t cx sh (o + f_war) War (iid + 1) (lr land mask) loc;
+      if lr >= 0 && lr < now then note sd cx sh (o + f_war) War (iid + 1) (lr land mask) loc;
       sh.(o + f_write) <- now lor (iid + 1)
     end
     else begin
-      if lw >= 0 && lw < now then note t cx sh (o + f_raw) Raw (lw land mask) (iid + 1) loc;
+      if lw >= 0 && lw < now then note sd cx sh (o + f_raw) Raw (lw land mask) (iid + 1) loc;
       sh.(o + f_read) <- now lor (iid + 1)
     end
   done
 
-let heap_region t b =
-  if b >= 0 && b < Array.length t.heap && t.heap.(b) != no_region then t.heap.(b)
+let heap_region sd b =
+  if b >= 0 && b < Array.length sd.heap && sd.heap.(b) != no_region then sd.heap.(b)
   else
-    match Store.block_size t.store b with
+    match Store.block_size sd.store b with
     | None -> no_region
     | Some size ->
-        let cap = Array.length t.heap in
+        let cap = Array.length sd.heap in
         if b >= cap then begin
           let bigger = Array.make (max (2 * cap) (b + 1)) no_region in
-          Array.blit t.heap 0 bigger 0 cap;
-          t.heap <- bigger
+          Array.blit sd.heap 0 bigger 0 cap;
+          sd.heap <- bigger
         end;
         let r = new_region size in
-        t.heap.(b) <- r;
+        sd.heap.(b) <- r;
         r
 
-let stray_region t loc =
-  match Hashtbl.find_opt t.stray loc with
+let stray_region sd loc =
+  match Hashtbl.find_opt sd.stray loc with
   | Some r -> r
   | None ->
       let r = new_region 1 in
-      Hashtbl.replace t.stray loc r;
+      Hashtbl.replace sd.stray loc r;
       r
 
-let access t is_write (loc : Events.loc) iid =
+let access t sd is_write (loc : Events.loc) iid =
   if t.depth > 0 then
     match loc with
-    | Events.Lreg v -> touch t t.regs v is_write loc iid
-    | Events.Lglob s -> touch t t.globs s is_write loc iid
-    | Events.Lrng -> touch t t.rng 0 is_write loc iid
+    | Events.Lreg v -> touch t sd sd.regs v is_write loc iid
+    | Events.Lglob s -> touch t sd sd.globs s is_write loc iid
+    | Events.Lrng -> touch t sd sd.rng 0 is_write loc iid
     | Events.Lheap (b, off) ->
-        let r = heap_region t b in
-        if off >= 0 && off < r.r_size then touch t r off is_write loc iid
-        else touch t (stray_region t loc) 0 is_write loc iid
+        let r = heap_region sd b in
+        if off >= 0 && off < r.r_size then touch t sd r off is_write loc iid
+        else touch t sd (stray_region sd loc) 0 is_write loc iid
 
 let top_bucket t = if t.depth = 0 then t.root else t.stack.(t.depth - 1).cx_bucket
 
@@ -246,13 +269,14 @@ let state_of t (l : Loops.loop) =
   match Hashtbl.find_opt t.states l.Loops.l_id with
   | Some st -> st
   | None ->
-      let lp = { lp_invocations = []; lp_total_cost = 0; lp_total_iters = 0; lp_deps = [] } in
+      let lp = { lp_invocations = []; lp_total_cost = 0; lp_total_iters = 0 } in
       Hashtbl.replace t.loops l.Loops.l_id lp;
-      let st = { ls_lp = lp; ls_kept = 0 } in
+      let st = { ls_lp = lp; ls_kept = 0; ls_deps = [] } in
       Hashtbl.replace t.states l.Loops.l_id st;
       st
 
 let new_bucket callers frame = { b_callers = callers; b_frame = frame; b_cost = 0; b_children = [] }
+let no_keys : unit Keys.t = Keys.create 0
 
 (* Enter loop [l]; [opens] when it is the first active loop of its frame. *)
 let push t (l : Loops.loop) ~opens =
@@ -282,7 +306,7 @@ let push t (l : Loops.loop) ~opens =
       cx_stamp = 0;
       cx_iter_start = t.total;
       cx_costs_rev = [];
-      cx_keys = Keys.create 16;
+      cx_keys = (if Option.is_some t.shadow then Keys.create 16 else no_keys);
       cx_deps = [];
     }
   in
@@ -294,29 +318,38 @@ let push t (l : Loops.loop) ~opens =
   t.stack.(t.depth) <- cx;
   t.depth <- t.depth + 1
 
+(* The cost pass keeps iteration costs only while the invocation can still
+   be kept: [ls_kept] never decreases, so one that starts an iteration
+   with the loop's quota full is dropped at exit. *)
 let next_iteration t cx =
-  cx.cx_costs_rev <- (t.total - cx.cx_iter_start) :: cx.cx_costs_rev;
+  (match t.shadow with
+  | None ->
+      if cx.cx_state.ls_kept < max_invocations_kept then
+        cx.cx_costs_rev <- (t.total - cx.cx_iter_start) :: cx.cx_costs_rev
+  | Some sd -> cx.cx_stamp <- cx.cx_stamp + (1 lsl sd.iid_bits));
   cx.cx_iter_start <- t.total;
-  cx.cx_iter <- cx.cx_iter + 1;
-  cx.cx_stamp <- cx.cx_stamp + (1 lsl t.iid_bits)
+  cx.cx_iter <- cx.cx_iter + 1
 
-(* Finalize the top context.  Iteration 0's cost runs from entry to the
-   first back edge; the last entry covers the exit path of the last
-   iteration.  A loop keeps its first [max_invocations_kept] invocations,
-   most recent first. *)
+(* Finalize the top context: the cost pass records its costs, the
+   dependence pass its dependences.  Iteration 0's cost runs from entry
+   to the first back edge; the last entry covers the exit path of the
+   last iteration.  A loop keeps its first [max_invocations_kept]
+   invocations, most recent first. *)
 let pop t =
   t.depth <- t.depth - 1;
   let cx = t.stack.(t.depth) in
   let st = cx.cx_state in
-  let lp = st.ls_lp in
-  if st.ls_kept < max_invocations_kept then begin
-    let costs = Array.of_list (List.rev ((t.total - cx.cx_iter_start) :: cx.cx_costs_rev)) in
-    lp.lp_invocations <- { inv_iters = cx.cx_iter + 1; inv_iter_costs = costs } :: lp.lp_invocations;
-    st.ls_kept <- st.ls_kept + 1
-  end;
-  lp.lp_total_cost <- lp.lp_total_cost + (t.total - cx.cx_entry);
-  lp.lp_total_iters <- lp.lp_total_iters + cx.cx_iter + 1;
-  lp.lp_deps <- cx.cx_deps @ lp.lp_deps
+  match t.shadow with
+  | Some _ -> st.ls_deps <- cx.cx_deps @ st.ls_deps
+  | None ->
+      let lp = st.ls_lp in
+      if st.ls_kept < max_invocations_kept then begin
+        let costs = Array.of_list (List.rev ((t.total - cx.cx_iter_start) :: cx.cx_costs_rev)) in
+        lp.lp_invocations <- { inv_iters = cx.cx_iter + 1; inv_iter_costs = costs } :: lp.lp_invocations;
+        st.ls_kept <- st.ls_kept + 1
+      end;
+      lp.lp_total_cost <- lp.lp_total_cost + (t.total - cx.cx_entry);
+      lp.lp_total_iters <- lp.lp_total_iters + cx.cx_iter + 1
 
 let on_block t ~src ~dst =
   match t.frames with
@@ -355,19 +388,26 @@ let rec collect_buckets b acc =
   let acc = if b.b_cost > 0 then (b.b_callers @ b.b_frame, b.b_cost) :: acc else acc in
   List.fold_left (fun acc (_, _, c) -> collect_buckets c acc) acc b.b_children
 
-let profile_program ?fuel ?input (info : Proginfo.t) =
+let new_shadow store prog =
+  let max_vid, max_iid = id_bounds prog in
+  {
+    store;
+    iid_bits = bits (max_iid + 1);
+    regs = new_region (max_vid + 1);
+    globs = new_region (Array.length prog.Dca_ir.Ir.p_globals);
+    rng = new_region 1;
+    heap = [||];
+    stray = Hashtbl.create 8;
+  }
+
+(* Run [main] once with the context stack attached, with shadow memory
+   when [deps], and unwind what is left when it returns. *)
+let run_pass ?fuel ?input (info : Proginfo.t) ~deps =
   let prog = Proginfo.program info in
   let ctx = Eval.create ?fuel ?input prog in
-  let max_vid, max_iid = id_bounds prog in
   let t =
     {
-      store = Eval.store ctx;
-      iid_bits = bits (max_iid + 1);
-      regs = new_region (max_vid + 1);
-      globs = new_region (Array.length prog.Dca_ir.Ir.p_globals);
-      rng = new_region 1;
-      heap = [||];
-      stray = Hashtbl.create 8;
+      shadow = (if deps then Some (new_shadow (Eval.store ctx) prog) else None);
       total = 0;
       flushed = 0;
       root = new_bucket [] [];
@@ -379,28 +419,59 @@ let profile_program ?fuel ?input (info : Proginfo.t) =
       frames = [];
     }
   in
-  let sink =
+  let control =
     {
-      Events.on_exec = (fun _ -> t.total <- t.total + 1);
-      on_read = (fun loc iid -> access t false loc iid);
-      on_write = (fun loc iid -> access t true loc iid);
-      on_block = (fun ~fname:_ ~src ~dst -> on_block t ~src ~dst);
+      Events.null_sink with
+      on_block =
+        (fun ~fname:_ ~src ~dst ->
+          t.total <- Eval.steps ctx;
+          on_block t ~src ~dst);
       on_call =
         (fun fname ->
           let fi = Proginfo.func_info info fname in
           t.frames <- (fi.Proginfo.fi_forest, t.depth) :: t.frames);
-      on_return = (fun _ -> on_return t);
+      on_return =
+        (fun _ ->
+          t.total <- Eval.steps ctx;
+          on_return t);
     }
   in
-  Eval.set_sink ctx (Some sink);
+  (match t.shadow with
+  | None -> Eval.set_sink ~control_only:true ctx (Some control)
+  | Some sd ->
+      Eval.set_sink ctx
+        (Some
+           {
+             control with
+             on_read = (fun loc iid -> access t sd false loc iid);
+             on_write = (fun loc iid -> access t sd true loc iid);
+           }));
   Eval.run_main ctx;
   Eval.set_sink ctx None;
   (* unwind anything left (main returned) *)
+  t.total <- Eval.steps ctx;
   flush t;
   while t.depth > 0 do
     pop t
   done;
-  { pr_loops = t.loops; pr_total_cost = t.total; pr_buckets = collect_buckets t.root [] }
+  t
+
+let dependences ?fuel ?input info =
+  Dca_support.Telemetry.incr c_dependence_runs;
+  let t = run_pass ?fuel ?input info ~deps:true in
+  let deps = Hashtbl.create (Hashtbl.length t.states) in
+  Hashtbl.iter (fun id st -> Hashtbl.replace deps id st.ls_deps) t.states;
+  deps
+
+let profile_program ?fuel ?input (info : Proginfo.t) =
+  let t = run_pass ?fuel ?input info ~deps:false in
+  {
+    pr_loops = t.loops;
+    pr_total_cost = t.total;
+    pr_buckets = collect_buckets t.root [];
+    pr_deps =
+      { dp_lock = Mutex.create (); dp_pass = (fun () -> dependences ?fuel ?input info); dp_table = None };
+  }
 
 let loop_profile p id = Hashtbl.find_opt p.pr_loops id
 
@@ -416,4 +487,18 @@ let coverage_of p detected =
     float_of_int covered /. float_of_int p.pr_total_cost
   end
 
-let deps_of p id = match loop_profile p id with Some lp -> lp.lp_deps | None -> []
+let forced p =
+  let d = p.pr_deps in
+  Mutex.protect d.dp_lock (fun () ->
+      match d.dp_table with
+      | Some deps -> deps
+      | None ->
+          let deps = d.dp_pass () in
+          d.dp_table <- Some deps;
+          deps)
+
+(* A loop that never ran has no dependences, and asks for no pass. *)
+let deps_of p id =
+  match loop_profile p id with
+  | None -> []
+  | Some _ -> Option.value (Hashtbl.find_opt (forced p) id) ~default:[]

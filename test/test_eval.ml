@@ -46,7 +46,7 @@ module Compiled : EVAL = struct
   let outputs = E.outputs
   let steps = E.steps
   let store = E.store
-  let set_sink = E.set_sink
+  let set_sink ctx s = E.set_sink ctx s
   let set_fuel ctx fuel = E.set_limits ctx ~fuel ~deadline:max_int
   let regs (f : frame) = f.E.regs
   let add_interceptor = E.add_interceptor
@@ -327,17 +327,20 @@ let test_registry () =
       check_controlled bm.bm_name prog bm.bm_input)
     Dca_progs.Registry.all
 
-let test_corpus () =
+(* The corpus programs, by file name. *)
+let corpus () =
   let dir = if Sys.file_exists "corpus" then "corpus" else Filename.concat "test" "corpus" in
-  let files =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".mc")
-    |> List.sort compare
-  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".mc")
+  |> List.sort compare
+  |> List.map (fun f -> (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+
+let test_corpus () =
+  let files = corpus () in
   Alcotest.(check int) "corpus programs" 10 (List.length files);
   List.iter
-    (fun f ->
-      let prog = compile f (In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all) in
+    (fun (f, src) ->
+      let prog = compile f src in
       check_runs f prog [];
       check_controlled f prog [])
     files
@@ -451,6 +454,51 @@ let test_edges () =
          if name = "pick" then (name, [ List.hd args ]) else (name, args)))
     "arity mismatch calling pick"
 
+(* ------------------------------------------------------------------ *)
+(* Control-only sinks                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A recording sink that records only transfers, calls and returns. *)
+let control_events r =
+  { (sink r) with Events.on_exec = ignore; on_read = (fun _ _ -> ()); on_write = (fun _ _ -> ()) }
+
+(* Under a control-only sink a run is a plain run — the same outputs,
+   steps and ending, also when the fuel runs out — whose sink sees the
+   control part of what a full sink sees, and no instruction event. *)
+let check_control_only name prog input =
+  let run ?fuel ?control_only sink =
+    let ctx = Eval.create ?fuel ~input prog in
+    Option.iter (fun s -> Eval.set_sink ?control_only ctx (Some s)) sink;
+    let e = match Eval.run_main ctx with () -> "completed" | exception ex -> Compiled.describe ex in
+    let steps = Eval.steps ctx in
+    (Printf.sprintf "%s; steps %d; outputs [%s]" e steps (String.concat "|" (Eval.outputs ctx)), steps)
+  in
+  let instruction_events = ref 0 in
+  let count _ = incr instruction_events in
+  let control_only r =
+    { (control_events r) with Events.on_exec = count; on_read = (fun _ -> count); on_write = (fun _ -> count) }
+  in
+  let plain, steps = run None in
+  let full = recorder () and control = recorder () in
+  ignore (run (Some (control_events full)));
+  Alcotest.(check string) (name ^ ": control-only run") plain
+    (fst (run ~control_only:true (Some (control_only control))));
+  Alcotest.(check string) (name ^ ": control events" ^ divergence full control) (stream full) (stream control);
+  Alcotest.(check bool) (name ^ ": control events seen") true (control.events > 0);
+  let fuel = steps / 2 in
+  Alcotest.(check string)
+    (Printf.sprintf "%s: control-only run, fuel %d" name fuel)
+    (fst (run ~fuel None))
+    (fst (run ~fuel ~control_only:true (Some (control_only (recorder ())))));
+  Alcotest.(check int) (name ^ ": instruction events under a control-only sink") 0 !instruction_events
+
+let test_control_only () =
+  List.iter
+    (fun (bm : Dca_progs.Benchmark.t) -> check_control_only bm.bm_name (compile bm.bm_name bm.bm_source) bm.bm_input)
+    Dca_progs.Registry.all;
+  List.iter (fun (f, src) -> check_control_only f (compile f src) []) (corpus ());
+  List.iter (fun (name, src, _) -> check_control_only name (compile name src) []) trap_programs
+
 let suites =
   [
     ( "eval",
@@ -459,5 +507,6 @@ let suites =
         Alcotest.test_case "corpus programs match the reference" `Quick test_corpus;
         Alcotest.test_case "generated programs match the reference" `Quick test_generated;
         Alcotest.test_case "edge programs match the reference" `Quick test_edges;
+        Alcotest.test_case "control-only sinks" `Quick test_control_only;
       ] );
   ]

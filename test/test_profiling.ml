@@ -179,7 +179,8 @@ let test_rng_dependence () =
 
 (* A profile as plain data: total cost, buckets as a sorted list, and per
    loop (by id) the total cost, the iterations, and the kept invocations
-   and the dependences in order. *)
+   and the dependences in order.  The cost pass gives all but the
+   dependences; reading them forces the dependence pass. *)
 let view_of total buckets loops =
   (total, List.sort compare buckets, List.sort compare loops)
 
@@ -194,7 +195,7 @@ let view (p : Depprof.profile) =
              List.map
                (fun (d : Depprof.dep) ->
                  (Depprof.dep_kind_to_string d.d_kind, d.d_write_iid, d.d_read_iid, d.d_loc))
-               lp.lp_deps ) )
+               (Depprof.deps_of p id) ) )
          :: acc)
        p.Depprof.pr_loops [])
 
@@ -291,8 +292,9 @@ let test_edge_cases_match_reference () =
 (* Locations that are no cell                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* An access outside every block traps exactly as in a plain run, and
-   the profiler allocates nothing sized by the stray offset. *)
+(* An access outside every block traps exactly as in a plain run, in the
+   cost pass and in the dependence pass, and the dependence pass
+   allocates nothing sized by the stray offset. *)
 let test_stray_locations_trap () =
   let trap_of f = match f () with () -> None | exception Dca_interp.Eval.Trap msg -> Some msg in
   List.iter
@@ -306,11 +308,13 @@ let test_stray_locations_trap () =
       let plain = trap_of (fun () -> Dca_interp.Eval.run_main (Dca_interp.Eval.create prog)) in
       Alcotest.(check (option string)) (what ^ ": plain run") (Some expected) plain;
       let info = Proginfo.analyze prog in
+      let profiled = trap_of (fun () -> ignore (Depprof.profile_program info)) in
+      Alcotest.(check (option string)) (what ^ ": cost pass") plain profiled;
       Gc.full_major ();
       let before = (Gc.quick_stat ()).Gc.heap_words in
-      let profiled = trap_of (fun () -> ignore (Depprof.profile_program info)) in
+      let deps = trap_of (fun () -> ignore (Depprof.dependences info)) in
       let grown = (Gc.quick_stat ()).Gc.heap_words - before in
-      Alcotest.(check (option string)) (what ^ ": profiled run") plain profiled;
+      Alcotest.(check (option string)) (what ^ ": dependence pass") plain deps;
       Alcotest.(check bool)
         (Printf.sprintf "%s: major heap grew by %d words" what grown)
         true (grown < 1_000_000))
@@ -321,6 +325,57 @@ let test_stray_locations_trap () =
         "memory trap: out-of-bounds load at block 0 offset 1000000000" );
       ("block without cells", "p[i] = s;", "memory trap: out-of-bounds store at block 1 offset 0");
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Who runs the dependence pass                                        *)
+(* ------------------------------------------------------------------ *)
+
+let dependence_runs f =
+  let c = Dca_support.Telemetry.Ctx.create ~counting:true () in
+  let v = Dca_support.Telemetry.with_ctx c f in
+  let counters = Dca_support.Telemetry.Ctx.counters c in
+  (v, Option.value (List.assoc_opt "profiling.dependence_runs" counters) ~default:0)
+
+(* The plan, the advice and the speedup model read costs and buckets
+   only; the baselines read dependences, and a profile runs their pass
+   once however often and from however many domains they are read. *)
+let test_dependences_on_demand () =
+  let bm = Dca_progs.Registry.find_exn "IS" in
+  let (), runs =
+    dependence_runs (fun () ->
+        Dca_core.Session.with_session
+          ~options:Dca_core.Session.Options.(default |> with_jobs 1)
+          (Dca_core.Session.Benchmark bm)
+          (fun s ->
+            let plan = Dca_core.Session.plan s in
+            ignore (Dca_core.Session.advise s);
+            ignore
+              (Dca_parallel.Speedup.simulate ~machine:Dca_parallel.Machine.default
+                 (Dca_core.Session.proginfo s) (Dca_core.Session.profile s) plan)))
+  in
+  Alcotest.(check int) "plan, advise and speedup run no dependence pass" 0 runs;
+  let info = Proginfo.analyze (Dca_progs.Benchmark.compile bm) in
+  let input = bm.Dca_progs.Benchmark.bm_input in
+  let ids p = Hashtbl.fold (fun id _ acc -> id :: acc) p.Depprof.pr_loops [] |> List.sort compare in
+  let p, runs = dependence_runs (fun () -> Depprof.profile_program ~input info) in
+  Alcotest.(check int) "profiling runs no dependence pass" 0 runs;
+  let all_deps p = List.map (fun id -> (id, Depprof.deps_of p id)) (ids p) in
+  let first, runs = dependence_runs (fun () -> all_deps p) in
+  let again, more = dependence_runs (fun () -> all_deps p) in
+  Alcotest.(check int) "reading every loop's dependences runs one pass" 1 runs;
+  Alcotest.(check int) "reading them again runs none" 0 more;
+  Alcotest.(check bool) "the same dependences both times" true (first = again);
+  Alcotest.(check bool) "IS carries dependences" true (List.exists (fun (_, d) -> d <> []) first);
+  let _, runs = dependence_runs (fun () -> Depprof.deps_of p "no such loop") in
+  Alcotest.(check int) "an unknown loop runs no pass" 0 runs;
+  let p = Depprof.profile_program ~input info in
+  let both, runs =
+    dependence_runs (fun () ->
+        Dca_support.Pool.with_pool ~jobs:2 (fun pool ->
+            Dca_support.Pool.map pool (fun () -> all_deps p) [ (); () ]))
+  in
+  Alcotest.(check int) "two domains forcing it at once run one pass" 1 runs;
+  List.iter (fun d -> Alcotest.(check bool) "both domains read the same" true (d = first)) both
 
 let suites =
   [
@@ -339,5 +394,6 @@ let suites =
         Alcotest.test_case "generated match reference" `Quick test_generated_match_reference;
         Alcotest.test_case "edge cases match reference" `Quick test_edge_cases_match_reference;
         Alcotest.test_case "stray locations trap" `Quick test_stray_locations_trap;
+        Alcotest.test_case "dependences on demand" `Quick test_dependences_on_demand;
       ] );
   ]
