@@ -283,7 +283,10 @@ let run_interp () =
   (* 3. the full dynamic stage: golden recording plus every schedule
      replay — timed, and its work counters recorded alongside: the
      counters are deterministic, so a counter drift between two runs of
-     this harness is an analysis change, not noise *)
+     this harness is an analysis change, not noise.  BT and perimeter
+     weigh golden recording most (perimeter promotes twice); the
+     attribution passes of the promotions are counted beside the
+     report's counters. *)
   List.iter
     (fun bm ->
       let seq_opts = Dca_core.Session.Options.(default |> with_jobs 1) in
@@ -293,16 +296,21 @@ let run_interp () =
               (fun s -> ignore (Dca_core.Session.dca_results s)))
       in
       push (Printf.sprintf "dca_dynamic_%s_ns" bm.Benchmark.bm_name) ns;
-      let counters =
-        Dca_core.Session.with_session ~options:seq_opts (Dca_core.Session.Benchmark bm) (fun s ->
-            Dca_core.Report.counters (Dca_core.Session.dca_results s))
+      let tele = Telemetry.Ctx.create ~counting:true () in
+      let counters, attributions =
+        Dca_core.Session.with_session
+          ~options:Dca_core.Session.Options.(seq_opts |> with_telemetry tele)
+          (Dca_core.Session.Benchmark bm)
+          (fun s ->
+            let counters = Dca_core.Report.counters (Dca_core.Session.dca_results s) in
+            (counters, Option.value (List.assoc_opt "dca.attribution_runs" (Dca_core.Session.telemetry s)) ~default:0))
       in
       List.iter
         (fun (key, v) ->
           let key = String.map (fun c -> if c = '-' then '_' else c) key in
           push (Printf.sprintf "dca_%s_%s" bm.Benchmark.bm_name key) (float_of_int v))
-        counters)
-    bms;
+        (counters @ [ ("attribution_runs", attributions) ]))
+    (bms @ [ Registry.find_exn "BT"; Registry.find_exn "perimeter" ]);
   (* 4. profiling: the cost pass every profile runs and the dependence
      pass only the dependence baselines force, with the deterministic
      total cost and dependence count beside them *)

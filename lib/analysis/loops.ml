@@ -12,9 +12,11 @@ type loop = {
   l_parent : string option;
   mutable l_children : string list;
   l_loc : Dca_frontend.Loc.t;
+  l_member : Bytes.t;
 }
 
-type forest = { by_id : (string, loop) Hashtbl.t; by_header : (int, loop) Hashtbl.t; ordered : loop list }
+(* [headers] is indexed by block id: the loop a block heads, if any. *)
+type forest = { by_id : (string, loop) Hashtbl.t; headers : loop option array; ordered : loop list }
 
 let loop_id fname header = Printf.sprintf "%s#%d" fname header
 
@@ -84,7 +86,8 @@ let analyze cfg =
     | (h', _, _, _) :: _ -> Some h'
     | [] -> None
   in
-  let by_id = Hashtbl.create 8 and by_header = Hashtbl.create 8 in
+  let nblocks = Cfg.nblocks cfg in
+  let by_id = Hashtbl.create 8 and headers = Array.make nblocks None in
   let depth_memo = Hashtbl.create 8 in
   let parent_tbl = Hashtbl.create 8 in
   List.iter
@@ -121,10 +124,14 @@ let analyze cfg =
             l_parent = Option.map (loop_id fname) parent;
             l_children = [];
             l_loc = (Cfg.block cfg header).Ir.bloc;
+            l_member =
+              (let m = Bytes.make nblocks '\000' in
+               Intset.iter (fun b -> Bytes.set m b '\001') blocks;
+               m);
           }
         in
         Hashtbl.replace by_id l.l_id l;
-        Hashtbl.replace by_header header l;
+        headers.(header) <- Some l;
         l)
       raw
   in
@@ -137,13 +144,13 @@ let analyze cfg =
       | None -> ())
     loops;
   let ordered = List.sort (fun a b -> compare (a.l_depth, a.l_header) (b.l_depth, b.l_header)) loops in
-  { by_id; by_header; ordered }
+  { by_id; headers; ordered }
 
 let loops forest = forest.ordered
 let find forest id = Hashtbl.find_opt forest.by_id id
-let loop_of_header forest h = Hashtbl.find_opt forest.by_header h
+let loop_of_header forest h = if h >= 0 && h < Array.length forest.headers then forest.headers.(h) else None
 
-let contains_block l b = Intset.mem b l.l_blocks
+let contains_block l b = b >= 0 && b < Bytes.length l.l_member && Bytes.unsafe_get l.l_member b <> '\000'
 
 let innermost_containing forest b =
   List.fold_left

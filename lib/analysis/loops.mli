@@ -16,6 +16,9 @@ type loop = {
   l_parent : string option;
   mutable l_children : string list;
   l_loc : Dca_frontend.Loc.t;  (** source location of the header block *)
+  l_member : Bytes.t;
+      (** one byte per block id of the function, nonzero for the blocks of
+          [l_blocks]: the table {!contains_block} reads *)
 }
 
 type forest
@@ -27,12 +30,20 @@ val loops : forest -> loop list
     then by header id). *)
 
 val find : forest -> string -> loop option
+
 val loop_of_header : forest -> int -> loop option
+(** The loop the block heads, read from an array indexed by block id
+    that is built with the forest; [None] for any other id, in range or
+    not. *)
 
 val innermost_containing : forest -> int -> loop option
 (** Innermost loop whose body contains the block. *)
 
 val contains_block : loop -> int -> bool
+(** [Intset.mem b l.l_blocks], as one byte read: the dynamic stage and
+    the profiler ask it on every block transfer.  [false] for an id
+    outside the function's blocks. *)
+
 val top_level : forest -> loop list
 
 val instrs_of : Dca_ir.Cfg.t -> loop -> Dca_ir.Ir.instr list

@@ -96,6 +96,7 @@ let c_promotions = Telemetry.counter "dca.promotions"
 let c_escalated = Telemetry.counter "dca.loops_escalated"
 let c_program_runs = Telemetry.counter "dca.program_runs"
 let c_wp_schedule_runs = Telemetry.counter "dca.wp_schedule_runs"
+let c_attribution_runs = Telemetry.counter "dca.attribution_runs"
 let c_instructions = Telemetry.counter "interp.instructions"
 
 (* Fault points of the dynamic stage.  [trap]/[fuel] actions map onto the
@@ -115,37 +116,6 @@ let fault_hit ?ctx site name =
 (* ------------------------------------------------------------------ *)
 (* Golden recording                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* Memory locations, hashed without the polymorphic hash. *)
-module Loc_tbl = Hashtbl.Make (struct
-  type t = Events.loc
-
-  let equal (a : t) (b : t) =
-    match (a, b) with
-    | Events.Lheap (b1, o1), Events.Lheap (b2, o2) -> b1 = b2 && o1 = o2
-    | Events.Lglob s1, Events.Lglob s2 -> s1 = s2
-    | Events.Lreg v1, Events.Lreg v2 -> v1 = v2
-    | Events.Lrng, Events.Lrng -> true
-    | _ -> false
-
-  let mix h =
-    let h = h * 0x2545F4914F6CDD1D in
-    h lxor (h lsr 29)
-
-  let hash = function
-    | Events.Lheap (b, o) -> mix ((b lsl 32) + o)
-    | Events.Lglob s -> mix (s lor (1 lsl 61))
-    | Events.Lreg v -> mix (v lor (1 lsl 60))
-    | Events.Lrng -> 1
-end)
-
-(* Memory footprint of the golden run, split by slice/payload attribution. *)
-type footprint = {
-  fp_slice_reads : unit Loc_tbl.t;
-  fp_slice_writes : unit Loc_tbl.t;
-  fp_payload_reads : Intset.t ref Loc_tbl.t;  (** loc → payload iids *)
-  fp_payload_writes : Intset.t ref Loc_tbl.t;
-}
 
 (* Slice or payload role of every instruction id of a separation's loop,
    in an array over the ids' range — classified once per separation, so
@@ -172,6 +142,121 @@ let role roles iid =
   let k = iid - roles.ro_base in
   if k >= 0 && k < Bytes.length roles.ro_roles then Bytes.get roles.ro_roles k else role_none
 
+(* Footprints as role bits.  Memory separability asks whether the
+   iterator's and the payload's footprints in one golden run interfere:
+   a payload write to a location the slice read or wrote, or a payload
+   read of a location the slice wrote.  That needs four bits per
+   location — slice read, slice write, payload read, payload write — kept
+   in a shadow cell.  The cells are int arrays shaped like the store: one
+   per heap block id, sized by the block on its first touch; one for the
+   global slots; one cell for the generator.  Marking an access is an
+   array index and an [lor], and an access to a location that is no cell
+   is skipped, because the evaluator traps right after it.
+
+   A shadow is reused by every golden run of its owner, a tested loop or
+   a whole-program run.  A cell holds the stamp of the run that marked it
+   and its bits; a run starts by moving the stamp on, so a cell of an
+   earlier run reads as empty.  A run is flagged when a mark makes a cell
+   conflict, and the flag is all whole-program verification reads.  Which
+   instructions interfere is asked only when the loop-local test widens
+   the iterator: {!attribute} records the invocation once more and reads
+   the flagged run's cells. *)
+let slice_read = 1
+let slice_write = 2
+let payload_read = 4
+let payload_write = 8
+let role_mask = 15
+let stamp_step = 16
+
+(* Bit [b] is set when the role bits [b] conflict. *)
+let conflicting =
+  let conflict b =
+    (b land payload_write <> 0 && b land (slice_read lor slice_write) <> 0)
+    || (b land payload_read <> 0 && b land slice_write <> 0)
+  in
+  List.fold_left (fun acc b -> if conflict b then acc lor (1 lsl b) else acc) 0 (List.init 16 Fun.id)
+
+type shadow = {
+  mutable sh_stamp : int;  (** the current run's stamp, a multiple of [stamp_step] *)
+  mutable sh_heap : int array array;  (** by block id; [no_cells] until touched *)
+  sh_globs : int array;
+  mutable sh_rng : int;
+  mutable sh_violation : bool;  (** a cell of the current run conflicts *)
+}
+
+let no_cells : int array = [||]
+
+let new_shadow (prog : Ir.program) =
+  {
+    sh_stamp = 0;
+    sh_heap = [||];
+    sh_globs = Array.make (Array.length prog.Ir.p_globals) 0;
+    sh_rng = 0;
+    sh_violation = false;
+  }
+
+(* The role bits of cell [c] in the current run. *)
+let bits sh c = if c land lnot role_mask = sh.sh_stamp then c land role_mask else 0
+
+(* Cell [c] with [bit] set in the current run; flags the run if that
+   makes the cell conflict. *)
+let marked sh c bit =
+  let c = if c land lnot role_mask = sh.sh_stamp then c else sh.sh_stamp in
+  let c' = c lor bit in
+  if c' <> c && (conflicting lsr (c' land role_mask)) land 1 <> 0 then sh.sh_violation <- true;
+  c'
+
+(* The cells of heap block [b] if they cover [off]; [no_cells] when
+   [(b, off)] is no cell of the store [st].  An array smaller than its
+   block — not touched yet, or left by a smaller block of an earlier run
+   under the same id — grows to the block's size and keeps the marks
+   this run made. *)
+let heap_cells sh st b off =
+  let heap = sh.sh_heap in
+  let cells = if b >= 0 && b < Array.length heap then Array.unsafe_get heap b else no_cells in
+  if off >= 0 && off < Array.length cells then cells
+  else
+    match Store.block_size st b with
+    | Some size when off >= 0 && off < size ->
+        let cap = Array.length heap in
+        if b >= cap then begin
+          let bigger = Array.make (max (2 * cap) (b + 1)) no_cells in
+          Array.blit heap 0 bigger 0 cap;
+          sh.sh_heap <- bigger
+        end;
+        let grown = Array.make size 0 in
+        Array.blit cells 0 grown 0 (Array.length cells);
+        sh.sh_heap.(b) <- grown;
+        grown
+    | _ -> no_cells
+
+let mark sh st bit (loc : Events.loc) =
+  match loc with
+  | Events.Lheap (b, off) ->
+      let cells = heap_cells sh st b off in
+      if off >= 0 && off < Array.length cells then
+        Array.unsafe_set cells off (marked sh (Array.unsafe_get cells off) bit)
+  | Events.Lglob g -> sh.sh_globs.(g) <- marked sh sh.sh_globs.(g) bit
+  | Events.Lrng -> sh.sh_rng <- marked sh sh.sh_rng bit
+  | Events.Lreg _ -> ()
+
+let loc_bits sh (loc : Events.loc) =
+  match loc with
+  | Events.Lheap (b, off) ->
+      let heap = sh.sh_heap in
+      if b >= 0 && b < Array.length heap && off >= 0 && off < Array.length heap.(b) then bits sh heap.(b).(off)
+      else 0
+  | Events.Lglob g -> bits sh sh.sh_globs.(g)
+  | Events.Lrng -> bits sh sh.sh_rng
+  | Events.Lreg _ -> 0
+
+(* What a recording does with the loop's memory accesses: [Mark] sets
+   the role bits of a golden run; [Attribute] reads the cells a golden
+   run of the same invocation left and collects the payload writers of
+   cells the slice touched and the payload readers of cells the slice
+   wrote. *)
+type mode = Mark | Attribute of Intset.t ref
+
 type golden = {
   g_transitions : (int * int) array;  (** frame-level control transfers; (-1, header) marks iteration start *)
   g_segments : (int * int) list;  (** (start, stop) index ranges into g_transitions, one per header arrival *)
@@ -179,7 +264,7 @@ type golden = {
   g_snaps : Value.t array array;  (** interface values at each header arrival *)
   g_exit_snap : Value.t array;
   g_exit_block : int;
-  g_footprint : footprint;
+  g_violation : bool;  (** the footprints interfere: memory separability is violated *)
 }
 
 let iface_values frame sep =
@@ -226,48 +311,61 @@ let matches_digest ~eps golden fi loop ctx frame =
   let scalars, roots = digest_liveout fi loop ctx frame in
   Observable.matches ~eps golden (Eval.store ctx) ~scalars ~roots
 
-(* Run the loop once in original order under a recording sink.  The
-   live-out digest is not part of the recording: only the loop-local test
-   compares against it, so it captures it itself. *)
-let record_golden ctx frame sep roles =
-  fault_hit fp_golden "commutativity.golden";
+(* Run the loop once in original order under a memory sink: it reports
+   the control transfers, and of the instructions only the memory and
+   call instructions with their heap, global and generator accesses.  An
+   access is the depth-0 instruction's: the callee's accesses are the
+   call's.  The live-out digest is not part of the recording: only the
+   loop-local test compares against it, so it captures it itself. *)
+let record ctx frame sep roles shadow mode =
   let loop = sep.sep_loop in
   let header = loop.Loops.l_header in
-  let in_loop b = Intset.mem b loop.Loops.l_blocks in
+  let in_loop b = Loops.contains_block loop b in
+  let st = Eval.store ctx in
   let transitions = ref [] in
   let depth = ref 0 in
-  let cur_iid = ref (-1) in
-  let fp =
-    {
-      fp_slice_reads = Loc_tbl.create 64;
-      fp_slice_writes = Loc_tbl.create 64;
-      fp_payload_reads = Loc_tbl.create 64;
-      fp_payload_writes = Loc_tbl.create 64;
-    }
+  (* the depth-0 instruction, and the role bits its reads and writes set
+     (0: neither slice nor payload) *)
+  let cur_iid = ref (-1) and read_bit = ref 0 and write_bit = ref 0 in
+  let on_exec (i : Ir.instr) =
+    if !depth = 0 then begin
+      let iid = i.Ir.iid in
+      cur_iid := iid;
+      let r = role roles iid in
+      if r = role_slice then begin
+        read_bit := slice_read;
+        write_bit := slice_write
+      end
+      else if r = role_payload then begin
+        read_bit := payload_read;
+        write_bit := payload_write
+      end
+      else begin
+        read_bit := 0;
+        write_bit := 0
+      end
+    end
   in
-  let touch tbl loc = if not (Loc_tbl.mem tbl loc) then Loc_tbl.add tbl loc () in
-  let touch_set tbl loc iid =
-    match Loc_tbl.find tbl loc with
-    | s -> s := Intset.add iid !s
-    | exception Not_found -> Loc_tbl.add tbl loc (ref (Intset.singleton iid))
-  in
-  let record_access is_read loc =
-    match loc with
-    | Events.Lreg _ -> ()
-    | Events.Lheap _ | Events.Lglob _ | Events.Lrng ->
-        let iid = !cur_iid in
-        if iid >= 0 then begin
-          let r = role roles iid in
-          if r = role_slice then touch (if is_read then fp.fp_slice_reads else fp.fp_slice_writes) loc
-          else if r = role_payload then
-            touch_set (if is_read then fp.fp_payload_reads else fp.fp_payload_writes) loc iid
-        end
+  let on_read, on_write =
+    match mode with
+    | Mark ->
+        shadow.sh_stamp <- shadow.sh_stamp + stamp_step;
+        shadow.sh_violation <- false;
+        ( (fun loc _ -> if !read_bit <> 0 then mark shadow st !read_bit loc),
+          fun loc _ -> if !write_bit <> 0 then mark shadow st !write_bit loc )
+    | Attribute culprits ->
+        let culprit () = culprits := Intset.add !cur_iid !culprits in
+        ( (fun loc _ ->
+            if !read_bit = payload_read && loc_bits shadow loc land slice_write <> 0 then culprit ()),
+          fun loc _ ->
+            if !write_bit = payload_write && loc_bits shadow loc land (slice_read lor slice_write) <> 0
+            then culprit () )
   in
   let sink =
     {
-      Events.on_exec = (fun i -> if !depth = 0 then cur_iid := i.Ir.iid);
-      on_read = (fun loc _ -> record_access true loc);
-      on_write = (fun loc _ -> record_access false loc);
+      Events.on_exec;
+      on_read;
+      on_write;
       on_block =
         (fun ~fname:_ ~src ~dst -> if !depth = 0 then transitions := (src, dst) :: !transitions);
       on_call = (fun _ -> incr depth);
@@ -293,7 +391,7 @@ let record_golden ctx frame sep roles =
   in
   (* no other sink can be active here: DCA testing runs own its own
      evaluator contexts, never under the profiler *)
-  Eval.set_sink ctx (Some sink);
+  Eval.set_sink ~kind:Eval.Memory ctx (Some sink);
   let result = Fun.protect ~finally:(fun () -> Eval.set_sink ctx None) (fun () -> run ()) in
   let exit_block, snaps = result in
   let exit_snap = iface_values frame sep in
@@ -329,25 +427,27 @@ let record_golden ctx frame sep roles =
     g_snaps = Array.of_list snaps;
     g_exit_snap = exit_snap;
     g_exit_block = exit_block;
-    g_footprint = fp;
+    g_violation = shadow.sh_violation;
   }
 
-(* Payload instructions whose memory effects interfere with the iterator:
-   writers of locations the slice reads or writes, and readers of locations
-   the slice writes. *)
-let separability_violations g =
-  let fp = g.g_footprint in
-  let acc = ref Intset.empty in
-  Loc_tbl.iter
-    (fun loc iids ->
-      if Loc_tbl.mem fp.fp_slice_reads loc || Loc_tbl.mem fp.fp_slice_writes loc then
-        acc := Intset.union !acc !iids)
-    fp.fp_payload_writes;
-  Loc_tbl.iter
-    (fun loc iids ->
-      if Loc_tbl.mem fp.fp_slice_writes loc then acc := Intset.union !acc !iids)
-    fp.fp_payload_reads;
-  !acc
+(* A golden run: the recording, its role bits marked in [shadow]. *)
+let record_golden ctx frame sep roles shadow =
+  fault_hit fp_golden "commutativity.golden";
+  record ctx frame sep roles shadow Mark
+
+(* The payload instructions that interfere with the iterator in the
+   flagged golden run whose cells [shadow] holds: the invocation is
+   recorded once more from its entry state [ctx]/[frame], on a replica.
+   The replica repeats a run that completed, so it runs without a budget,
+   and its work is not charged to the loop. *)
+let attribute ctx frame sep roles shadow =
+  let ctx = Eval.fork ctx and frame = Eval.copy_frame frame in
+  Eval.set_limits ctx ~fuel:max_int ~deadline:max_int;
+  let culprits = ref Intset.empty in
+  Fun.protect
+    ~finally:(fun () -> Store.flush_telemetry (Eval.store ctx))
+    (fun () -> ignore (record ctx frame sep roles shadow (Attribute culprits)));
+  !culprits
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
@@ -376,7 +476,7 @@ let consume_direction trans cursor stop bid =
 let replay ctx frame fi sep g sched =
   let loop = sep.sep_loop in
   let header = loop.Loops.l_header in
-  let in_loop b = Intset.mem b loop.Loops.l_blocks in
+  let in_loop b = Loops.contains_block loop b in
   let trans = g.g_transitions in
   let n_trans = Array.length trans in
   (* --- iterator pass --- *)
@@ -466,6 +566,8 @@ let replay_matches ~eps ctx frame fi sep g digest sched =
 type tester_state = {
   mutable ts_sep : separation;
   mutable ts_roles : roles;  (** [roles_of ts_sep] *)
+  ts_shadow : shadow;  (** the role bits of every golden run of the loop *)
+  mutable ts_attributions : int;  (** attribution passes *)
   mutable ts_tested : int;
   mutable ts_failure : verdict option;
   mutable ts_needs_escalation : Schedule.t list;
@@ -478,7 +580,7 @@ type tester_state = {
 }
 
 let run_loop_plain ctx frame loop =
-  let in_loop b = Intset.mem b loop.Loops.l_blocks in
+  let in_loop b = Loops.contains_block loop b in
   match
     Eval.exec_upto ctx frame ~start:loop.Loops.l_header ~stop:(fun b -> not (in_loop b)) ~control:None
   with
@@ -630,23 +732,34 @@ let test_invocation pool config fi state ctx frame =
     Store.restore st s0;
     Array.blit regs0 0 frame.Eval.regs 0 (Array.length regs0)
   in
+  (* Every attempt starts from a restore: the first from the one below, a
+     retry from the one its attribution pass needed.  A widening that
+     fails after that restore leaves the entry state in place. *)
+  let at_entry = ref false in
   let rec attempt rounds =
-    restore0 ();
     state.ts_goldens <- state.ts_goldens + 1;
     let golden () =
-      let g = record_golden ctx frame state.ts_sep state.ts_roles in
+      let g = record_golden ctx frame state.ts_sep state.ts_roles state.ts_shadow in
       (g, capture_digest fi state.ts_sep.sep_loop ctx frame)
     in
     match Telemetry.span ~cat:"dynamic" "golden" golden with
     | exception Replay_mismatch msg -> Untestable msg
     | exception Eval.Trap msg -> Untestable ("trap during golden run: " ^ msg)
     | g, digest -> begin
-        let violations = separability_violations g in
-        if not (Intset.is_empty violations) then begin
-          if rounds > 0 then
+        if g.g_violation then begin
+          if rounds > 0 then begin
+            restore0 ();
+            let violations =
+              Telemetry.span ~cat:"dynamic" "golden" (fun () ->
+                  attribute ctx frame state.ts_sep state.ts_roles state.ts_shadow)
+            in
+            state.ts_attributions <- state.ts_attributions + 1;
             match widen_or_fail fi state violations with
             | Ok () -> attempt (rounds - 1)
-            | Error msg -> Untestable msg
+            | Error msg ->
+                at_entry := true;
+                Untestable msg
+          end
           else Untestable "memory separability violated"
         end
         else begin
@@ -683,9 +796,11 @@ let test_invocation pool config fi state ctx frame =
      the test raises: the shared run goes on for the other loops *)
   Fun.protect
     ~finally:(fun () ->
-      restore0 ();
+      if not !at_entry then restore0 ();
       Store.release st s0)
-    (fun () -> attempt config.cc_promote_rounds)
+    (fun () ->
+      restore0 ();
+      attempt config.cc_promote_rounds)
 
 (* ------------------------------------------------------------------ *)
 (* Mode B: whole-program verification                                  *)
@@ -698,6 +813,7 @@ let whole_program_run (info : Proginfo.t) spec fi sep sched =
   let ctx = context_of_spec spec prog in
   let loop = sep.sep_loop in
   let roles = roles_of sep in
+  let shadow = new_shadow prog in
   let handler ctx frame =
     let st = Eval.store ctx in
     let s0 = Store.snapshot st in
@@ -709,9 +825,8 @@ let whole_program_run (info : Proginfo.t) spec fi sep sched =
     Fun.protect
       ~finally:(fun () -> Store.release st s0)
       (fun () ->
-        let g = record_golden ctx frame sep roles in
-        if not (Intset.is_empty (separability_violations g)) then
-          raise (Replay_mismatch "separability violated in whole-program run");
+        let g = record_golden ctx frame sep roles shadow in
+        if g.g_violation then raise (Replay_mismatch "separability violated in whole-program run");
         restore0 ();
         replay ctx frame fi sep g sched;
         (* continue the program from the permuted state *)
@@ -892,10 +1007,12 @@ let shared_run pool config info spec slots =
   in
   (Eval.outputs ctx, List.map (fun sl -> match sl.sl_end with Some e -> e | None -> final sl) slots)
 
-let new_state sep =
+let new_state prog sep =
   {
     ts_sep = sep;
     ts_roles = roles_of sep;
+    ts_shadow = new_shadow prog;
+    ts_attributions = 0;
     ts_tested = 0;
     ts_failure = None;
     ts_needs_escalation = [];
@@ -948,6 +1065,7 @@ let finish config info spec golden_out sl ending =
           Telemetry.add c_replay_steps outcome.oc_replay_steps;
           Telemetry.add c_skipped outcome.oc_skipped_schedules;
           Telemetry.add c_promotions outcome.oc_promotions;
+          Telemetry.add c_attribution_runs state.ts_attributions;
           if outcome.oc_escalated then Telemetry.incr c_escalated;
           Ok outcome)
 
@@ -962,7 +1080,7 @@ let test_loops ?(pool = Pool.create ~jobs:1) config (info : Proginfo.t) spec loo
               sl_fi = fi;
               sl_loop = sep.sep_loop;
               sl_label = Proginfo.loop_label info sep.sep_loop;
-              sl_state = new_state sep;
+              sl_state = new_state (Proginfo.program info) sep;
               sl_steps = 0;
               sl_ns = 0;
               sl_end = None;

@@ -8,13 +8,16 @@
       recording (a) the control-flow path, (b) the interface-variable
       values at every iteration boundary (the "linearized iterator",
       §IV-A3), (c) the live-out digest of the golden execution, and
-      (d) which memory locations iterator and payload instructions touch;
+      (d) which memory locations iterator and payload instructions read
+      and write, as four role bits per location in a shadow of the store
+      that every golden run of the loop reuses;
     + checks {e memory separability}: payload writes must not feed iterator
       reads or writes (and vice versa).  Worklist idioms — payload pushes
       feeding iterator pops — fail this check at first; the engine then
-      {e promotes} the offending instructions into the iterator slice
-      (closing under the PDG) and retries, which is how BFS-style loops
-      from Fig. 2 become testable;
+      records the invocation once more on a replica to find the offending
+      instructions (counted in [dca.attribution_runs]), {e promotes} them
+      into the iterator slice (closing under the PDG) and retries, which
+      is how BFS-style loops from Fig. 2 become testable;
     + re-executes the loop from the snapshot under the identity schedule
       (a self-check of the whole record/replay mechanism — any mismatch
       makes the loop untestable rather than mis-verdicted), then under

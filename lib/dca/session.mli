@@ -140,7 +140,7 @@ val proginfo : t -> Dca_analysis.Proginfo.t
 (** All static analyses over {!ir}. *)
 
 val profile : t -> Dca_profiling.Depprof.profile
-(** One run under a control-only sink: costs and coverage.  The run
+(** One run under a [Control] sink: costs and coverage.  The run
     gets the fuel of the session's run spec, and so does the dependence
     pass that {!Dca_profiling.Depprof.deps_of} runs on first demand. *)
 

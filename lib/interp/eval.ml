@@ -16,12 +16,16 @@ exception Heap_exhausted
    when a closure is built: a register operand becomes a slot read that
    keeps its uninitialized-variable trap, a constant becomes its
    ready-made value, and every binary operator is its own closure.  Each
-   instruction is compiled twice: a plain closure that emits nothing, and
-   an observed one that emits exactly the sink events the instruction
-   produces (its register locations are built with the closure).  A block
-   chooses one array from the context's instruction sink when it starts:
-   under a control-only sink ({!set_sink}) it runs the plain closures and
-   only its transfers, calls and returns are reported. *)
+   instruction is compiled into a plain closure that emits nothing and an
+   observed one that emits exactly the sink events the instruction
+   produces (its register locations are built with the closure).  A
+   memory or call instruction gets a third, memory closure, which emits
+   only its [on_exec] and its heap, global and generator events; every
+   other instruction's memory closure is its plain one.  A block chooses
+   one of the three arrays from the context's sink kind when it starts
+   ({!set_sink}): under a [Control] sink it runs the plain closures and
+   only its transfers, calls and returns are reported, under a [Memory]
+   sink the memory closures. *)
 
 type rop =
   | Oconst of Value.t
@@ -33,8 +37,9 @@ and code = ctx -> frame -> unit
 
 and dblock = {
   db_src : Ir.instr array;  (** the source instructions, for step-control filters *)
-  db_plain : code array;  (** run while the context has no sink *)
-  db_observed : code array;  (** the same instructions, emitting sink events *)
+  db_plain : code array;  (** run while the context has no sink, or a [Control] one *)
+  db_observed : code array;  (** the same instructions, emitting every sink event *)
+  db_memory : code array;  (** the same instructions, emitting memory events only *)
   db_term : dterm;
 }
 
@@ -48,13 +53,15 @@ and dfunc = { df_func : Ir.func; mutable df_blocks : dblock array }
 and interceptor = { it_fname : string; it_header : int; mutable it_active : bool; it_handler : handler }
 and handler = Handler of (ctx -> frame -> int)
 
+and sink_kind = Control | Memory | All
+
 and ctx = {
   prog : Ir.program;
   st : Store.t;
   funcs : (string, dfunc) Hashtbl.t;
   mutable sink : Events.sink option;  (** receives control events: transfers, calls, returns *)
-  mutable isink : Events.sink option;
-      (** receives instruction events: [sink], or [None] under a control-only sink *)
+  mutable isink : Events.sink option;  (** receives every instruction event: [sink] under an [All] sink *)
+  mutable msink : Events.sink option;  (** receives memory events only: [sink] under a [Memory] sink *)
   mutable nsteps : int;
   mutable fuel : int;  (** absolute step bound *)
   mutable deadline : int;  (** absolute [Telemetry.now_ns] bound; [max_int] = none *)
@@ -67,7 +74,7 @@ and ctx = {
 (* The closures a filter keeps in one function's blocks, indexed by block
    id and filled in as the blocks are first entered under the filter. *)
 and filtered = { fl_filter : Ir.instr -> bool; fl_code : dblock array; fl_kept : kept array }
-and kept = { k_plain : code array; k_observed : code array }
+and kept = { k_plain : code array; k_observed : code array; k_memory : code array }
 
 type step_control = { sc_filter : Ir.instr -> bool; sc_override : int -> int option }
 
@@ -137,7 +144,7 @@ let rec interceptor_at its fname bid =
    so the key cannot be recycled).  One replay uses two filters; the few
    newest are kept. *)
 let filter_cache_limit = 4
-let unfilled = { k_plain = [||]; k_observed = [||] }
+let unfilled = { k_plain = [||]; k_observed = [||]; k_memory = [||] }
 let no_filtered = { fl_filter = (fun _ -> false); fl_code = [||]; fl_kept = [||] }
 
 let rec find_filtered filter code = function
@@ -148,7 +155,7 @@ let rec find_filtered filter code = function
 let keep filter blk =
   let idx = List.filter (fun k -> filter blk.db_src.(k)) (List.init (Array.length blk.db_src) Fun.id) in
   let pick code = Array.of_list (List.map (fun k -> code.(k)) idx) in
-  { k_plain = pick blk.db_plain; k_observed = pick blk.db_observed }
+  { k_plain = pick blk.db_plain; k_observed = pick blk.db_observed; k_memory = pick blk.db_memory }
 
 let kept_code ctx frame filter bid blk =
   let fl =
@@ -172,10 +179,15 @@ let kept_code ctx frame filter bid blk =
 
 let block_code ctx frame control bid blk =
   match control with
-  | None -> ( match ctx.isink with None -> blk.db_plain | Some _ -> blk.db_observed)
+  | None -> (
+      match ctx.isink with
+      | Some _ -> blk.db_observed
+      | None -> ( match ctx.msink with None -> blk.db_plain | Some _ -> blk.db_memory))
   | Some c -> (
       let k = kept_code ctx frame c.sc_filter bid blk in
-      match ctx.isink with None -> k.k_plain | Some _ -> k.k_observed)
+      match ctx.isink with
+      | Some _ -> k.k_observed
+      | None -> ( match ctx.msink with None -> k.k_plain | Some _ -> k.k_memory))
 
 (* Terminator operands: register reads are attributed to instruction id
    -1, constants are free. *)
@@ -419,6 +431,19 @@ let observe (i : Ir.instr) (plain : code) body : code =
       s.Events.on_exec i;
       body s ctx frame
 
+(* [observe_memory i plain body]: the memory closure of [i], likewise
+   for the memory sink. *)
+let observe_memory (i : Ir.instr) (plain : code) body : code =
+ fun ctx frame ->
+  match ctx.msink with
+  | None -> plain ctx frame
+  | Some s ->
+      s.Events.on_exec i;
+      body s ctx frame
+
+(* The memory closure of a call without memory events. *)
+let exec_only i plain = observe_memory i plain (fun _ -> plain)
+
 let bin_plain f d a b : code =
   match (a, b) with
   | Oreg (sa, va, _), Oreg (sb, vb, _) ->
@@ -430,7 +455,7 @@ let bin_plain f d a b : code =
   | Oconst x, Oreg (sb, vb, _) -> fun _ frame -> frame.regs.(d) <- f x (reg frame sb vb)
   | Oconst x, Oconst y -> fun _ frame -> frame.regs.(d) <- f x y
 
-let compile_call funcs (i : Ir.instr) dst name args : code * code =
+let compile_call funcs (i : Ir.instr) dst name args : code * code * code =
   let iid = i.Ir.iid in
   let args = Array.of_list (List.map rop args) in
   let n = Array.length args in
@@ -446,7 +471,7 @@ let compile_call funcs (i : Ir.instr) dst name args : code * code =
   | Some (Pure1 f) ->
       let a = args.(0) in
       let plain _ frame = set frame (f (pread frame a)) in
-      (plain, observe i plain (fun s _ frame -> oset s frame (f (oread s iid frame a))))
+      (plain, observe i plain (fun s _ frame -> oset s frame (f (oread s iid frame a))), exec_only i plain)
   | Some (Pure2 f) ->
       let a = args.(0) and b = args.(1) in
       let plain _ frame =
@@ -458,14 +483,19 @@ let compile_call funcs (i : Ir.instr) dst name args : code * code =
         observe i plain (fun s _ frame ->
             let x = oread s iid frame a in
             let y = oread s iid frame b in
-            oset s frame (f x y)) )
+            oset s frame (f x y)),
+        exec_only i plain )
   | Some Drand ->
       let plain ctx frame = set frame (VFloat (Store.drand ctx.st)) in
       ( plain,
         observe i plain (fun s ctx frame ->
             s.Events.on_read Events.Lrng iid;
             s.Events.on_write Events.Lrng iid;
-            oset s frame (VFloat (Store.drand ctx.st))) )
+            oset s frame (VFloat (Store.drand ctx.st))),
+        observe_memory i plain (fun s ctx frame ->
+            s.Events.on_read Events.Lrng iid;
+            s.Events.on_write Events.Lrng iid;
+            plain ctx frame) )
   | Some Dseed ->
       let a = args.(0) in
       let seed ctx = function VInt x -> Store.dseed ctx.st x | _ -> trap "dseed expects an int" in
@@ -478,10 +508,17 @@ let compile_call funcs (i : Ir.instr) dst name args : code * code =
             let v = oread s iid frame a in
             s.Events.on_write Events.Lrng iid;
             seed ctx v;
-            oset s frame vzero) )
+            oset s frame vzero),
+        observe_memory i plain (fun s ctx frame ->
+            let v = pread frame a in
+            s.Events.on_write Events.Lrng iid;
+            seed ctx v;
+            set frame vzero) )
   | Some Reads ->
       let plain ctx frame = set frame (VInt (Store.read_input ctx.st)) in
-      (plain, observe i plain (fun s ctx frame -> oset s frame (VInt (Store.read_input ctx.st))))
+      ( plain,
+        observe i plain (fun s ctx frame -> oset s frame (VInt (Store.read_input ctx.st))),
+        exec_only i plain )
   | None -> (
       let finish ctx frame = function
         | Some v ->
@@ -513,7 +550,8 @@ let compile_call funcs (i : Ir.instr) dst name args : code * code =
                 for k = 0 to n - 1 do
                   regs.(params.(k)) <- oread s iid frame args.(k)
                 done;
-                finish ctx frame (enter ctx name df regs)) )
+                finish ctx frame (enter ctx name df regs)),
+            exec_only i plain )
       | callee ->
           let plain ctx frame =
             let vargs = Array.make n VNull in
@@ -528,10 +566,11 @@ let compile_call funcs (i : Ir.instr) dst name args : code * code =
                 for k = 0 to n - 1 do
                   vargs.(k) <- oread s iid frame args.(k)
                 done;
-                finish ctx frame (call_user ctx name callee vargs)) ))
+                finish ctx frame (call_user ctx name callee vargs)),
+            exec_only i plain ))
 
-(* The plain and the observed closure of one instruction. *)
-let compile_instr funcs layout (i : Ir.instr) : code * code =
+(* The plain, the observed and the memory closure of one instruction. *)
+let compile_instr funcs layout (i : Ir.instr) : code * code * code =
   let iid = i.Ir.iid in
   match i.Ir.idesc with
   | Ir.Bin (dst, op, a, b) ->
@@ -544,7 +583,8 @@ let compile_instr funcs layout (i : Ir.instr) : code * code =
             let y = oread s iid frame b in
             let r = f x y in
             s.Events.on_write dloc iid;
-            frame.regs.(d) <- r) )
+            frame.regs.(d) <- r),
+        plain )
   | Ir.Un (dst, op, a) ->
       let f = unop op and a = rop a in
       let d = dst.Ir.vslot and dloc = Events.Lreg dst.Ir.vid in
@@ -553,7 +593,8 @@ let compile_instr funcs layout (i : Ir.instr) : code * code =
         observe i plain (fun s _ frame ->
             let r = f (oread s iid frame a) in
             s.Events.on_write dloc iid;
-            frame.regs.(d) <- r) )
+            frame.regs.(d) <- r),
+        plain )
   | Ir.Mov (dst, a) ->
       let a = rop a in
       let d = dst.Ir.vslot and dloc = Events.Lreg dst.Ir.vid in
@@ -566,7 +607,8 @@ let compile_instr funcs layout (i : Ir.instr) : code * code =
         observe i plain (fun s _ frame ->
             let r = oread s iid frame a in
             s.Events.on_write dloc iid;
-            frame.regs.(d) <- r) )
+            frame.regs.(d) <- r),
+        plain )
   | Ir.Load (dst, p) ->
       let p = rop p in
       let d = dst.Ir.vslot and dloc = Events.Lreg dst.Ir.vid in
@@ -593,6 +635,12 @@ let compile_instr funcs layout (i : Ir.instr) : code * code =
                 let v = load_cell ctx block off in
                 s.Events.on_write dloc iid;
                 frame.regs.(d) <- v
+            | v -> bad v),
+        observe_memory i plain (fun s ctx frame ->
+            match pread frame p with
+            | VPtr (block, off) ->
+                s.Events.on_read (Events.Lheap (block, off)) iid;
+                frame.regs.(d) <- load_cell ctx block off
             | v -> bad v) )
   | Ir.Store (p, src) ->
       let p = rop p and src = rop src in
@@ -616,6 +664,13 @@ let compile_instr funcs layout (i : Ir.instr) : code * code =
             match oread s iid frame p with
             | VPtr (block, off) ->
                 let v = oread s iid frame src in
+                s.Events.on_write (Events.Lheap (block, off)) iid;
+                store_cell ctx block off v
+            | v -> bad v),
+        observe_memory i plain (fun s ctx frame ->
+            match pread frame p with
+            | VPtr (block, off) ->
+                let v = pread frame src in
                 s.Events.on_write (Events.Lheap (block, off)) iid;
                 store_cell ctx block off v
             | v -> bad v) )
@@ -655,7 +710,8 @@ let compile_instr funcs layout (i : Ir.instr) : code * code =
             let vi = oread s iid frame idx in
             let r = gep vb vi in
             s.Events.on_write dloc iid;
-            frame.regs.(d) <- r) )
+            frame.regs.(d) <- r),
+        plain )
   | Ir.Gload (dst, g) ->
       let gs = g.Ir.vslot and gloc = Events.Lglob g.Ir.vslot in
       let d = dst.Ir.vslot and dloc = Events.Lreg dst.Ir.vid in
@@ -665,13 +721,20 @@ let compile_instr funcs layout (i : Ir.instr) : code * code =
             s.Events.on_read gloc iid;
             let v = Store.read_global ctx.st gs in
             s.Events.on_write dloc iid;
-            frame.regs.(d) <- v) )
+            frame.regs.(d) <- v),
+        observe_memory i plain (fun s ctx frame ->
+            s.Events.on_read gloc iid;
+            frame.regs.(d) <- Store.read_global ctx.st gs) )
   | Ir.Gstore (g, src) ->
       let gs = g.Ir.vslot and gloc = Events.Lglob g.Ir.vslot and src = rop src in
       let plain ctx frame = Store.write_global ctx.st gs (pread frame src) in
       ( plain,
         observe i plain (fun s ctx frame ->
             let v = oread s iid frame src in
+            s.Events.on_write gloc iid;
+            Store.write_global ctx.st gs v),
+        observe_memory i plain (fun s ctx frame ->
+            let v = pread frame src in
             s.Events.on_write gloc iid;
             Store.write_global ctx.st gs v) )
   | Ir.Gaddr (dst, g) ->
@@ -682,7 +745,8 @@ let compile_instr funcs layout (i : Ir.instr) : code * code =
         observe i plain (fun s ctx frame ->
             let v = Store.read_global ctx.st gs in
             s.Events.on_write dloc iid;
-            frame.regs.(d) <- v) )
+            frame.regs.(d) <- v),
+        plain )
   | Ir.Alloc (dst, ty, count) ->
       let kinds = Layout.cell_kinds layout ty and count = rop count in
       let d = dst.Ir.vslot and dloc = Events.Lreg dst.Ir.vid in
@@ -695,23 +759,25 @@ let compile_instr funcs layout (i : Ir.instr) : code * code =
         observe i plain (fun s ctx frame ->
             let r = alloc ctx (oread s iid frame count) in
             s.Events.on_write dloc iid;
-            frame.regs.(d) <- r) )
+            frame.regs.(d) <- r),
+        plain )
   | Ir.Call (dst, name, args) -> compile_call funcs i dst name args
   | Ir.Print v ->
       let v = rop v in
       let plain ctx frame = Store.print_value ctx.st (pread frame v) in
-      (plain, observe i plain (fun s ctx frame -> Store.print_value ctx.st (oread s iid frame v)))
+      (plain, observe i plain (fun s ctx frame -> Store.print_value ctx.st (oread s iid frame v)), plain)
   | Ir.Prints str ->
       let plain ctx _ = Store.print_string_ ctx.st str in
-      (plain, observe i plain (fun _ ctx _ -> Store.print_string_ ctx.st str))
+      (plain, observe i plain (fun _ ctx _ -> Store.print_string_ ctx.st str), plain)
 
 let compile_block funcs layout (b : Ir.block) =
   let src = Array.of_list b.Ir.instrs in
   let code = Array.map (compile_instr funcs layout) src in
   {
     db_src = src;
-    db_plain = Array.map fst code;
-    db_observed = Array.map snd code;
+    db_plain = Array.map (fun (plain, _, _) -> plain) code;
+    db_observed = Array.map (fun (_, observed, _) -> observed) code;
+    db_memory = Array.map (fun (_, _, memory) -> memory) code;
     db_term =
       (match b.Ir.bterm with
       | Ir.Br t -> TBr t
@@ -757,6 +823,7 @@ let create ?(fuel = default_fuel) ?deadline_ns ?heap_words ?checkpoint ?(input =
     funcs = decoded_funcs prog;
     sink = None;
     isink = None;
+    msink = None;
     nsteps = 0;
     fuel;
     deadline =
@@ -779,6 +846,7 @@ let fork ctx =
     funcs = ctx.funcs;
     sink = None;
     isink = None;
+    msink = None;
     nsteps = ctx.nsteps;
     fuel = ctx.fuel;
     deadline = ctx.deadline;
@@ -804,9 +872,10 @@ let charge ctx n =
     raise Out_of_fuel
   end
 
-let set_sink ?(control_only = false) ctx sink =
+let set_sink ?(kind = All) ctx sink =
   ctx.sink <- sink;
-  ctx.isink <- (if control_only then None else sink)
+  ctx.isink <- (match kind with All -> sink | Memory | Control -> None);
+  ctx.msink <- (match kind with Memory -> sink | All | Control -> None)
 
 let outputs ctx = Store.outputs ctx.st
 

@@ -43,13 +43,15 @@ type dblock
 (** A basic block compiled when the program's first context is created:
     one OCaml closure per instruction, with its operands resolved, in a
     plain form that emits nothing and an observed form that emits the
-    instruction's sink events.  A block picks one of the two from the
-    context's sink when it starts (the plain form under a control-only
-    sink, {!set_sink}), so a sink installed or removed while a block runs
-    — from a sink callback, or by an interceptor handler that does not
-    restore it — takes effect from the next block on.  Compiled
-    code is memoized per program and shared by every context and every
-    {!fork}, on any domain. *)
+    instruction's sink events, plus a memory form for the memory and call
+    instructions that emits only their memory events (every other
+    instruction's memory form is its plain one).  A block picks one of
+    the three from the context's sink kind when it starts ({!set_sink}),
+    so a sink installed or removed while a block runs — from a sink
+    callback, or by an interceptor handler that does not restore it —
+    takes effect from the next block on.  Compiled code is memoized per
+    program and shared by every context and every {!fork}, on any
+    domain. *)
 
 type frame = { ffunc : Dca_ir.Ir.func; fcode : dblock array; regs : Value.t array }
 (** [fcode] is the compiled body of [ffunc]; build frames with
@@ -100,13 +102,25 @@ val charge : ctx -> int -> unit
     passes the fuel bound, leaving {!steps} one past the bound, where
     executing the instructions on [ctx] would have stopped. *)
 
-val set_sink : ?control_only:bool -> ctx -> Events.sink option -> unit
-(** Attach a sink ([None]: detach).  With [~control_only:true] the sink
-    receives only [on_block], [on_call] and [on_return], exactly as a full
-    sink does, and every block runs its plain closures: no [on_exec],
-    [on_read] or [on_write] fires, and a run costs what a run without a
-    sink costs plus one callback per control event.  {!steps} is the
-    clock such a sink reads: every executed instruction is one step. *)
+type sink_kind =
+  | Control
+      (** [on_block], [on_call] and [on_return] only; every block runs its
+          plain closures, so a run costs what a run without a sink costs
+          plus one callback per control event *)
+  | Memory
+      (** the control events, and of the instruction events only those of
+          memory: [on_exec] for loads, stores, global loads and stores, and
+          calls, and [on_read]/[on_write] for heap, global and generator
+          locations.  No register event fires — no operand read, no
+          destination write, no terminator read, no call-result write. *)
+  | All  (** every event *)
+
+val set_sink : ?kind:sink_kind -> ctx -> Events.sink option -> unit
+(** Attach a sink ([None]: detach) of the given kind (default [All]).
+    Every kind receives the control events exactly as [All] does, in the
+    same order relative to the events it keeps; a run's outputs, steps and
+    traps do not depend on the kind.  {!steps} is the clock a [Control]
+    sink reads: every executed instruction is one step. *)
 
 val run_main : ctx -> unit
 val outputs : ctx -> string list

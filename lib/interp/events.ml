@@ -2,14 +2,20 @@
 
     A sink receives the dynamic event stream: executed instructions,
     reads/writes classified by location, control transfers between blocks,
-    and call boundaries.  DCA's golden recording and the profiler's
-    dependence pass are full sinks.  A sink attached as control-only
-    ([Eval.set_sink ~control_only:true]) receives only [on_block],
-    [on_call] and [on_return]: the profiler's cost pass is one.  Running
-    without a sink costs nothing per event, and neither does an
-    instruction under a control-only sink: a block runs code compiled
-    without event sites unless the context has a full sink when the block
-    starts. *)
+    and call boundaries.  It is attached with one of three kinds
+    ([Eval.set_sink ~kind]), and every kind receives [on_block], [on_call]
+    and [on_return]:
+
+    - [All] receives every event: the profiler's dependence pass;
+    - [Memory] receives, of the instruction events, only [on_exec] of
+      loads, stores, global loads and stores and calls, and [on_read] and
+      [on_write] of heap, global and generator locations — no register
+      event: DCA's golden recording;
+    - [Control] receives no instruction event: the profiler's cost pass.
+
+    Running without a sink costs nothing per event, and neither does an
+    instruction a sink's kind leaves out: a block runs code compiled
+    without those event sites, chosen when the block starts. *)
 
 type loc =
   | Lheap of int * int  (** heap block, cell offset *)

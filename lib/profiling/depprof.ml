@@ -35,9 +35,9 @@ let max_invocations_kept = 256
 let c_dependence_runs = Dca_support.Telemetry.counter "profiling.dependence_runs"
 
 (* Two passes run [main] with the same fuel and input and share the stack
-   of loop contexts below.  The cost pass attaches a control-only sink:
+   of loop contexts below.  The cost pass attaches a [Control] sink:
    blocks run their plain closures, and only transfers, calls and returns
-   reach the profiler.  The dependence pass attaches a full sink and
+   reach the profiler.  The dependence pass attaches an [All] sink and
    keeps shadow memory of every register and heap access.
 
    Cost model: the evaluator's step counter is the clock, read at every
@@ -365,8 +365,8 @@ let on_block t ~src ~dst =
       | Some l ->
           if
             t.depth > base
-            && t.stack.(t.depth - 1).cx_loop.Loops.l_id = l.Loops.l_id
-            && src >= 0 && Loops.contains_block l src
+            && t.stack.(t.depth - 1).cx_loop == l
+            && Loops.contains_block l src
           then (* back edge: new iteration *)
             next_iteration t t.stack.(t.depth - 1)
           else begin
@@ -437,9 +437,9 @@ let run_pass ?fuel ?input (info : Proginfo.t) ~deps =
     }
   in
   (match t.shadow with
-  | None -> Eval.set_sink ~control_only:true ctx (Some control)
+  | None -> Eval.set_sink ~kind:Eval.Control ctx (Some control)
   | Some sd ->
-      Eval.set_sink ctx
+      Eval.set_sink ~kind:Eval.All ctx
         (Some
            {
              control with

@@ -19,13 +19,14 @@
 
     {2 Two passes}
 
-    {!profile_program} runs [main] once under a control-only sink
+    {!profile_program} runs [main] once under a [Control] sink
     ({!Dca_interp.Eval.set_sink}): the evaluator runs its plain code and
     reports only block transfers, calls and returns, so the costs and
-    buckets cost about one and a half uninstrumented runs.  The
-    dependences come from a second run with the same fuel and input,
-    under a full sink that keeps shadow memory of every register and heap
-    access.  That pass runs on the first {!deps_of} of a loop the profile
+    buckets cost about one and a half uninstrumented runs.  (The third
+    kind, [Memory], which adds only the heap, global and generator
+    events, is golden recording's.)  The dependences come from a second
+    run with the same fuel and input, under an [All] sink that keeps
+    shadow memory of every register and heap access.  That pass runs on the first {!deps_of} of a loop the profile
     saw, once per profile, and its result is kept: forcing it from several
     domains at once runs it once, the others wait for it.  Every
     dependence pass counts in the work counter
@@ -40,7 +41,11 @@
     Both passes read the evaluator's step counter, {!Dca_interp.Eval.steps},
     at every control event.  Loop costs and coverage buckets are
     differences of it, taken only where the stack of active loop contexts
-    changes (loop entry and exit, back edges, returns).  In the dependence
+    changes (loop entry and exit, back edges, returns).  A block transfer
+    costs an array read for the header it may enter
+    ({!Dca_analysis.Loops.loop_of_header}), a byte read per context it
+    may leave ({!Dca_analysis.Loops.contains_block}), and a physical
+    compare of loops on a back edge.  In the dependence
     pass a read or write costs one shadow-memory lookup plus a few integer
     compares per active loop context; a dependence that a location carries
     on every iteration is looked up in the context's dependence table
@@ -78,7 +83,7 @@ type profile = {
 }
 
 val profile_program : ?fuel:int -> ?input:int list -> Dca_analysis.Proginfo.t -> profile
-(** Run [main] once under a control-only sink.  Raises what the run
+(** Run [main] once under a [Control] sink.  Raises what the run
     raises ({!Dca_interp.Eval.Trap}, {!Dca_interp.Eval.Out_of_fuel}). *)
 
 val loop_profile : profile -> string -> loop_profile option

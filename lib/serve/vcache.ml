@@ -20,9 +20,13 @@
 
    Disk format (all bytes after the header are Marshal output):
 
-     DCAV1\n<hex md5 of payload>\n<payload>
+     DCAV2\n<hex md5 of payload>\n<payload>
 
-   The digest line makes torn writes and bit rot detectable: any
+   The magic names the payload's layout: Marshal checks no types, so a
+   change to any type an entry holds (DCAV2: [Loops.loop] gained its
+   membership table) takes a new magic, and an entry of an older layout
+   reads as corrupt.  The digest line makes torn writes and bit rot
+   detectable: any
    mismatch, short file, bad magic, or Marshal failure counts in
    [cache.corrupt] and degrades to a recompute — never a crash.  Writes
    go through a temp file + rename, so a concurrently reading process
@@ -86,7 +90,7 @@ type t = {
   mutable degraded : bool;  (* disk writes disabled after the first failure *)
 }
 
-let magic = "DCAV1"
+let magic = "DCAV2"
 
 let create ?dir ?(capacity = 4096) ?(on_degrade = fun _ -> ()) () =
   (match dir with

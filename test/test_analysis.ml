@@ -183,6 +183,42 @@ let test_innermost_containing () =
       | None -> Alcotest.fail "block should be in a loop")
     inner.Loops.l_blocks
 
+(* The array lookups agree with the loops' block sets and headers, for
+   every block id of every function and one id past each end. *)
+let check_lookups name (prog : Ir.program) =
+  List.iter
+    (fun (f : Ir.func) ->
+      let cfg = Cfg.of_func f in
+      let forest = Loops.analyze cfg in
+      let loops = Loops.loops forest in
+      for b = -1 to Cfg.nblocks cfg do
+        List.iter
+          (fun l ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s contains b%d" name l.Loops.l_id b)
+              (Intset.mem b l.Loops.l_blocks) (Loops.contains_block l b))
+          loops;
+        let heads = List.find_opt (fun l -> l.Loops.l_header = b) loops in
+        Alcotest.(check (option string))
+          (Printf.sprintf "%s: %s, loop headed by b%d" name f.Ir.fname b)
+          (Option.map (fun l -> l.Loops.l_id) heads)
+          (Option.map (fun l -> l.Loops.l_id) (Loops.loop_of_header forest b));
+        match (heads, Loops.loop_of_header forest b) with
+        | Some l, Some l' -> Alcotest.(check bool) "the forest's own loop" true (l == l')
+        | _ -> ()
+      done)
+    prog.Ir.p_funcs
+
+let test_loop_lookups () =
+  List.iter
+    (fun (bm : Dca_progs.Benchmark.t) -> check_lookups bm.bm_name (Dca_progs.Benchmark.compile bm))
+    Dca_progs.Registry.all;
+  let root = Prng.create 42 in
+  for k = 1 to 200 do
+    let g = Dca_gen.Gen_program.generate ~max_iters:4 (Prng.split root) in
+    check_lookups (Printf.sprintf "generated #%d" k) (compile g.Dca_gen.Gen_program.g_source)
+  done
+
 (* --------------------------------------------------------------- *)
 (* Liveness                                                          *)
 (* --------------------------------------------------------------- *)
@@ -652,6 +688,7 @@ let suites =
       [
         Alcotest.test_case "nesting" `Quick test_loop_nesting;
         Alcotest.test_case "innermost" `Quick test_innermost_containing;
+        Alcotest.test_case "array lookups" `Quick test_loop_lookups;
       ] );
     ( "liveness",
       [

@@ -35,7 +35,10 @@ module type EVAL = sig
   val describe : exn -> string
 end
 
-module Compiled : EVAL = struct
+(* [Eval], its sinks attached with the given kind. *)
+module Compiled_with (K : sig
+  val kind : Eval.sink_kind
+end) : EVAL = struct
   module E = Eval
 
   type ctx = E.ctx
@@ -46,7 +49,7 @@ module Compiled : EVAL = struct
   let outputs = E.outputs
   let steps = E.steps
   let store = E.store
-  let set_sink ctx s = E.set_sink ctx s
+  let set_sink ctx s = E.set_sink ~kind:K.kind ctx s
   let set_fuel ctx fuel = E.set_limits ctx ~fuel ~deadline:max_int
   let regs (f : frame) = f.E.regs
   let add_interceptor = E.add_interceptor
@@ -65,6 +68,10 @@ module Compiled : EVAL = struct
     | E.Heap_exhausted -> "heap exhausted"
     | e -> "raised " ^ Printexc.to_string e
 end
+
+module Compiled = Compiled_with (struct
+  let kind = Eval.All
+end)
 
 module Reference : EVAL = struct
   module E = Eval_ref
@@ -466,9 +473,9 @@ let control_events r =
    steps and ending, also when the fuel runs out — whose sink sees the
    control part of what a full sink sees, and no instruction event. *)
 let check_control_only name prog input =
-  let run ?fuel ?control_only sink =
+  let run ?fuel ?kind sink =
     let ctx = Eval.create ?fuel ~input prog in
-    Option.iter (fun s -> Eval.set_sink ?control_only ctx (Some s)) sink;
+    Option.iter (fun s -> Eval.set_sink ?kind ctx (Some s)) sink;
     let e = match Eval.run_main ctx with () -> "completed" | exception ex -> Compiled.describe ex in
     let steps = Eval.steps ctx in
     (Printf.sprintf "%s; steps %d; outputs [%s]" e steps (String.concat "|" (Eval.outputs ctx)), steps)
@@ -482,14 +489,14 @@ let check_control_only name prog input =
   let full = recorder () and control = recorder () in
   ignore (run (Some (control_events full)));
   Alcotest.(check string) (name ^ ": control-only run") plain
-    (fst (run ~control_only:true (Some (control_only control))));
+    (fst (run ~kind:Eval.Control (Some (control_only control))));
   Alcotest.(check string) (name ^ ": control events" ^ divergence full control) (stream full) (stream control);
   Alcotest.(check bool) (name ^ ": control events seen") true (control.events > 0);
   let fuel = steps / 2 in
   Alcotest.(check string)
     (Printf.sprintf "%s: control-only run, fuel %d" name fuel)
     (fst (run ~fuel None))
-    (fst (run ~fuel ~control_only:true (Some (control_only (recorder ())))));
+    (fst (run ~fuel ~kind:Eval.Control (Some (control_only (recorder ())))));
   Alcotest.(check int) (name ^ ": instruction events under a control-only sink") 0 !instruction_events
 
 let test_control_only () =
@@ -498,6 +505,100 @@ let test_control_only () =
     Dca_progs.Registry.all;
   List.iter (fun (f, src) -> check_control_only f (compile f src) []) (corpus ());
   List.iter (fun (name, src, _) -> check_control_only name (compile name src) []) trap_programs
+
+(* ------------------------------------------------------------------ *)
+(* Memory sinks                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The instructions whose [on_exec] a memory sink receives. *)
+let memory_instr (i : Ir.instr) =
+  match i.Ir.idesc with
+  | Ir.Load _ | Ir.Store _ | Ir.Gload _ | Ir.Gstore _ | Ir.Call _ -> true
+  | _ -> false
+
+let memory_loc = function Events.Lreg _ -> false | Events.Lheap _ | Events.Lglob _ | Events.Lrng -> true
+
+(* What a memory sink may see of [s]'s stream: the control events, the
+   [on_exec] of memory and call instructions, and no register event. *)
+let memory_view (s : Events.sink) =
+  {
+    s with
+    Events.on_exec = (fun i -> if memory_instr i then s.Events.on_exec i);
+    on_read = (fun loc iid -> if memory_loc loc then s.Events.on_read loc iid);
+    on_write = (fun loc iid -> if memory_loc loc then s.Events.on_write loc iid);
+  }
+
+(* Events a memory sink received that it must not see. *)
+let stray_events = ref 0
+
+let counting_strays (s : Events.sink) =
+  let stray () = incr stray_events in
+  {
+    s with
+    Events.on_exec = (fun i -> if not (memory_instr i) then stray (); s.Events.on_exec i);
+    on_read = (fun loc iid -> if not (memory_loc loc) then stray (); s.Events.on_read loc iid);
+    on_write = (fun loc iid -> if not (memory_loc loc) then stray (); s.Events.on_write loc iid);
+  }
+
+(* A full sink, filtered down to the memory view in the sink... *)
+module Full_filtered : EVAL = struct
+  include Compiled
+
+  let set_sink ctx s = Compiled.set_sink ctx (Option.map memory_view s)
+end
+
+(* ... and a memory sink, which must see exactly that. *)
+module Memory_kind : EVAL = struct
+  module M = Compiled_with (struct
+    let kind = Eval.Memory
+  end)
+
+  include M
+
+  let set_sink ctx s = M.set_sink ctx (Option.map counting_strays s)
+end
+
+module F = Harness (Full_filtered)
+module M = Harness (Memory_kind)
+
+(* Under a memory sink a run is a plain run — the same outputs, steps and
+   ending, at every budget of the sweep — and the sink sees a full sink's
+   stream with the register events and the other instructions' [on_exec]
+   removed; so do the filtered loop passes of every candidate loop. *)
+let check_memory ?(controlled = true) name prog input =
+  stray_events := 0;
+  let plain, steps = C.run prog input in
+  let full = recorder () and memory = recorder () in
+  Alcotest.(check string) (name ^ ": run under a memory sink") plain (fst (M.run ~recorder:memory prog input));
+  ignore (F.run ~recorder:full prog input);
+  Alcotest.(check string) (name ^ ": memory events" ^ divergence full memory) (stream full) (stream memory);
+  List.iter
+    (fun fuel ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: memory sink, fuel %d" name fuel)
+        (fst (C.run ~fuel prog input))
+        (fst (M.run ~fuel ~recorder:(recorder ()) prog input)))
+    (List.sort_uniq compare
+       ([ 0; 1; 2; 7; steps - 1; steps; steps + 1 ] @ List.init 7 (fun k -> (k + 1) * steps / 8)));
+  if controlled then begin
+    let loops = candidates (Proginfo.analyze prog) in
+    List.iter2
+      (fun f m -> Alcotest.(check string) (name ^ ": controlled under a memory sink") f m)
+      (F.controlled prog input loops) (M.controlled prog input loops)
+  end;
+  Alcotest.(check int) (name ^ ": events a memory sink must not see") 0 !stray_events
+
+let test_memory_sinks () =
+  List.iter
+    (fun (bm : Dca_progs.Benchmark.t) -> check_memory bm.bm_name (compile bm.bm_name bm.bm_source) bm.bm_input)
+    Dca_progs.Registry.all;
+  List.iter (fun (f, src) -> check_memory f (compile f src) []) (corpus ());
+  List.iter (fun (name, src, _) -> check_memory name (compile name src) []) trap_programs;
+  let root = Dca_support.Prng.create 42 in
+  for k = 1 to 200 do
+    let g = Dca_gen.Gen_program.generate ~max_iters:4 (Dca_support.Prng.split root) in
+    check_memory ~controlled:false (Printf.sprintf "generated #%d" k) (compile "<gen>" g.Dca_gen.Gen_program.g_source) []
+  done
 
 let suites =
   [
@@ -508,5 +609,6 @@ let suites =
         Alcotest.test_case "generated programs match the reference" `Quick test_generated;
         Alcotest.test_case "edge programs match the reference" `Quick test_edges;
         Alcotest.test_case "control-only sinks" `Quick test_control_only;
+        Alcotest.test_case "memory sinks" `Quick test_memory_sinks;
       ] );
   ]

@@ -277,7 +277,7 @@ let test_vcache_corruption_degrades () =
   output_string oc "XXX";
   close_out oc;
   let oc = open_out_bin f2 in
-  output_string oc "DCAV1\ntru";
+  output_string oc "DCAV2\ntru";
   close_out oc;
   let ctx, c2 = in_fresh_ctx (fun () -> Vcache.create ~dir ()) in
   Alcotest.(check bool) "flipped entry rejected" true (Vcache.find c2 ~prog_digest:"P" "k1" = None);
@@ -610,7 +610,7 @@ let test_engine_corrupt_entry_recomputes () =
     (fun f ->
       if Filename.check_suffix f ".v" then begin
         let oc = open_out_bin (Filename.concat dir f) in
-        output_string oc "DCAV1\ndeadbeef\ngarbage";
+        output_string oc "DCAV2\ndeadbeef\ngarbage";
         close_out oc
       end)
     (Sys.readdir dir);

@@ -7,6 +7,7 @@
    loop's run. *)
 
 open Dca_analysis
+module Intset = Dca_support.Intset
 module Commutativity = Dca_core.Commutativity
 module Candidate = Dca_core.Candidate
 module Ref = Commutativity_ref
@@ -230,6 +231,231 @@ let test_edges () =
     (List.length
        (List.filter (( = ) "untestable (loop not executed by the workload)") (verdicts never_run_src)))
 
+(* ------------------------------------------------------------------ *)
+(* Footprints and the attribution pass                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Golden recording keeps role bits per location and flags a run when a
+   mark makes a cell conflict; the instructions to promote come from a
+   second recording that reads the flagged run's cells.  Each program
+   below must match the reference, which keeps the old per-location
+   instruction sets, and each is checked for the path it is named for. *)
+
+(* The payload writes nxt[i + 2], which the slice reads two iterations
+   later: the cell conflicts only at its second access. *)
+let later_read_src =
+  {|
+  int nxt[10];
+  int val[10];
+  void main() {
+    int i;
+    int k;
+    for (k = 0; k < 10; k = k + 1) { nxt[k] = k + 1; }
+    i = 0;
+    while (i < 10) {
+      val[i] = val[i] + i * 3;
+      if (i + 2 < 10) { nxt[i + 2] = i + 3; }
+      i = nxt[i];
+    }
+    printi(val[4]);
+  }
+  |}
+
+(* The first promotion moves the store of g into the slice; then the
+   payload reads a global the slice writes. *)
+let global_read_src =
+  {|
+  int g;
+  int out[16];
+  void main() {
+    while (g < 12) {
+      out[g] = g * 2;
+      g = g + 1;
+    }
+    printi(out[5]);
+  }
+  |}
+
+(* The generator is read and written by the slice and by the payload. *)
+let drand_src =
+  {|
+  float acc[8];
+  void main() {
+    int i;
+    dseed(5);
+    i = 0;
+    while (i < 24) {
+      acc[i % 8] = acc[i % 8] + drand();
+      i = i + 1 + ftoi(drand() * 2.0);
+    }
+    print(acc[3]);
+  }
+  |}
+
+(* The conflicting write is inside a callee: the call is promoted. *)
+let callee_src =
+  {|
+  int nxt[10];
+  int val[10];
+  void bump(int j) {
+    if (j < 10) { nxt[j] = j + 1; }
+  }
+  void main() {
+    int i;
+    int k;
+    for (k = 0; k < 10; k = k + 1) { nxt[k] = k + 1; }
+    i = 0;
+    while (i < 10) {
+      val[i] = val[i] + i;
+      bump(i + 1);
+      i = nxt[i];
+    }
+    printi(val[7]);
+  }
+  |}
+
+(* Every invocation of the inner while loop allocates a block per
+   iteration, and the next invocation reads it.  The loop's live-out
+   digest differs under permutation (last), so it escalates.  In a
+   whole-program run the permuted replay allocates in schedule order:
+   under a schedule that runs iteration 5 first, its block takes the
+   id that iteration 0's smaller block had in that run's previous golden
+   recording.  The next recording then reads the block past the old
+   size, which grows its cells, and only then the payload writes the
+   cell the slice read before the growth — a conflict that exists only
+   if the growth kept the mark. *)
+let reused_block_src =
+  {|
+  int *cur[6];
+  int *nxt[6];
+  int first;
+  int last;
+  int total;
+  void main() {
+    int k;
+    int i;
+    int j;
+    int flag;
+    for (j = 0; j < 6; j = j + 1) { cur[j] = new int[j + 1]; }
+    flag = 9;
+    for (k = 0; k < 3; k = k + 1) {
+      first = 0 - 1;
+      i = 0;
+      while (i < 6) {
+        int *old;
+        int z;
+        int *p;
+        old = cur[i];
+        z = old[0] * 0;
+        total = total + old[i];
+        if (flag * 10 + i == 55) { old[0] = 1; }
+        p = new int[i + 2 + k];
+        p[0] = 0;
+        nxt[i] = p;
+        if (first < 0) { first = i; }
+        last = i;
+        i = i + 1 + z;
+      }
+      flag = first;
+      for (j = 0; j < 6; j = j + 1) { cur[j] = nxt[j]; }
+    }
+    printi(total);
+  }
+  |}
+
+(* Each promotion pulls in the store of the next global in the chain,
+   whose writer the next round finds: three promotions, and the fourth
+   recording is still violated. *)
+let three_rounds_src =
+  {|
+  int g1;
+  int g2;
+  int g3;
+  int g4;
+  int out[32];
+  void main() {
+    int i;
+    i = 0;
+    while (g1 < 20) {
+      out[i] = i;
+      i = i + 1;
+      g4 = g4 + 1;
+      g3 = g4 + 1;
+      g2 = g3 + 1;
+      g1 = g2 + 1;
+    }
+    printi(out[3]);
+  }
+  |}
+
+(* The shared engine's outcome of the loop whose header is on [line]. *)
+let outcome_at info line =
+  let loops = candidates info in
+  let results =
+    Commutativity.test_loops Commutativity.default_config info Commutativity.default_run_spec loops
+  in
+  match
+    List.find_opt
+      (fun ((_, sep), _) -> sep.Dca_core.Iterator_rec.sep_loop.Loops.l_loc.Dca_frontend.Loc.line = line)
+      (List.combine loops results)
+  with
+  | Some (_, Ok oc) -> oc
+  | Some (_, Error (e, _)) -> Alcotest.fail (raised e)
+  | None -> Alcotest.failf "no tested loop on line %d" line
+
+(* The ids of the loop's instructions on source line [line] that [pick]
+   accepts. *)
+let loop_instrs info (oc : Commutativity.outcome) (line, pick) =
+  let loop = oc.oc_separation.Dca_core.Iterator_rec.sep_loop in
+  let fi = Proginfo.func_info info loop.Loops.l_func in
+  List.filter_map
+    (fun (i : Dca_ir.Ir.instr) ->
+      if i.Dca_ir.Ir.iloc.Dca_frontend.Loc.line = line && pick i.Dca_ir.Ir.idesc then Some i.Dca_ir.Ir.iid
+      else None)
+    (Loops.instrs_of fi.Proginfo.fi_cfg loop)
+
+let test_footprints () =
+  let programs =
+    [
+      ("payload write read later by the slice", later_read_src);
+      ("payload read of a global the slice writes", global_read_src);
+      ("drand in slice and payload", drand_src);
+      ("conflict inside a callee", callee_src);
+      ("block id reused by a larger block", reused_block_src);
+      ("three promotion rounds", three_rounds_src);
+    ]
+  in
+  List.iter (fun (name, src) -> check_program name (info_of_source name src) []) programs;
+  let check name src line ~verdict ~promotions ~promoted =
+    let info = info_of_source name src in
+    let oc = outcome_at info line in
+    Alcotest.(check string) (name ^ ": verdict") verdict (Commutativity.verdict_to_string oc.oc_verdict);
+    Alcotest.(check int) (name ^ ": promotions") promotions oc.oc_promotions;
+    let slice = oc.oc_separation.Dca_core.Iterator_rec.sep_slice in
+    List.iter
+      (fun what ->
+        let iids = loop_instrs info oc what in
+        Alcotest.(check bool) (Printf.sprintf "%s: line %d has the instruction" name (fst what)) true (iids <> []);
+        List.iter
+          (fun iid -> Alcotest.(check bool) (Printf.sprintf "%s: i%d promoted" name iid) true (Intset.mem iid slice))
+          iids)
+      promoted
+  in
+  let store = function Dca_ir.Ir.Store _ -> true | _ -> false in
+  let gload = function Dca_ir.Ir.Gload _ -> true | _ -> false in
+  let gstore = function Dca_ir.Ir.Gstore _ -> true | _ -> false in
+  let call name = function Dca_ir.Ir.Call (_, f, _) -> f = name | _ -> false in
+  check "later read" later_read_src 9 ~verdict:"commutative" ~promotions:1 ~promoted:[ (11, store) ];
+  check "global read" global_read_src 5 ~verdict:"commutative" ~promotions:2
+    ~promoted:[ (7, gstore); (6, gload) ];
+  check "drand" drand_src 7 ~verdict:"commutative" ~promotions:1 ~promoted:[ (8, call "drand") ];
+  check "callee" callee_src 12 ~verdict:"commutative" ~promotions:1 ~promoted:[ (14, call "bump") ];
+  check "reused block" reused_block_src 17
+    ~verdict:"untestable (whole-program replay: separability violated in whole-program run)" ~promotions:0
+    ~promoted:[];
+  check "three rounds" three_rounds_src 10 ~verdict:"untestable (memory separability violated)" ~promotions:3
+    ~promoted:[ (14, gstore); (15, gstore); (16, gstore) ]
+
 (* A test that raises ends only its own loop's run: the loop is restored
    and aborted, and every other loop of the shared run keeps its verdict.
    The n-th hit of a fault site raises, for every n: [commutativity.golden]
@@ -340,5 +566,6 @@ let suites =
         Alcotest.test_case "edge programs match the reference" `Quick test_edges;
         Alcotest.test_case "fuel sweep matches the reference" `Quick test_fuel_sweep;
         Alcotest.test_case "a raising test is contained" `Quick test_raising_test_contained;
+        Alcotest.test_case "footprints and the attribution pass" `Quick test_footprints;
       ] );
   ]

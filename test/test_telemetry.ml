@@ -130,7 +130,11 @@ let test_work_counters_jobs_invariant () =
       let bm = Dca_progs.Registry.find_exn name in
       let seq = work_snapshot bm 1 in
       let par = work_snapshot bm 4 in
-      check_snapshots (name ^ ": work counters jobs=1 vs jobs=4") seq par)
+      check_snapshots (name ^ ": work counters jobs=1 vs jobs=4") seq par;
+      (* treeadd promotes, so its attribution passes are among them *)
+      if name = "treeadd" then
+        Alcotest.(check bool) "treeadd: attribution runs counted" true
+          (Option.value (List.assoc_opt "dca.attribution_runs" seq) ~default:0 > 0))
     [ "DC"; "treeadd"; "hash" ]
 
 (* One shared run of the program tests all of its loops: every registry
@@ -155,11 +159,16 @@ let test_one_program_run () =
         (instructions 4))
     Dca_progs.Registry.all
 
+(* treeadd and perimeter promote, so their attribution replicas fork the
+   deep-copy store too. *)
 let test_work_counters_checkpoint_invariant () =
-  let bm = Dca_progs.Registry.find_exn "DC" in
-  let journal = work_snapshot ~checkpoint:Dca_interp.Store.Journal bm 2 in
-  let deep = work_snapshot ~checkpoint:Dca_interp.Store.Deep bm 2 in
-  check_snapshots "DC: work counters journal vs deep" journal deep
+  List.iter
+    (fun name ->
+      let bm = Dca_progs.Registry.find_exn name in
+      let journal = work_snapshot ~checkpoint:Dca_interp.Store.Journal bm 2 in
+      let deep = work_snapshot ~checkpoint:Dca_interp.Store.Deep bm 2 in
+      check_snapshots (name ^ ": work counters journal vs deep") journal deep)
+    [ "DC"; "treeadd"; "perimeter" ]
 
 (* The fault-isolation counters (dca.aborted, dca.retries,
    dca.deadline-hits, dca.faults-injected) are work counters too: they
