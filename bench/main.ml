@@ -136,6 +136,30 @@ let run_perf () =
 (* Worker-pool scaling: the dynamic stage at jobs=1 vs jobs=N          *)
 (* ------------------------------------------------------------------ *)
 
+(* A two-domain capacity probe: an allocation-free loop timed on one
+   domain, then the same work split over two.  The ratio is near 2 when
+   a second core is free for the process and near 1 when it is not; on
+   a VM whose second vCPU comes and goes, a width measurement means
+   little without it. *)
+let capacity_probe () =
+  let spin n =
+    let x = ref 0 in
+    for i = 1 to n do
+      x := (!x lxor (i * 0x9E3779B1)) + (!x lsr 3)
+    done;
+    !x
+  in
+  let n = 60_000_000 in
+  let t0 = Telemetry.now_ns () in
+  ignore (Sys.opaque_identity (spin n));
+  let one = seconds_since t0 in
+  let t0 = Telemetry.now_ns () in
+  let other = Domain.spawn (fun () -> spin (n / 2)) in
+  ignore (Sys.opaque_identity (spin (n - (n / 2))));
+  ignore (Sys.opaque_identity (Domain.join other));
+  let two = seconds_since t0 in
+  (one, two)
+
 let run_jobs () =
   section "Worker-pool scaling over the registry (jobs=1 vs jobs=N, best of 3)";
   (* Every registry program is analyzed at jobs=1 and at N, the width a
@@ -143,7 +167,9 @@ let run_jobs () =
      a single run varies too much on a shared machine, so each width is
      timed as the best of its three.  Reports and interpreted
      instructions must be identical across widths and runs: a
-     difference exits 1.  The table goes to BENCH_jobs.json. *)
+     difference exits 1.  Before each program's runs the two-domain
+     capacity probe is taken, so every row says how much of a second
+     core the process had.  The table goes to BENCH_jobs.json. *)
   let n = Dca_support.Pool.default_jobs () in
   let analyze bm jobs =
     let tele = Telemetry.Ctx.create ~counting:true () in
@@ -163,41 +189,48 @@ let run_jobs () =
   let rows =
     List.map
       (fun (bm : Dca_progs.Benchmark.t) ->
+        let probe_one, probe_two = capacity_probe () in
         let pairs = List.init 3 (fun _ -> (analyze bm 1, analyze bm n)) in
         let seq = List.map fst pairs and par = List.map snd pairs in
         let results = List.map snd (seq @ par) in
         let identical = List.for_all (( = ) (List.hd results)) results in
         let t1 = best seq and tn = best par and instructions = snd (List.hd results) in
-        Printf.printf "  %-14s jobs=1 %6.3fs  jobs=%d %6.3fs  (%.2fx)  %10d instructions%s\n%!"
-          bm.bm_name t1 n tn (t1 /. tn) instructions
+        Printf.printf "  %-14s jobs=1 %6.3fs  jobs=%d %6.3fs  (%.2fx)  %10d instructions  probe %.2fx%s\n%!"
+          bm.bm_name t1 n tn (t1 /. tn) instructions (probe_one /. probe_two)
           (if identical then "" else "  REPORT OR INSTRUCTIONS DIFFER");
-        (bm.bm_name, t1, tn, instructions, identical))
+        (bm.bm_name, t1, tn, instructions, identical, (probe_one, probe_two)))
       Dca_progs.Registry.all
   in
   let sum f = List.fold_left (fun acc row -> acc +. f row) 0.0 rows in
-  let t1 = sum (fun (_, t, _, _, _) -> t) and tn = sum (fun (_, _, t, _, _) -> t) in
-  let instructions = List.fold_left (fun acc (_, _, _, i, _) -> acc + i) 0 rows in
-  let identical = List.for_all (fun (_, _, _, _, ok) -> ok) rows in
-  Printf.printf "  %-14s jobs=1 %6.3fs  jobs=%d %6.3fs  (%.2fx)  %10d instructions\n%!" "total" t1 n
-    tn (t1 /. tn) instructions;
+  let t1 = sum (fun (_, t, _, _, _, _) -> t) and tn = sum (fun (_, _, t, _, _, _) -> t) in
+  let probe_one = sum (fun (_, _, _, _, _, (p, _)) -> p) and probe_two = sum (fun (_, _, _, _, _, (_, p)) -> p) in
+  let instructions = List.fold_left (fun acc (_, _, _, i, _, _) -> acc + i) 0 rows in
+  let identical = List.for_all (fun (_, _, _, _, ok, _) -> ok) rows in
+  Printf.printf "  %-14s jobs=1 %6.3fs  jobs=%d %6.3fs  (%.2fx)  %10d instructions  probe %.2fx\n%!" "total" t1 n
+    tn (t1 /. tn) instructions (probe_one /. probe_two);
   Printf.printf "  reports and instructions identical: %b\n%!" identical;
   let oc = open_out "BENCH_jobs.json" in
   Printf.fprintf oc
     "{\n  \"jobs_default\": %d,\n  \"cores\": %d,\n  \"timing\": \"wall seconds of one in-process \
-     analysis (Session report, as dca analyze), best of 3 per width\",\n  \"programs\": [\n"
+     analysis (Session report, as dca analyze), best of 3 per width\",\n  \"probe\": \"two-domain \
+     capacity probe taken before each program: seconds of an allocation-free loop on one domain, then \
+     of the same work split over two; ratio = one / two (2 = a free second core, 1 = none)\",\n  \
+     \"programs\": [\n"
     n (Domain.recommended_domain_count ());
   List.iteri
-    (fun k (name, t1, tn, instructions, ok) ->
+    (fun k (name, t1, tn, instructions, ok, (p1, p2)) ->
       Printf.fprintf oc
         "    {\"name\": %S, \"jobs1_s\": %.3f, \"jobsN_s\": %.3f, \"speedup\": %.2f, \
-         \"instructions\": %d, \"identical\": %b}%s\n"
-        name t1 tn (t1 /. tn) instructions ok
+         \"instructions\": %d, \"identical\": %b, \"probe_one_s\": %.3f, \"probe_two_s\": %.3f, \
+         \"probe_ratio\": %.2f}%s\n"
+        name t1 tn (t1 /. tn) instructions ok p1 p2 (p1 /. p2)
         (if k = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc
     "  ],\n  \"total_jobs1_s\": %.3f,\n  \"total_jobsN_s\": %.3f,\n  \"total_instructions\": %d,\n  \
+     \"total_probe_one_s\": %.3f,\n  \"total_probe_two_s\": %.3f,\n  \"probe_ratio\": %.2f,\n  \
      \"identical\": %b\n}\n"
-    t1 tn instructions identical;
+    t1 tn instructions probe_one probe_two (probe_one /. probe_two) identical;
   close_out oc;
   Printf.printf "  wrote BENCH_jobs.json\n%!";
   if not identical then exit 1
@@ -286,16 +319,52 @@ let run_interp () =
      this harness is an analysis change, not noise.  BT and perimeter
      weigh golden recording most (perimeter promotes twice); the
      attribution passes of the promotions are counted beside the
-     report's counters. *)
+     report's counters.  Beside the time: the minor collections and
+     promoted words of one dynamic stage ([Gc.quick_stat] deltas), and
+     the golden recordings' nanoseconds per recorded instruction — the
+     [golden] spans of a traced session, which hold the recording and
+     the digest capture and carry the instructions recorded (median of
+     the sessions). *)
+  let golden_ns_per_step events =
+    let ns = ref 0 and steps = ref 0 and open_at = Hashtbl.create 4 in
+    List.iter
+      (fun (e : Telemetry.event) ->
+        if e.e_name = "golden" then
+          match e.e_ph with
+          | 'B' -> Hashtbl.replace open_at e.e_tid e.e_ts
+          | 'E' -> (
+              match (Hashtbl.find_opt open_at e.e_tid, List.assoc_opt "instructions" e.e_args) with
+              | Some t0, Some n ->
+                  ns := !ns + (e.e_ts - t0);
+                  steps := !steps + int_of_string n
+              | _ -> ())
+          | _ -> ())
+      events;
+    float_of_int !ns /. float_of_int (max 1 !steps)
+  in
   List.iter
     (fun bm ->
       let seq_opts = Dca_core.Session.Options.(default |> with_jobs 1) in
-      let ns =
-        sample_ns ~reps:reps_dca (fun () ->
-            Dca_core.Session.with_session ~options:seq_opts (Dca_core.Session.Benchmark bm)
-              (fun s -> ignore (Dca_core.Session.dca_results s)))
+      let dynamic_stage ?(options = seq_opts) () =
+        Dca_core.Session.with_session ~options (Dca_core.Session.Benchmark bm) (fun s ->
+            ignore (Dca_core.Session.dca_results s))
       in
+      let ns = sample_ns ~reps:reps_dca dynamic_stage in
       push (Printf.sprintf "dca_dynamic_%s_ns" bm.Benchmark.bm_name) ns;
+      let gc0 = Gc.quick_stat () in
+      dynamic_stage ();
+      let gc1 = Gc.quick_stat () in
+      push (Printf.sprintf "dca_dynamic_%s_minor_collections" bm.Benchmark.bm_name)
+        (float_of_int (gc1.Gc.minor_collections - gc0.Gc.minor_collections));
+      push (Printf.sprintf "dca_dynamic_%s_promoted_words" bm.Benchmark.bm_name)
+        (gc1.Gc.promoted_words -. gc0.Gc.promoted_words);
+      push ~decimals:1
+        (Printf.sprintf "dca_golden_%s_ns_per_step" bm.Benchmark.bm_name)
+        (median
+           (Array.init reps_dca (fun _ ->
+                let tele = Telemetry.Ctx.create ~tracing:true () in
+                dynamic_stage ~options:Dca_core.Session.Options.(seq_opts |> with_telemetry tele) ();
+                golden_ns_per_step (Telemetry.Ctx.events tele))));
       let tele = Telemetry.Ctx.create ~counting:true () in
       let counters, attributions =
         Dca_core.Session.with_session

@@ -113,6 +113,14 @@ let fault_hit ?ctx site name =
   | Faultpoint.Fire_trap -> raise (Eval.Trap (Faultpoint.injected_msg ?ctx name))
   | Faultpoint.Fire_fuel -> raise Eval.Out_of_fuel
 
+(* A span whose end event carries [args ()], built only when tracing. *)
+let span_with_args ~cat name args f =
+  if not (Telemetry.tracing ()) then f ()
+  else begin
+    Telemetry.begin_span ~cat name;
+    Fun.protect ~finally:(fun () -> Telemetry.end_span ~args:(args ()) name) f
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Golden recording                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -141,6 +149,101 @@ let roles_of sep =
 let role roles iid =
   let k = iid - roles.ro_base in
   if k >= 0 && k < Bytes.length roles.ro_roles then Bytes.get roles.ro_roles k else role_none
+
+(* The live-out interface of a loop, as the frame slots and global slots
+   the digest reads: the local scalars live out of the loop, by variable
+   id; the locals live at the exit that the loop does not define, whose
+   pointers root the heap walk too (a local array or a list head is
+   observable after the loop though no loop-defined scalar carries it;
+   loop-defined pointers are among the scalars, and capture dereferences
+   every pointer cell); and the globals, scalars and aggregate roots
+   apart, in slot order.  Computed once per tested loop, not on every
+   capture and comparison. *)
+type liveout = {
+  lo_locals : int array;
+  lo_exit_ptrs : int array;
+  lo_global_scalars : int array;
+  lo_global_roots : int array;
+}
+
+let liveout_of (prog : Ir.program) fi loop =
+  let live = fi.Proginfo.fi_live in
+  let local_slots vids =
+    Array.of_list
+      (List.filter_map
+         (fun vid ->
+           match Liveness.var_of_id live vid with
+           | Some v when not v.Ir.vglobal -> Some v.Ir.vslot
+           | _ -> None)
+         (Intset.elements vids))
+  in
+  let live_out = Liveness.loop_live_out live loop in
+  let globals aggregate =
+    Array.of_list
+      (List.filter
+         (fun slot -> prog.Ir.p_globals.(slot).Ir.g_aggregate = aggregate)
+         (List.init (Array.length prog.Ir.p_globals) Fun.id))
+  in
+  {
+    lo_locals = local_slots live_out;
+    lo_exit_ptrs = local_slots (Intset.diff (Liveness.loop_live_exit live loop) live_out);
+    lo_global_scalars = globals false;
+    lo_global_roots = globals true;
+  }
+
+(* Everything recording, replaying and the digest read of a separation,
+   computed once per separation (a widening computes it again) rather
+   than on every recording, replay or capture. *)
+type prepared = {
+  pr_sep : separation;
+  pr_header : int;
+  pr_roles : roles;
+  pr_cbr : Bytes.t;  (** by block id of the loop's function: the block ends in a conditional branch *)
+  pr_slice_cbr : Bytes.t;  (** by block id: [sep_slice_cbr_blocks] *)
+  pr_outside : int -> bool;  (** stop of a whole pass: a block outside the loop *)
+  pr_iteration_end : int -> bool;  (** stop of one iteration: the header, or outside *)
+  pr_slice : Ir.instr -> bool;  (** the iterator pass's filter *)
+  pr_payload : Ir.instr -> bool;  (** the payload pass's filter *)
+  pr_slice_slots : int array;  (** frame slots of the locals slice instructions define *)
+  pr_iface_slots : int array;  (** frame slots of the interface variables, in interface order *)
+  pr_iface_post : bool array;  (** the payload reads the variable after the iterator's update *)
+  pr_liveout : liveout;
+}
+
+let prepare fi liveout sep =
+  let loop = sep.sep_loop in
+  let header = loop.Loops.l_header in
+  let blocks = (Cfg.func fi.Proginfo.fi_cfg).Ir.fblocks in
+  let cbr = Bytes.make (Array.length blocks) '\000' in
+  Array.iteri (fun b blk -> match blk.Ir.bterm with Ir.Cbr _ -> Bytes.set cbr b '\001' | _ -> ()) blocks;
+  let slice_cbr = Bytes.make (Array.length blocks) '\000' in
+  Intset.iter (fun b -> Bytes.set slice_cbr b '\001') sep.sep_slice_cbr_blocks;
+  let roles = roles_of sep in
+  let _, slice_slots =
+    Intset.fold
+      (fun iid ((seen, slots) as acc) ->
+        match Ir.def_of (Pdg.instr fi.Proginfo.fi_pdg iid).Ir.idesc with
+        | Some v when (not v.Ir.vglobal) && not (Intset.mem v.Ir.vid seen) ->
+            (Intset.add v.Ir.vid seen, v.Ir.vslot :: slots)
+        | _ -> acc)
+      sep.sep_slice (Intset.empty, [])
+  in
+  let iface = Array.of_list sep.sep_interface in
+  {
+    pr_sep = sep;
+    pr_header = header;
+    pr_roles = roles;
+    pr_cbr = cbr;
+    pr_slice_cbr = slice_cbr;
+    pr_outside = (fun b -> not (Loops.contains_block loop b));
+    pr_iteration_end = (fun b -> b = header || not (Loops.contains_block loop b));
+    pr_slice = (fun i -> role roles i.Ir.iid = role_slice);
+    pr_payload = (fun i -> role roles i.Ir.iid = role_payload);
+    pr_slice_slots = Array.of_list slice_slots;
+    pr_iface_slots = Array.map (fun iv -> iv.if_var.Ir.vslot) iface;
+    pr_iface_post = Array.map (fun iv -> iv.if_phase = Post) iface;
+    pr_liveout = liveout;
+  }
 
 (* Footprints as role bits.  Memory separability asks whether the
    iterator's and the payload's footprints in one golden run interfere:
@@ -257,58 +360,75 @@ let loc_bits sh (loc : Events.loc) =
    wrote. *)
 type mode = Mark | Attribute of Intset.t ref
 
+(* A growable buffer of ints, and one of interface snapshots.  They grow
+   by doubling into fresh arrays whose initial value is an int or the
+   empty array, never a young block, so no growth forces a minor
+   collection. *)
+type ints = { mutable i_a : int array; mutable i_n : int }
+
+let ints () = { i_a = Array.make 64 0; i_n = 0 }
+
+let push b x =
+  if b.i_n = Array.length b.i_a then begin
+    let a = Array.make (2 * b.i_n) 0 in
+    Array.blit b.i_a 0 a 0 b.i_n;
+    b.i_a <- a
+  end;
+  Array.unsafe_set b.i_a b.i_n x;
+  b.i_n <- b.i_n + 1
+
+type snaps = { mutable s_a : Value.t array array; mutable s_n : int }
+
+let push_snap b x =
+  if b.s_n = Array.length b.s_a then begin
+    let a = Array.make (max 16 (2 * b.s_n)) [||] in
+    Array.blit b.s_a 0 a 0 b.s_n;
+    b.s_a <- a
+  end;
+  b.s_a.(b.s_n) <- x;
+  b.s_n <- b.s_n + 1
+
+(* The golden trace, built while the run goes.  A segment is the part of
+   the run between two header arrivals; a replay reads, of the loop's
+   frame, only the conditional branches' directions and where each
+   segment's directions start, so those are all that is kept. *)
 type golden = {
-  g_transitions : (int * int) array;  (** frame-level control transfers; (-1, header) marks iteration start *)
-  g_segments : (int * int) list;  (** (start, stop) index ranges into g_transitions, one per header arrival *)
-  g_payload_segments : int list;  (** indices into g_segments that execute payload *)
-  g_snaps : Value.t array array;  (** interface values at each header arrival *)
+  g_dirs : ints;  (** conditional-branch transfers of the loop's frame: source at [2k], destination at [2k + 1] *)
+  g_bounds : ints;  (** segment [s] holds directions [g_bounds.(s)] to [g_bounds.(s + 1)] (exclusive) *)
+  g_payload : ints;  (** the segments that enter the body — the iterations — in order *)
+  g_snaps : snaps;  (** interface values at each header arrival, one per segment *)
   g_exit_snap : Value.t array;
   g_exit_block : int;
   g_violation : bool;  (** the footprints interfere: memory separability is violated *)
 }
 
-let iface_values frame sep =
-  Array.of_list (List.map (fun iv -> frame.Eval.regs.(iv.if_var.Ir.vslot)) sep.sep_interface)
+let iterations g = g.g_payload.i_n
 
-(* The live-out interface of [loop] in the current machine state: scalar
-   values in fixed order plus the global aggregate roots.  Feeds both
-   digest construction (golden run) and the in-place comparison every
-   replay performs against the golden digest. *)
-let digest_liveout fi loop ctx frame =
-  let live = Liveness.loop_live_out fi.Proginfo.fi_live loop in
-  let scalar_values =
-    Intset.elements live
-    |> List.filter_map (fun vid ->
-           match Liveness.var_of_id fi.Proginfo.fi_live vid with
-           | Some v when not v.Ir.vglobal -> Some frame.Eval.regs.(v.Ir.vslot)
-           | _ -> None)
-  in
-  (* Heap the caller can still reach through a pointer the loop did NOT
-     define — a local array, a list head — is observable after the loop
-     even though no loop-defined scalar carries it, so those pointers must
-     root the digest walk too.  Loop-defined pointers are already in
-     [scalar_values] (capture dereferences every pointer cell). *)
-  let exit_ptr_roots =
-    Intset.elements (Intset.diff (Liveness.loop_live_exit fi.Proginfo.fi_live loop) live)
-    |> List.filter_map (fun vid ->
-           match Liveness.var_of_id fi.Proginfo.fi_live vid with
-           | Some v when not v.Ir.vglobal -> (
-               match frame.Eval.regs.(v.Ir.vslot) with
-               | Value.VPtr _ as p -> Some p
-               | _ -> None)
-           | _ -> None)
-  in
-  let gvals = Eval.globals_of ctx in
-  let gscalars = List.filter_map (fun (g, v) -> if g.Ir.g_aggregate then None else Some v) gvals in
-  let groots = List.filter_map (fun (g, v) -> if g.Ir.g_aggregate then Some v else None) gvals in
-  (scalar_values @ gscalars, exit_ptr_roots @ groots)
+let iface_values frame prep = Array.map (fun slot -> frame.Eval.regs.(slot)) prep.pr_iface_slots
 
-let capture_digest fi loop ctx frame =
-  let scalars, roots = digest_liveout fi loop ctx frame in
+(* The digest's scalars and roots in the current machine state: feeds
+   both the golden run's capture and the in-place comparison every
+   replay performs against it. *)
+let digest_liveout prep ctx frame =
+  let lo = prep.pr_liveout and regs = frame.Eval.regs and st = Eval.store ctx in
+  let globals slots tail = Array.fold_right (fun g acc -> Store.read_global st g :: acc) slots tail in
+  let scalars =
+    Array.fold_right (fun slot acc -> regs.(slot) :: acc) lo.lo_locals (globals lo.lo_global_scalars [])
+  in
+  let roots =
+    Array.fold_right
+      (fun slot acc -> match regs.(slot) with Value.VPtr _ as p -> p :: acc | _ -> acc)
+      lo.lo_exit_ptrs
+      (globals lo.lo_global_roots [])
+  in
+  (scalars, roots)
+
+let capture_digest prep ctx frame =
+  let scalars, roots = digest_liveout prep ctx frame in
   Observable.capture (Eval.store ctx) ~scalars ~roots
 
-let matches_digest ~eps golden fi loop ctx frame =
-  let scalars, roots = digest_liveout fi loop ctx frame in
+let matches_digest ~eps golden prep ctx frame =
+  let scalars, roots = digest_liveout prep ctx frame in
   Observable.matches ~eps golden (Eval.store ctx) ~scalars ~roots
 
 (* Run the loop once in original order under a memory sink: it reports
@@ -317,12 +437,15 @@ let matches_digest ~eps golden fi loop ctx frame =
    access is the depth-0 instruction's: the callee's accesses are the
    call's.  The live-out digest is not part of the recording: only the
    loop-local test compares against it, so it captures it itself. *)
-let record ctx frame sep roles shadow mode =
-  let loop = sep.sep_loop in
-  let header = loop.Loops.l_header in
-  let in_loop b = Loops.contains_block loop b in
+let record ctx frame prep shadow mode =
+  let loop = prep.pr_sep.sep_loop in
+  let header = prep.pr_header in
   let st = Eval.store ctx in
-  let transitions = ref [] in
+  let dirs = ints () and bounds = ints () and payload = ints () in
+  let snaps = { s_a = [||]; s_n = 0 } in
+  (* the open segment entered the body *)
+  let body = ref false in
+  let close_segment () = if !body then push payload (bounds.i_n - 1) in
   let depth = ref 0 in
   (* the depth-0 instruction, and the role bits its reads and writes set
      (0: neither slice nor payload) *)
@@ -331,7 +454,7 @@ let record ctx frame sep roles shadow mode =
     if !depth = 0 then begin
       let iid = i.Ir.iid in
       cur_iid := iid;
-      let r = role roles iid in
+      let r = role prep.pr_roles iid in
       if r = role_slice then begin
         read_bit := slice_read;
         write_bit := slice_write
@@ -361,211 +484,162 @@ let record ctx frame sep roles shadow mode =
             if !write_bit = payload_write && loc_bits shadow loc land (slice_read lor slice_write) <> 0
             then culprit () )
   in
+  (* a transfer from no block starts a segment: every per-iteration
+     [exec_upto] begins at the header; a segment that enters a loop
+     block other than the header is an iteration — the final segment of a
+     header-exiting loop transfers straight out and is not *)
+  let on_block ~fname:_ ~src ~dst =
+    if !depth = 0 then
+      if src < 0 then begin
+        if bounds.i_n > 0 then close_segment ();
+        body := false;
+        push bounds (dirs.i_n / 2)
+      end
+      else begin
+        if Bytes.get prep.pr_cbr src <> '\000' then begin
+          push dirs src;
+          push dirs dst
+        end;
+        if (not !body) && dst <> header && Loops.contains_block loop dst then body := true
+      end
+  in
   let sink =
     {
       Events.on_exec;
       on_read;
       on_write;
-      on_block =
-        (fun ~fname:_ ~src ~dst -> if !depth = 0 then transitions := (src, dst) :: !transitions);
+      on_block;
       on_call = (fun _ -> incr depth);
       on_return = (fun _ -> decr depth);
     }
   in
   let run () =
-    (* the sink records a (-1, header) marker at the start of every
-       per-iteration [exec_upto], which delimits the segments *)
-    let snaps = ref [ iface_values frame sep ] in
+    push_snap snaps (iface_values frame prep);
     let rec go cur =
-      match
-        Eval.exec_upto ctx frame ~start:cur ~stop:(fun b -> b = header || not (in_loop b)) ~control:None
-      with
+      match Eval.exec_upto ctx frame ~start:cur ~stop:prep.pr_iteration_end ~control:None with
       | Eval.Stopped_at b when b = header ->
-          snaps := iface_values frame sep :: !snaps;
+          push_snap snaps (iface_values frame prep);
           go header
       | Eval.Stopped_at e -> e
       | Eval.Returned _ -> raise (Replay_mismatch "function returned from inside the loop")
     in
-    let exit_block = go header in
-    (exit_block, List.rev !snaps)
+    go header
   in
   (* no other sink can be active here: DCA testing runs own its own
      evaluator contexts, never under the profiler *)
   Eval.set_sink ~kind:Eval.Memory ctx (Some sink);
-  let result = Fun.protect ~finally:(fun () -> Eval.set_sink ctx None) (fun () -> run ()) in
-  let exit_block, snaps = result in
-  let exit_snap = iface_values frame sep in
-  let trans = Array.of_list (List.rev !transitions) in
-  (* segments: ranges between (-1, header) markers *)
-  let segments = ref [] and seg_start = ref None in
-  Array.iteri
-    (fun idx (src, _dst) ->
-      if src = -1 then begin
-        (match !seg_start with Some s -> segments := (s, idx) :: !segments | None -> ());
-        seg_start := Some (idx + 1)
-      end)
-    trans;
-  (match !seg_start with Some s -> segments := (s, Array.length trans) :: !segments | None -> ());
-  let segments = List.rev !segments in
-  (* a segment that enters the loop body (some transition to an in-loop
-     block other than the header) is a real iteration; the final segment of
-     a header-exiting loop transfers straight out and is excluded *)
-  let seg_has_body (s, e) =
-    let rec has k =
-      k < e && ((let _, dst = trans.(k) in in_loop dst && dst <> header) || has (k + 1))
-    in
-    has s
-  in
-  let payload_idx =
-    List.mapi (fun i seg -> (i, seg)) segments
-    |> List.filter_map (fun (i, seg) -> if seg_has_body seg then Some i else None)
-  in
+  let exit_block = Fun.protect ~finally:(fun () -> Eval.set_sink ctx None) run in
+  close_segment ();
+  push bounds (dirs.i_n / 2);
   {
-    g_transitions = trans;
-    g_segments = segments;
-    g_payload_segments = payload_idx;
-    g_snaps = Array.of_list snaps;
-    g_exit_snap = exit_snap;
+    g_dirs = dirs;
+    g_bounds = bounds;
+    g_payload = payload;
+    g_snaps = snaps;
+    g_exit_snap = iface_values frame prep;
     g_exit_block = exit_block;
     g_violation = shadow.sh_violation;
   }
 
 (* A golden run: the recording, its role bits marked in [shadow]. *)
-let record_golden ctx frame sep roles shadow =
+let record_golden ctx frame prep shadow =
   fault_hit fp_golden "commutativity.golden";
-  record ctx frame sep roles shadow Mark
+  record ctx frame prep shadow Mark
 
 (* The payload instructions that interfere with the iterator in the
    flagged golden run whose cells [shadow] holds: the invocation is
    recorded once more from its entry state [ctx]/[frame], on a replica.
    The replica repeats a run that completed, so it runs without a budget,
    and its work is not charged to the loop. *)
-let attribute ctx frame sep roles shadow =
+let attribute ctx frame prep shadow =
   let ctx = Eval.fork ctx and frame = Eval.copy_frame frame in
   Eval.set_limits ctx ~fuel:max_int ~deadline:max_int;
   let culprits = ref Intset.empty in
   Fun.protect
     ~finally:(fun () -> Store.flush_telemetry (Eval.store ctx))
-    (fun () -> ignore (record ctx frame sep roles shadow (Attribute culprits)));
+    (fun () -> ignore (record ctx frame prep shadow (Attribute culprits)));
   !culprits
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Advance [cursor] (an index ref into [trans] within [stop]) to the next
-   entry whose source is [bid]; return its destination. *)
-let consume_direction trans cursor stop bid =
+(* Advance [cursor] (an index ref into the directions, below [stop]) to
+   the next direction whose source is [bid]; return its destination. *)
+let direction g cursor stop bid =
+  let dirs = g.g_dirs.i_a in
   let rec scan k =
-    if k >= stop then
-      raise (Replay_mismatch (Printf.sprintf "no recorded direction for block %d" bid))
-    else
-      let src, dst = trans.(k) in
-      if src = bid then begin
-        cursor := k + 1;
-        dst
-      end
-      else scan (k + 1)
+    if k >= stop then raise (Replay_mismatch (Printf.sprintf "no recorded direction for block %d" bid))
+    else if dirs.(2 * k) = bid then begin
+      cursor := k + 1;
+      dirs.((2 * k) + 1)
+    end
+    else scan (k + 1)
   in
   scan !cursor
 
-(* Re-execute the loop from the entry state under [sched]:
-   iterator pass (slice only, recorded path), then payload pass (payload
-   only, scheduled iteration order), then restore the iterator's exit
-   values so live-outs reflect the completed traversal. *)
-let replay ctx frame fi sep g sched =
-  let loop = sep.sep_loop in
-  let header = loop.Loops.l_header in
-  let in_loop b = Loops.contains_block loop b in
-  let trans = g.g_transitions in
-  let n_trans = Array.length trans in
-  (* --- iterator pass --- *)
-  let cursor = ref 0 in
-  let iter_control =
-    {
-      Eval.sc_filter = (fun i -> Intset.mem i.Ir.iid sep.sep_slice);
-      sc_override = (fun bid -> Some (consume_direction trans cursor n_trans bid));
-    }
+(* A re-execution of the loop from its entry state is an iterator pass
+   (slice only, recorded path) and then a payload pass (payload only,
+   scheduled iteration order).  One invocation's iterator passes are all
+   the same — same entry state, same directions — so the loop-local test
+   runs it once and its replicas start after it. *)
+let iterator_pass ctx frame prep g =
+  let cursor = ref 0 and stop = g.g_dirs.i_n / 2 in
+  let control =
+    { Eval.sc_filter = prep.pr_slice; sc_override = (fun bid -> Some (direction g cursor stop bid)) }
   in
-  (* one payload filter for every payload iteration: the evaluator keeps
-     a filter's decisions per block, keyed on the closure *)
-  let payload_filter i = Intset.mem i.Ir.iid sep.sep_payload in
-  (match
-     Eval.exec_upto ctx frame ~start:header ~stop:(fun b -> not (in_loop b)) ~control:(Some iter_control)
-   with
+  match Eval.exec_upto ctx frame ~start:prep.pr_header ~stop:prep.pr_outside ~control:(Some control) with
   | Eval.Stopped_at e when e = g.g_exit_block -> ()
   | Eval.Stopped_at e ->
       raise (Replay_mismatch (Printf.sprintf "iterator pass exited at %d, golden exited at %d" e g.g_exit_block))
-  | Eval.Returned _ -> raise (Replay_mismatch "iterator pass returned"));
-  (* save iterator exit values *)
-  let slice_vars =
-    Intset.fold
-      (fun iid acc ->
-        match Ir.def_of (Pdg.instr fi.Proginfo.fi_pdg iid).Ir.idesc with
-        | Some v when not v.Ir.vglobal -> if List.exists (fun v' -> v'.Ir.vid = v.Ir.vid) acc then acc else v :: acc
-        | _ -> acc)
-      sep.sep_slice []
-  in
-  let slice_exit_values = List.map (fun v -> (v, frame.Eval.regs.(v.Ir.vslot))) slice_vars in
-  (* --- payload pass --- *)
-  let seg_array = Array.of_list g.g_segments in
-  let payload_iters = Array.of_list g.g_payload_segments in
-  let n = Array.length payload_iters in
-  let perm = Schedule.apply sched n in
-  let set_iface seg_idx =
-    List.iteri
-      (fun j iv ->
-        let value =
-          match iv.if_phase with
-          | Pre -> g.g_snaps.(seg_idx).(j)
-          | Post ->
-              if seg_idx + 1 < Array.length g.g_snaps then g.g_snaps.(seg_idx + 1).(j)
-              else g.g_exit_snap.(j)
-        in
-        frame.Eval.regs.(iv.if_var.Ir.vslot) <- value)
-      sep.sep_interface
+  | Eval.Returned _ -> raise (Replay_mismatch "iterator pass returned")
+
+(* The payload pass under [sched], from the state the iterator pass left:
+   each iteration starts from its recorded interface values and the
+   slice's branches take their recorded directions; then the iterator's
+   exit values, which the interface presets clobbered, come back so
+   live-outs reflect the completed traversal. *)
+let payload_pass ctx frame prep g sched =
+  let regs = frame.Eval.regs in
+  let slice_exit = Array.map (fun slot -> regs.(slot)) prep.pr_slice_slots in
+  let snaps = g.g_snaps in
+  let cursor = ref 0 and seg_stop = ref 0 in
+  let control =
+    {
+      Eval.sc_filter = prep.pr_payload;
+      sc_override =
+        (fun bid ->
+          if Bytes.get prep.pr_slice_cbr bid <> '\000' then Some (direction g cursor !seg_stop bid) else None);
+    }
   in
   Array.iter
     (fun k ->
-      let seg_idx = payload_iters.(k) in
-      let seg_start, seg_stop = seg_array.(seg_idx) in
-      set_iface seg_idx;
-      let cursor = ref seg_start in
-      let control =
-        {
-          Eval.sc_filter = payload_filter;
-          sc_override =
-            (fun bid ->
-              if Intset.mem bid sep.sep_slice_cbr_blocks then
-                Some (consume_direction trans cursor seg_stop bid)
-              else None);
-        }
-      in
+      let seg = g.g_payload.i_a.(k) in
+      let pre = snaps.s_a.(seg) and post = if seg + 1 < snaps.s_n then snaps.s_a.(seg + 1) else g.g_exit_snap in
+      Array.iteri
+        (fun j slot -> regs.(slot) <- (if prep.pr_iface_post.(j) then post.(j) else pre.(j)))
+        prep.pr_iface_slots;
+      cursor := g.g_bounds.i_a.(seg);
+      seg_stop := g.g_bounds.i_a.(seg + 1);
       match
-        Eval.exec_upto ctx frame ~start:header
-          ~stop:(fun b -> b = header || not (in_loop b))
-          ~control:(Some control)
+        Eval.exec_upto ctx frame ~start:prep.pr_header ~stop:prep.pr_iteration_end ~control:(Some control)
       with
       | Eval.Stopped_at _ -> ()
       | Eval.Returned _ -> raise (Replay_mismatch "payload pass returned"))
-    perm;
-  (* restore iterator exit values clobbered by interface presets *)
-  List.iter (fun (v, value) -> frame.Eval.regs.(v.Ir.vslot) <- value) slice_exit_values
+    (Schedule.apply sched (iterations g));
+  Array.iteri (fun j slot -> regs.(slot) <- slice_exit.(j)) prep.pr_slice_slots
 
-(* Replay under [sched], then compare the state left behind against the
-   golden run's live-out [digest] in place (no second capture is
-   materialized). *)
-let replay_matches ~eps ctx frame fi sep g digest sched =
-  replay ctx frame fi sep g sched;
-  matches_digest ~eps digest fi sep.sep_loop ctx frame
+(* Re-execute the loop from the entry state under [sched]. *)
+let replay ctx frame prep g sched =
+  iterator_pass ctx frame prep g;
+  payload_pass ctx frame prep g sched
 
 (* ------------------------------------------------------------------ *)
 (* Mode A: loop-local testing via interception                         *)
 (* ------------------------------------------------------------------ *)
 
 type tester_state = {
-  mutable ts_sep : separation;
-  mutable ts_roles : roles;  (** [roles_of ts_sep] *)
+  mutable ts_prep : prepared;  (** the current (possibly widened) separation, prepared *)
   ts_shadow : shadow;  (** the role bits of every golden run of the loop *)
   mutable ts_attributions : int;  (** attribution passes *)
   mutable ts_tested : int;
@@ -590,13 +664,13 @@ let run_loop_plain ctx frame loop =
       raise (Replay_mismatch "loop returned during plain run")
 
 let widen_or_fail fi state violations =
-  let sep' = Iterator_rec.widen fi state.ts_sep ~promote:violations in
+  let prep = state.ts_prep in
+  let sep' = Iterator_rec.widen fi prep.pr_sep ~promote:violations in
   if sep'.sep_mixed_cbr then Error "promotion produced mixed branch conditions"
   else if sep'.sep_ambiguous <> [] then Error "promotion produced an ambiguous interface"
   else if Iterator_rec.is_iterator_only sep' then Error "iterator absorbed the whole payload"
   else begin
-    state.ts_sep <- sep';
-    state.ts_roles <- roles_of sep';
+    state.ts_prep <- prepare fi prep.pr_liveout sep';
     state.ts_promotions <- state.ts_promotions + 1;
     Ok ()
   end
@@ -614,22 +688,32 @@ let widen_or_fail fi state violations =
    (and the fuzzer) can exercise it directly. *)
 let sift_schedules schedules n_iters = Schedule.sift schedules n_iters
 
-(* One counted replay of [sched] on a replica forked from the entry state
-   [ctx]/[frame]: the loop-local decision and the instructions the replay
-   executed, or the exception that ended it.  Nothing is raised, so a
-   replica never fails the pool's map; the fold below decides what its
+(* The state every replica of one invocation starts from: a fork of the
+   context and a copy of the frame right after the invocation's iterator
+   pass, and the instructions that pass executed. *)
+type after_iterator = { ai_ctx : Eval.ctx; ai_frame : Eval.frame; ai_steps : int }
+
+(* One counted replay of [sched] on a replica of [ai]: the loop-local
+   decision and the instructions the replay executed, or the exception
+   that ended it.  The replica starts at [start], the step count it would
+   start at if it ran its own iterator pass, and is first charged that
+   pass's instructions, inside its own exception handling: fuel runs out
+   on the same schedule, at the same count, and the replay's instructions
+   are the same as if it had run the pass itself.  Nothing is raised, so
+   a replica never fails the pool's map; the fold below decides what its
    outcome means.  The replica's checkpoint traffic is flushed here. *)
-let replay_replica ~eps ctx frame fi sep g digest sched =
-  let ctx = Eval.fork ctx and frame = Eval.copy_frame frame in
+let replay_replica ~eps ~start ai prep g digest sched =
+  let ctx = Eval.fork ~steps:start ai.ai_ctx and frame = Eval.copy_frame ai.ai_frame in
   let traced = Telemetry.tracing () in
   let name = if traced then "replay " ^ Schedule.to_string sched else "" in
-  let s0 = Eval.steps ctx in
   let label = ref "out-of-fuel" in
   if traced then Telemetry.begin_span ~cat:"dynamic" name;
   let r =
     match
       fault_hit ~ctx:(Schedule.to_string sched) fp_replay "commutativity.replay";
-      replay_matches ~eps ctx frame fi sep g digest sched
+      Eval.charge ctx ai.ai_steps;
+      payload_pass ctx frame prep g sched;
+      matches_digest ~eps digest prep ctx frame
     with
     | true ->
         label := "match";
@@ -647,35 +731,35 @@ let replay_replica ~eps ctx frame fi sep g digest sched =
         Ok (`Trap msg)
     | exception e -> Error (e, Printexc.get_raw_backtrace ())
   in
-  let steps = Eval.steps ctx - s0 in
+  let steps = Eval.steps ctx - start in
   if traced then
     Telemetry.end_span ~args:[ ("outcome", !label); ("instructions", string_of_int steps) ] name;
   Store.flush_telemetry (Eval.store ctx);
   (r, steps)
 
-(* Run the post-identity permutation schedules.  Every representative
-   replays on its own replica of the entry state, through [pool]; the
-   outcomes are then folded in schedule order under the sequential rule.
-   The fold charges each replica's instructions to [ctx], so the loop's
-   fuel runs out exactly where replaying the schedules one after another
-   would have: replica k ran with the whole remaining budget, and the
-   charge checks the running sum.  The first exception in schedule order
-   is re-raised, and a trap ends the fold, so later schedules contribute
-   neither escalation marks nor counts — [jobs = n] and [jobs = 1] reach
+(* Run the post-identity permutation schedules [schedules] (the sifted
+   representatives).  Every representative replays on its own replica of
+   the post-iterator state [ai], through [pool]; the outcomes are then
+   folded in schedule order under the sequential rule.  The fold charges
+   each replica's instructions to [ctx], so the loop's fuel runs out
+   exactly where replaying the schedules one after another would have:
+   replica k ran with the whole remaining budget, and the charge checks
+   the running sum.  The first exception in schedule order is re-raised,
+   and a trap ends the fold, so later schedules contribute neither
+   escalation marks nor counts — [jobs = n] and [jobs = 1] reach
    bit-identical verdicts.  A skipped duplicate inherits its
    representative's loop-local decision (a whole-program verification
    applies the schedule at *every* invocation of the loop, where two
    presets equal at this trip count need not coincide), so escalation
    marks are rebuilt over the full preset list — verdicts are identical
    to replaying everything. *)
-let run_schedules pool config fi state ctx frame g digest =
-  let n_iters = List.length g.g_payload_segments in
+let run_schedules pool config state ctx ai g digest schedules =
+  let n_iters = iterations g in
   let identity = Array.init n_iters (fun i -> i) in
-  let schedules, skipped = sift_schedules config.cc_schedules n_iters in
-  state.ts_skipped <- state.ts_skipped + skipped;
+  let start = Eval.steps ctx in
   let outcomes =
     Pool.map pool
-      (fun (sched, _) -> replay_replica ~eps:config.cc_eps ctx frame fi state.ts_sep g digest sched)
+      (fun (sched, _) -> replay_replica ~eps:config.cc_eps ~start ai state.ts_prep g digest sched)
       schedules
   in
   let rec fold acc = function
@@ -737,12 +821,16 @@ let test_invocation pool config fi state ctx frame =
      fails after that restore leaves the entry state in place. *)
   let at_entry = ref false in
   let rec attempt rounds =
+    let prep = state.ts_prep in
     state.ts_goldens <- state.ts_goldens + 1;
     let golden () =
-      let g = record_golden ctx frame state.ts_sep state.ts_roles state.ts_shadow in
-      (g, capture_digest fi state.ts_sep.sep_loop ctx frame)
+      let g = record_golden ctx frame prep state.ts_shadow in
+      (g, capture_digest prep ctx frame)
     in
-    match Telemetry.span ~cat:"dynamic" "golden" golden with
+    let s = Eval.steps ctx in
+    match
+      span_with_args ~cat:"dynamic" "golden" (fun () -> [ ("instructions", string_of_int (Eval.steps ctx - s)) ]) golden
+    with
     | exception Replay_mismatch msg -> Untestable msg
     | exception Eval.Trap msg -> Untestable ("trap during golden run: " ^ msg)
     | g, digest -> begin
@@ -750,8 +838,7 @@ let test_invocation pool config fi state ctx frame =
           if rounds > 0 then begin
             restore0 ();
             let violations =
-              Telemetry.span ~cat:"dynamic" "golden" (fun () ->
-                  attribute ctx frame state.ts_sep state.ts_roles state.ts_shadow)
+              Telemetry.span ~cat:"dynamic" "golden" (fun () -> attribute ctx frame prep state.ts_shadow)
             in
             state.ts_attributions <- state.ts_attributions + 1;
             match widen_or_fail fi state violations with
@@ -763,32 +850,46 @@ let test_invocation pool config fi state ctx frame =
           else Untestable "memory separability violated"
         end
         else begin
-          (* identity self-check — metered like any other replay; it runs
-             on the main context, the permuted replays on replicas of the
-             entry state *)
+          (* identity self-check — metered like any other replay.  It runs
+             on the main context; its iterator pass is the one every
+             schedule shares, so when schedules will run, the state right
+             after it is forked for their replicas *)
           restore0 ();
+          let schedules, skipped = sift_schedules config.cc_schedules (iterations g) in
           let steps0 = Eval.steps ctx in
           let count () =
             state.ts_replays <- state.ts_replays + 1;
             state.ts_replay_steps <- state.ts_replay_steps + (Eval.steps ctx - steps0)
           in
-          match
-            Telemetry.span ~cat:"dynamic" "replay identity" (fun () ->
-                replay_matches ~eps:config.cc_eps ctx frame fi state.ts_sep g digest Schedule.Identity)
-          with
-          | exception Replay_mismatch msg ->
-              count ();
-              Untestable ("identity replay: " ^ msg)
-          | exception Eval.Trap msg ->
-              count ();
-              Untestable ("identity replay trap: " ^ msg)
-          | false ->
-              count ();
-              Untestable "identity replay does not reproduce the golden state"
-          | true ->
-              count ();
-              restore0 ();
-              run_schedules pool config fi state ctx frame g digest
+          let after = ref None in
+          let identity () =
+            iterator_pass ctx frame prep g;
+            if schedules <> [] then
+              after :=
+                Some { ai_ctx = Eval.fork ctx; ai_frame = Eval.copy_frame frame; ai_steps = Eval.steps ctx - steps0 };
+            payload_pass ctx frame prep g Schedule.Identity;
+            matches_digest ~eps:config.cc_eps digest prep ctx frame
+          in
+          Fun.protect
+            ~finally:(fun () -> Option.iter (fun ai -> Store.flush_telemetry (Eval.store ai.ai_ctx)) !after)
+            (fun () ->
+              match Telemetry.span ~cat:"dynamic" "replay identity" identity with
+              | exception Replay_mismatch msg ->
+                  count ();
+                  Untestable ("identity replay: " ^ msg)
+              | exception Eval.Trap msg ->
+                  count ();
+                  Untestable ("identity replay trap: " ^ msg)
+              | false ->
+                  count ();
+                  Untestable "identity replay does not reproduce the golden state"
+              | true -> (
+                  count ();
+                  restore0 ();
+                  state.ts_skipped <- state.ts_skipped + skipped;
+                  match !after with
+                  | Some ai -> run_schedules pool config state ctx ai g digest schedules
+                  | None -> Commutative))
         end
       end
   in
@@ -812,7 +913,7 @@ let whole_program_run (info : Proginfo.t) spec fi sep sched =
   let prog = Proginfo.program info in
   let ctx = context_of_spec spec prog in
   let loop = sep.sep_loop in
-  let roles = roles_of sep in
+  let prep = prepare fi (liveout_of prog fi loop) sep in
   let shadow = new_shadow prog in
   let handler ctx frame =
     let st = Eval.store ctx in
@@ -825,10 +926,10 @@ let whole_program_run (info : Proginfo.t) spec fi sep sched =
     Fun.protect
       ~finally:(fun () -> Store.release st s0)
       (fun () ->
-        let g = record_golden ctx frame sep roles shadow in
+        let g = record_golden ctx frame prep shadow in
         if g.g_violation then raise (Replay_mismatch "separability violated in whole-program run");
         restore0 ();
-        replay ctx frame fi sep g sched;
+        replay ctx frame prep g sched;
         (* continue the program from the permuted state *)
         g.g_exit_block)
   in
@@ -891,14 +992,6 @@ type slot = {
 
 (* How the plain execution of [main] ended. *)
 type run_end = Completed | Trapped of string | Exhausted | Escaped of exn * Printexc.raw_backtrace
-
-(* A span whose end event carries [args ()], built only when tracing. *)
-let span_with_args ~cat name args f =
-  if not (Telemetry.tracing ()) then f ()
-  else begin
-    Telemetry.begin_span ~cat name;
-    Fun.protect ~finally:(fun () -> Telemetry.end_span ~args:(args ()) name) f
-  end
 
 (* One tested invocation: the harness of the loop's own run. *)
 let test_one pool config sl ctx frame =
@@ -1007,10 +1100,9 @@ let shared_run pool config info spec slots =
   in
   (Eval.outputs ctx, List.map (fun sl -> match sl.sl_end with Some e -> e | None -> final sl) slots)
 
-let new_state prog sep =
+let new_state prog fi sep =
   {
-    ts_sep = sep;
-    ts_roles = roles_of sep;
+    ts_prep = prepare fi (liveout_of prog fi sep.sep_loop) sep;
     ts_shadow = new_shadow prog;
     ts_attributions = 0;
     ts_tested = 0;
@@ -1039,7 +1131,7 @@ let finish config info spec golden_out sl ending =
         match base with
         | Commutative when escalated ->
             if config.cc_escalate then
-              escalate config info spec golden_out sl.sl_fi state.ts_sep state.ts_needs_escalation
+              escalate config info spec golden_out sl.sl_fi state.ts_prep.pr_sep state.ts_needs_escalation
             else Non_commutative "live-out digest differs (escalation disabled)"
         | v -> v
       with
@@ -1055,7 +1147,7 @@ let finish config info spec golden_out sl ending =
               oc_golden_runs = state.ts_goldens;
               oc_replays = state.ts_replays;
               oc_replay_steps = state.ts_replay_steps;
-              oc_separation = state.ts_sep;
+              oc_separation = state.ts_prep.pr_sep;
               oc_per_invocation = List.rev state.ts_per_invocation;
             }
           in
@@ -1080,7 +1172,7 @@ let test_loops ?(pool = Pool.create ~jobs:1) config (info : Proginfo.t) spec loo
               sl_fi = fi;
               sl_loop = sep.sep_loop;
               sl_label = Proginfo.loop_label info sep.sep_loop;
-              sl_state = new_state (Proginfo.program info) sep;
+              sl_state = new_state (Proginfo.program info) fi sep;
               sl_steps = 0;
               sl_ns = 0;
               sl_end = None;

@@ -25,7 +25,10 @@
       {e iterator pass} (slice instructions only, golden control path)
       followed by a {e payload pass} (payload instructions only, one
       iteration per scheduled index, interface variables preset from the
-      recording, payload branches evaluated live);
+      recording, payload branches evaluated live).  The iterator pass is
+      the same under every schedule, so it runs once per invocation, in
+      the identity self-check, and every permuted replay starts from a
+      replica of the state after it;
     + compares each permuted live-out digest with the golden digest.
       On a strict mismatch the engine optionally {e escalates} to
       whole-program verification: the entire program is re-run with the
@@ -142,8 +145,13 @@ val test_loops :
     [?pool] (default: a width-1 pool, which runs its tasks in order in
     the caller) carries two fan-outs, the same code at every width.
     Every permuted replay of a tested invocation runs on an
-    {!Dca_interp.Eval.fork}ed replica of the entry state; the outcomes
-    are folded in schedule order under the sequential rule.  The fold
+    {!Dca_interp.Eval.fork}ed replica of the state after the
+    invocation's iterator pass, which the identity self-check runs on
+    the loop's own context; a replica starts at the step count it would
+    start at if it ran that pass itself, and is first charged the pass's
+    instructions, so fuel runs out on the same schedule at the same
+    count.  The outcomes are folded in schedule order under the
+    sequential rule.  The fold
     charges each replica's instructions to its loop
     ({!Dca_interp.Eval.charge}), so the loop's fuel runs out at the same
     replay as if the replays had run one after another; it re-raises the

@@ -40,6 +40,7 @@ and dblock = {
   db_plain : code array;  (** run while the context has no sink, or a [Control] one *)
   db_observed : code array;  (** the same instructions, emitting every sink event *)
   db_memory : code array;  (** the same instructions, emitting memory events only *)
+  db_leaf : bool;  (** no instruction calls a user function: no step is taken outside the block *)
   db_term : dterm;
 }
 
@@ -199,10 +200,29 @@ let term_read ctx frame = function
 
 let term_test ctx frame c = match term_read ctx frame c with VInt n -> n <> 0 | v -> truthy v
 
+(* The closures of a leaf block whose steps are already counted from
+   [s]: a raise inside it leaves the count at the raising instruction, as
+   counting every step before its closure does. *)
+let run_counted ctx frame code s =
+  let k = ref 0 in
+  try
+    while !k < Array.length code do
+      (Array.unsafe_get code !k) ctx frame;
+      incr k
+    done
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    ctx.nsteps <- s + !k + 1;
+    Printexc.raise_with_backtrace e bt
+
 (* Core block-chain executor.  [src] is the predecessor block (-1 on
    entry); [stop] is consulted on every transfer except the initial one.
    Every executed instruction counts the step, checks the fuel, checks
-   the guard, then runs its closure. *)
+   the guard, then runs its closure.  A leaf block that ends below the
+   fuel bound and before the next guard point can do neither, so it
+   counts its steps at once and then runs its closures: the count any
+   observer reads outside the block is the same, and no callee runs
+   inside it to read it. *)
 let rec exec_from ctx frame bid ~stop ~control ~src : stop_reason =
   (* interceptors fire on transfers into their header during any execution
      in which they are not already active *)
@@ -219,12 +239,18 @@ let rec exec_from ctx frame bid ~stop ~control ~src : stop_reason =
       (match ctx.sink with Some s -> s.Events.on_block ~fname:frame.ffunc.Ir.fname ~src ~dst:bid | None -> ());
       let blk = frame.fcode.(bid) in
       let code = block_code ctx frame control bid blk in
-      for k = 0 to Array.length code - 1 do
-        ctx.nsteps <- ctx.nsteps + 1;
-        if ctx.nsteps > ctx.fuel then raise Out_of_fuel;
-        if ctx.nsteps >= ctx.next_guard then guard_check ctx;
-        (Array.unsafe_get code k) ctx frame
-      done;
+      let s = ctx.nsteps and n = Array.length code in
+      if blk.db_leaf && s + n <= ctx.fuel && s + n < ctx.next_guard then begin
+        ctx.nsteps <- s + n;
+        run_counted ctx frame code s
+      end
+      else
+        for k = 0 to n - 1 do
+          ctx.nsteps <- ctx.nsteps + 1;
+          if ctx.nsteps > ctx.fuel then raise Out_of_fuel;
+          if ctx.nsteps >= ctx.next_guard then guard_check ctx;
+          (Array.unsafe_get code k) ctx frame
+        done;
       match blk.db_term with
       | TBr t -> transfer ctx frame bid t ~stop ~control
       | TCbr (c, a, b) -> (
@@ -778,6 +804,11 @@ let compile_block funcs layout (b : Ir.block) =
     db_plain = Array.map (fun (plain, _, _) -> plain) code;
     db_observed = Array.map (fun (_, observed, _) -> observed) code;
     db_memory = Array.map (fun (_, _, memory) -> memory) code;
+    db_leaf =
+      Array.for_all
+        (fun (i : Ir.instr) ->
+          match i.Ir.idesc with Ir.Call (_, name, args) -> builtin name (List.length args) <> None | _ -> true)
+        src;
     db_term =
       (match b.Ir.bterm with
       | Ir.Br t -> TBr t
@@ -839,7 +870,8 @@ let create ?(fuel = default_fuel) ?deadline_ns ?heap_words ?checkpoint ?(input =
     filtered = [];
   }
 
-let fork ctx =
+let fork ?steps ctx =
+  let nsteps = Option.value steps ~default:ctx.nsteps in
   {
     prog = ctx.prog;
     st = Store.copy ctx.st;
@@ -847,11 +879,11 @@ let fork ctx =
     sink = None;
     isink = None;
     msink = None;
-    nsteps = ctx.nsteps;
+    nsteps;
     fuel = ctx.fuel;
     deadline = ctx.deadline;
     heap_limit = ctx.heap_limit;
-    next_guard = ctx.nsteps + guard_interval;
+    next_guard = nsteps + guard_interval;
     interceptors = [];
     filtered = [];
   }

@@ -75,20 +75,31 @@ val create :
     unlimited.  [checkpoint] is the store's checkpointing strategy
     ({!Store.create}; default [Journal]), also inherited by {!fork}. *)
 
-val fork : ctx -> ctx
+val fork : ?steps:int -> ctx -> ctx
 (** A private replica of the context at its current state: the store is
     copied with {!Store.copy} (copy-on-write in [Journal] mode, eager in
     [Deep] mode), the (read-only) program and function table are shared,
     and the replica starts with no sink and no interceptors.  Every
     permuted replay of DCA's dynamic stage runs on a replica of its
-    invocation's entry state, at every pool width — replicas on
-    different domains never share mutable state.  The step counter, the
-    fuel bound and the deadline are inherited, so the replica has the
-    parent's headroom at the fork point, and its guard checks count
-    from the inherited step count. *)
+    invocation's state after the iterator pass, at every pool width —
+    replicas on different domains never share mutable state.  The fuel
+    bound and the deadline are inherited, so the replica has the
+    parent's headroom at the fork point.  The step counter starts at
+    [steps] (default: the parent's), and the replica's guard checks
+    count from it. *)
 
 val store : ctx -> Store.t
+
 val steps : ctx -> int
+(** Instructions executed so far, each counted before its closure runs.
+    A block with no call to a user function that ends below the fuel
+    bound and before the next guard point counts all its instructions
+    when it starts, then runs them: read at a control event, from an
+    interceptor or a callee, or after a run, the count is the same as
+    counting one by one, and a raise inside such a block leaves it at
+    the raising instruction.  Only a sink callback of an instruction
+    inside such a block can see the block's later instructions already
+    counted. *)
 
 val set_limits : ctx -> fuel:int -> deadline:int -> unit
 (** Replace the fuel bound — {!Out_of_fuel} is raised by the instruction
@@ -97,10 +108,14 @@ val set_limits : ctx -> fuel:int -> deadline:int -> unit
     {!create} sets them; the heap budget cannot be moved. *)
 
 val charge : ctx -> int -> unit
-(** [charge ctx n] adds [n] instructions executed elsewhere — on a
-    {!fork}ed replica — to {!steps}, and raises {!Out_of_fuel} if that
-    passes the fuel bound, leaving {!steps} one past the bound, where
-    executing the instructions on [ctx] would have stopped. *)
+(** [charge ctx n] adds [n] instructions executed elsewhere to {!steps},
+    and raises {!Out_of_fuel} if that passes the fuel bound, leaving
+    {!steps} one past the bound, where executing the instructions on
+    [ctx] would have stopped.  DCA's dynamic stage charges a loop's
+    context the instructions of its {!fork}ed replicas, and charges each
+    replica the iterator pass it shares with the other schedules of its
+    invocation.  No guard is checked: if the charge passes the next
+    guard point, the next instruction executed checks the guards. *)
 
 type sink_kind =
   | Control

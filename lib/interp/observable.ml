@@ -1,101 +1,139 @@
-type cell =
-  | CInt of int
-  | CFloat of float
-  | CPtr of int * int  (** canonical block id, offset *)
-  | CNull
-  | CUndef
+open Value
 
-(* Captures are flat arrays (not lists): the dynamic stage builds and
-   compares one digest per schedule replay, so construction and the
-   equality walk are hot.  [obs_hash] summarizes every exactly-compared
-   ingredient — cell tags, int/pointer payloads, scalar count and
+(* A capture holds values, not cells of its own: the scalars and roots,
+   then every reachable block in first-visit order, each a copy of the
+   store's cells array.  The copy shares the store's immutable [Value.t]
+   boxes; only a pointer cell is rewritten, to its canonical block id
+   (and kept as is when the ids agree), and a dangling pointer to
+   [VUndef].  A cell that no later run writes therefore stays the very
+   box the capture holds, which is what lets {!matches} settle it with
+   one physical comparison.  [obs_hash] summarizes every exactly-compared
+   ingredient — value tags, int and pointer payloads, scalar count and
    per-block lengths, but NOT float payloads (those compare with a
    relative tolerance) — so digests of genuinely different states are
    told apart by one integer comparison before any cell walk. *)
-type t = { obs_scalars : cell array; obs_blocks : cell array array; obs_hash : int }
+type t = { obs_scalars : Value.t array; obs_blocks : Value.t array array; obs_hash : int }
 
 let hash_mix h k = (h * 0x01000193) lxor k
 
-let hash_cell h = function
-  | CInt n -> hash_mix (hash_mix h 1) n
-  | CFloat _ -> hash_mix h 2  (* eps-tolerant payload: tag only *)
-  | CPtr (b, o) -> hash_mix (hash_mix (hash_mix h 3) b) o
-  | CNull -> hash_mix h 4
-  | CUndef -> hash_mix h 5
+let hash_value h = function
+  | VInt n -> hash_mix (hash_mix h 1) n
+  | VFloat _ -> hash_mix h 2  (* eps-tolerant payload: tag only *)
+  | VPtr (b, o) -> hash_mix (hash_mix (hash_mix h 3) b) o
+  | VNull -> hash_mix h 4
+  | VUndef -> hash_mix h 5
 
-let hash_cells h cells =
-  let h = ref (hash_mix h (Array.length cells)) in
-  for i = 0 to Array.length cells - 1 do
-    h := hash_cell !h cells.(i)
+let hash_values h values =
+  let h = ref (hash_mix h (Array.length values)) in
+  for i = 0 to Array.length values - 1 do
+    h := hash_value !h values.(i)
   done;
   !h
 
-(* Canonicalize: BFS over blocks from the roots, assigning canonical ids in
-   first-visit order.  The visit order is deterministic because scalars and
-   roots come in fixed order and cells are scanned left to right. *)
+(* The canonical renaming of one walk: blocks are numbered in first-visit
+   order, and [w_order] lists them by canonical id.  The tables are
+   indexed by block id and reused by every walk of the domain: an entry
+   belongs to the current walk when its stamp is the walk's, so a walk
+   costs what it visits, not the heap's size. *)
+type walk = {
+  mutable w_stamp : int;
+  mutable w_seen : int array;  (** by block id: the stamp of the walk that numbered it *)
+  mutable w_canon : int array;  (** by block id: its canonical id in that walk *)
+  mutable w_order : int array;  (** by canonical id: the block *)
+  mutable w_count : int;
+}
+
+let walk_key =
+  Domain.DLS.new_key (fun () ->
+      { w_stamp = 0; w_seen = [||]; w_canon = [||]; w_order = Array.make 64 0; w_count = 0 })
+
+let start_walk st =
+  let w = Domain.DLS.get walk_key in
+  let n = Store.heap_blocks st in
+  if Array.length w.w_seen < n then begin
+    let cap = max n (2 * Array.length w.w_seen) in
+    w.w_seen <- Array.make cap 0;
+    w.w_canon <- Array.make cap 0
+  end;
+  w.w_stamp <- w.w_stamp + 1;
+  w.w_count <- 0;
+  w
+
+(* The canonical id of the live block [b], numbering it if the walk has
+   not met it yet. *)
+let canon_of w b =
+  if w.w_seen.(b) = w.w_stamp then w.w_canon.(b)
+  else begin
+    let id = w.w_count in
+    if id = Array.length w.w_order then begin
+      let order = Array.make (2 * id) 0 in
+      Array.blit w.w_order 0 order 0 id;
+      w.w_order <- order
+    end;
+    w.w_seen.(b) <- w.w_stamp;
+    w.w_canon.(b) <- id;
+    w.w_order.(id) <- b;
+    w.w_count <- id + 1;
+    id
+  end
+
+let dangling st b = Store.block_size st b = None
+
+(* Capture: the walk visits blocks breadth-first from the roots.  The
+   visit order is deterministic because scalars and roots come in fixed
+   order and cells are scanned left to right. *)
 let capture st ~scalars ~roots =
-  let canon = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  let next_id = ref 0 in
-  let canon_of_block b =
-    match Hashtbl.find_opt canon b with
-    | Some id -> id
-    | None ->
-        let id = !next_id in
-        incr next_id;
-        Hashtbl.replace canon b id;
-        Queue.add b queue;
-        id
+  let w = start_walk st in
+  let canonical v =
+    match v with
+    | VPtr (b, o) ->
+        if dangling st b then (* dangling after a restore *) VUndef
+        else
+          let c = canon_of w b in
+          if c = b then v else VPtr (c, o)
+    | v -> v
   in
-  let cell_of_value = function
-    | Value.VInt n -> CInt n
-    | Value.VFloat f -> CFloat f
-    | Value.VNull -> CNull
-    | Value.VUndef -> CUndef
-    | Value.VPtr (b, o) ->
-        if Store.block_size st b = None then (* dangling after a restore *) CUndef
-        else CPtr (canon_of_block b, o)
-  in
-  let obs_scalars = Array.of_list (List.map cell_of_value (scalars @ roots)) in
-  let blocks_rev = ref [] in
-  let n_blocks = ref 0 in
-  let rec drain () =
-    if not (Queue.is_empty queue) then begin
-      let b = Queue.take queue in
-      let cells =
-        match Store.block_cells st b with
-        | Some live -> Array.map cell_of_value live
-        | None -> [||]
-      in
-      blocks_rev := cells :: !blocks_rev;
-      incr n_blocks;
-      drain ()
-    end
-  in
-  drain ();
-  let obs_blocks = Array.make !n_blocks [||] in
-  List.iteri (fun k cells -> obs_blocks.(!n_blocks - 1 - k) <- cells) !blocks_rev;
-  let h = hash_cells (hash_mix 0x811c9dc5 (Array.length obs_scalars)) obs_scalars in
-  let h = Array.fold_left hash_cells (hash_mix h !n_blocks) obs_blocks in
+  let obs_scalars = Array.make (List.length scalars + List.length roots) VUndef in
+  List.iteri (fun i v -> obs_scalars.(i) <- canonical v) (scalars @ roots);
+  let blocks = ref (Array.make 16 [||]) in
+  let k = ref 0 in
+  while !k < w.w_count do
+    let cells =
+      match Store.block_cells st w.w_order.(!k) with Some live -> Array.copy live | None -> [||]
+    in
+    for i = 0 to Array.length cells - 1 do
+      match cells.(i) with VPtr _ as v -> cells.(i) <- canonical v | _ -> ()
+    done;
+    if !k = Array.length !blocks then begin
+      let bigger = Array.make (2 * !k) [||] in
+      Array.blit !blocks 0 bigger 0 !k;
+      blocks := bigger
+    end;
+    !blocks.(!k) <- cells;
+    incr k
+  done;
+  let obs_blocks = Array.sub !blocks 0 !k in
+  let h = hash_values (hash_mix 0x811c9dc5 (Array.length obs_scalars)) obs_scalars in
+  let h = Array.fold_left hash_values (hash_mix h !k) obs_blocks in
   { obs_scalars; obs_blocks; obs_hash = h }
 
 let float_close eps a b =
   a = b
   || Float.abs (a -. b) <= eps *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
-let cell_equal eps a b =
+let value_equal eps a b =
   match (a, b) with
-  | CFloat x, CFloat y -> float_close eps x y
-  | CInt x, CInt y -> x = y
-  | CPtr (b1, o1), CPtr (b2, o2) -> b1 = b2 && o1 = o2
-  | CNull, CNull | CUndef, CUndef -> true
+  | VFloat x, VFloat y -> float_close eps x y
+  | VInt x, VInt y -> x = y
+  | VPtr (b1, o1), VPtr (b2, o2) -> b1 = b2 && o1 = o2
+  | VNull, VNull | VUndef, VUndef -> true
   | _ -> false
 
 (* Cell-wise walk with early exit on the first mismatch. *)
 let cells_equal eps c1 c2 =
   Array.length c1 = Array.length c2
   &&
-  let rec go i = i >= Array.length c1 || (cell_equal eps c1.(i) c2.(i) && go (i + 1)) in
+  let rec go i = i >= Array.length c1 || (value_equal eps c1.(i) c2.(i) && go (i + 1)) in
   go 0
 
 (* The prefilter is a sound inequality test: captures that compare equal
@@ -118,9 +156,11 @@ let equal ?(eps = 1e-9) t1 t2 =
    {!capture} uses and compare cell-by-cell against a previously captured
    digest, without materializing a second capture.  This is the replay hot
    path — a schedule replay only ever asks "does the state I left behind
-   match the golden digest?", and building a full capture for that answer
-   allocates (and promotes, since the digest is live across the walk) tens
-   of KW per replay.  The walk allocates only the canonical-renaming table.
+   match the golden digest?".  A non-pointer cell that neither run wrote
+   is still the box the digest holds, so one physical comparison settles
+   it (a NaN excepted: it differs from itself); only cells that differ
+   physically, and pointers, whose canonical ids depend on this walk, go
+   to the value compare.
 
    Equivalence with [equal (capture st ...) golden]: both traverse scalars
    then queued blocks in first-visit order, so when every compared cell
@@ -129,29 +169,16 @@ let equal ?(eps = 1e-9) t1 t2 =
    payload, block count, or block length — the result is [false] exactly
    where the digest comparison would have found differing cells. *)
 let matches ?(eps = 1e-9) golden st ~scalars ~roots =
-  let canon = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  let next_id = ref 0 in
-  let canon_of_block b =
-    match Hashtbl.find_opt canon b with
-    | Some id -> id
-    | None ->
-        let id = !next_id in
-        incr next_id;
-        Hashtbl.replace canon b id;
-        Queue.add b queue;
-        id
-  in
-  let value_matches cell v =
-    match (cell, v) with
-    | CInt n, Value.VInt m -> n = m
-    | CFloat x, Value.VFloat y -> float_close eps x y
-    | CNull, Value.VNull -> true
-    | CUndef, Value.VUndef -> true
-    | CUndef, Value.VPtr (b, _) -> Store.block_size st b = None  (* dangling *)
-    | CPtr (cb, co), Value.VPtr (b, o) ->
-        co = o && Store.block_size st b <> None && canon_of_block b = cb
-    | _ -> false
+  let w = start_walk st in
+  let value_matches g v =
+    match v with
+    | VPtr (b, o) -> (
+        match g with
+        | VPtr (cb, co) -> co = o && (not (dangling st b)) && canon_of w b = cb
+        | VUndef -> dangling st b
+        | _ -> false)
+    | VFloat x when g == v -> x = x
+    | _ -> g == v || value_equal eps g v
   in
   let rec scalars_match i = function
     | [] -> i = Array.length golden.obs_scalars
@@ -171,10 +198,9 @@ let matches ?(eps = 1e-9) golden st ~scalars ~roots =
     go 0
   in
   let rec drain id =
-    if Queue.is_empty queue then id = Array.length golden.obs_blocks
+    if id = w.w_count then id = Array.length golden.obs_blocks
     else
-      let b = Queue.take queue in
-      (match Store.block_cells st b with Some live -> block_matches live id | None -> false)
+      (match Store.block_cells st w.w_order.(id) with Some live -> block_matches live id | None -> false)
       && drain (id + 1)
   in
   scalars_ok && drain 0
@@ -183,11 +209,11 @@ let size t =
   Array.length t.obs_scalars + Array.fold_left (fun acc c -> acc + Array.length c) 0 t.obs_blocks
 
 let cell_to_string = function
-  | CInt n -> string_of_int n
-  | CFloat f -> Printf.sprintf "%.12g" f
-  | CPtr (b, o) -> Printf.sprintf "&%d.%d" b o
-  | CNull -> "null"
-  | CUndef -> "undef"
+  | VInt n -> string_of_int n
+  | VFloat f -> Printf.sprintf "%.12g" f
+  | VPtr (b, o) -> Printf.sprintf "&%d.%d" b o
+  | VNull -> "null"
+  | VUndef -> "undef"
 
 let to_string t =
   let buf = Buffer.create 256 in

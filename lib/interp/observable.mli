@@ -17,7 +17,13 @@
 
     A capture walks the heap from the given roots in deterministic order,
     renames blocks to canonical ids in first-visit order, and records every
-    reachable cell. *)
+    reachable cell.  It records a block as a copy of the store's cells
+    array that shares the store's immutable value boxes: only pointers
+    are rewritten, to canonical ids, and dangling pointers to undefined.
+    A cell no later run writes therefore stays the box the capture
+    holds, and {!matches} settles it with one physical comparison.  The
+    canonical renaming is a per-domain table indexed by block id, so a
+    capture or a comparison allocates only its copies. *)
 
 type t
 
@@ -34,9 +40,11 @@ val matches : ?eps:float -> t -> Store.t -> scalars:Value.t list -> roots:Value.
 (** [matches golden st ~scalars ~roots] is [equal golden (capture st
     ~scalars ~roots)] without materializing the second capture: the live
     state is walked in capture order and compared cell-by-cell against
-    [golden], allocating only the canonical-renaming table.  This is the
-    replay hot path — one digest is captured per golden run and every
-    schedule replay checks the state it left behind against it. *)
+    [golden], allocating nothing but the argument lists.  A non-pointer
+    cell that is physically the box [golden] holds matches at once (a
+    NaN excepted); every other cell goes to the value comparison.  This
+    is the replay hot path — one digest is captured per golden run and
+    every schedule replay checks the state it left behind against it. *)
 
 val size : t -> int
 (** Number of captured cells (diagnostics). *)

@@ -462,6 +462,62 @@ let test_edges () =
     "arity mismatch calling pick"
 
 (* ------------------------------------------------------------------ *)
+(* Every budget                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Programs that trap deep into a run, inside a block of several
+   instructions: a store past the end of an array, and a division by
+   zero between two additions. *)
+let late_traps =
+  [
+    ( "late out-of-bounds store",
+      "int a[700]; void main() { int i; for (i = 0; i < 800; i = i + 1) { a[i] = i * 2 + 1; } }" );
+    ( "late division by zero",
+      "void main() { int i; int s; s = 0; for (i = 0; i < 900; i = i + 1) { s = s + i * 3; s = s + 10 / (i - 850); s = s - 1; } printi(s); }"
+    );
+  ]
+
+(* A leaf block counts its steps at once when it ends below the fuel
+   bound and the next guard point, so a budget that runs out inside a
+   block, or a trap inside one, must still end the run at the same
+   instruction as the reference, which counts every step before running
+   it.  Every budget from 0 to 2,000 and every budget within 8 steps of
+   a trap: the ending, the steps and the outputs must be equal. *)
+let test_every_budget () =
+  let registry =
+    List.map
+      (fun name ->
+        let bm = Dca_progs.Registry.find_exn name in
+        (name, compile name bm.Dca_progs.Benchmark.bm_source, bm.Dca_progs.Benchmark.bm_input))
+      [ "LU"; "BT"; "treeadd"; "BFS"; "DC" ]
+  in
+  let others =
+    List.map (fun (f, src) -> (f, compile f src, [])) (corpus ())
+    @ List.map (fun (name, src, _) -> (name, compile name src, [])) trap_programs
+    @ List.map (fun (name, src) -> (name, compile name src, [])) late_traps
+  in
+  let traps = ref 0 in
+  List.iter
+    (fun (name, prog, input) ->
+      let ending, steps = R.run prog input in
+      let near_trap =
+        if contains ending "completed" then []
+        else begin
+          incr traps;
+          List.init 17 (fun k -> steps - 8 + k)
+        end
+      in
+      List.iter
+        (fun fuel ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: fuel %d" name fuel)
+            (fst (R.run ~fuel prog input))
+            (fst (C.run ~fuel prog input)))
+        (List.sort_uniq compare (List.init 2001 Fun.id @ List.filter (fun f -> f >= 0) near_trap)))
+    (registry @ others);
+  Alcotest.(check bool) "the late traps trap" true (!traps >= List.length trap_programs + List.length late_traps)
+
+(* ------------------------------------------------------------------ *)
 (* Control-only sinks                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -608,6 +664,7 @@ let suites =
         Alcotest.test_case "corpus programs match the reference" `Quick test_corpus;
         Alcotest.test_case "generated programs match the reference" `Quick test_generated;
         Alcotest.test_case "edge programs match the reference" `Quick test_edges;
+        Alcotest.test_case "every budget matches the reference" `Quick test_every_budget;
         Alcotest.test_case "control-only sinks" `Quick test_control_only;
         Alcotest.test_case "memory sinks" `Quick test_memory_sinks;
       ] );

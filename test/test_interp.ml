@@ -339,8 +339,13 @@ let prop_matches_agrees_with_equal =
       let sa = mk pokes_a and sb = mk pokes_b in
       let (sc_a, rt_a), (sc_b, rt_b) = (liveout sa, liveout sb) in
       let golden = Observable.capture sa ~scalars:sc_a ~roots:rt_a in
-      Observable.matches golden sb ~scalars:sc_b ~roots:rt_b
-      = Observable.equal golden (Observable.capture sb ~scalars:sc_b ~roots:rt_b))
+      let verdict = Observable.matches golden sb ~scalars:sc_b ~roots:rt_b in
+      let ref_golden = Observable_ref.capture sa ~scalars:sc_a ~roots:rt_a in
+      verdict = Observable.equal golden (Observable.capture sb ~scalars:sc_b ~roots:rt_b)
+      (* and the cell-based reference decides the same *)
+      && verdict = Observable_ref.matches ref_golden sb ~scalars:sc_b ~roots:rt_b
+      && verdict
+         = Observable_ref.equal ref_golden (Observable_ref.capture sb ~scalars:sc_b ~roots:rt_b))
 
 let test_outputs_equal_tolerant () =
   Alcotest.(check bool) "tolerant" true
@@ -692,8 +697,111 @@ let test_dangling_canonicalizes () =
       Alcotest.(check bool) "block dangles" true (Store.block_size st b = None);
       let obs = Observable.capture st ~scalars:[ dangling ] ~roots:[] in
       let undef = Observable.capture st ~scalars:[ Value.VUndef ] ~roots:[] in
-      Alcotest.(check bool) "dangling pointer digests as undef" true (Observable.equal obs undef))
+      Alcotest.(check bool) "dangling pointer digests as undef" true (Observable.equal obs undef);
+      (* the cell-based reference decides the same, for captures and for
+         in-place matches in either direction *)
+      let ref_obs = Observable_ref.capture st ~scalars:[ dangling ] ~roots:[] in
+      let ref_undef = Observable_ref.capture st ~scalars:[ Value.VUndef ] ~roots:[] in
+      List.iter
+        (fun (what, (got : bool), (want : bool)) -> Alcotest.(check bool) ("reference: " ^ what) want got)
+        [
+          ("equal", Observable.equal obs undef, Observable_ref.equal ref_obs ref_undef);
+          ( "dangling matches undef",
+            Observable.matches obs st ~scalars:[ Value.VUndef ] ~roots:[],
+            Observable_ref.matches ref_obs st ~scalars:[ Value.VUndef ] ~roots:[] );
+          ( "undef matches dangling",
+            Observable.matches undef st ~scalars:[ dangling ] ~roots:[],
+            Observable_ref.matches ref_undef st ~scalars:[ dangling ] ~roots:[] );
+          ("rendering", Observable.to_string obs = Observable_ref.to_string ref_obs, true);
+        ])
     [ Store.Journal; Store.Deep ]
+
+(* The box-sharing digest against the cell-based reference
+   (test/observable_ref.ml) on random stores — ints, floats, pointers,
+   and pointers left dangling by restores: both give the same [equal],
+   [matches], size and rendering.  A capture is also matched against its
+   own store after further mutation, where every cell the mutation did
+   not write is still the very box the capture holds. *)
+let prop_digest_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"Observable = Observable_ref on random stores"
+    QCheck.(
+      triple (list (int_range 0 999_999)) (list (int_range 0 999_999)) (list (int_range 0 999_999)))
+    (fun (common, extra_a, extra_b) ->
+      let build ops =
+        let st = mk_store Store.Journal and twin = mk_store Store.Journal in
+        let stack = ref [] and copies = ref [] in
+        List.iter (apply_op st twin stack copies) ops;
+        (st, twin)
+      in
+      let scalars st = List.init 3 (Store.read_global st) and roots st = [ Store.read_global st 3 ] in
+      let capture st = Observable.capture st ~scalars:(scalars st) ~roots:(roots st) in
+      let ref_capture st = Observable_ref.capture st ~scalars:(scalars st) ~roots:(roots st) in
+      let (sa, twin_a), (sb, _) = (build (common @ extra_a), build (common @ extra_b)) in
+      let ga = capture sa and gb = capture sb and ra = ref_capture sa and rb = ref_capture sb in
+      let matches g st = Observable.matches g st ~scalars:(scalars st) ~roots:(roots st) in
+      let ref_matches r st = Observable_ref.matches r st ~scalars:(scalars st) ~roots:(roots st) in
+      let agree =
+        Observable.equal ga gb = Observable_ref.equal ra rb
+        && matches ga sb = ref_matches ra sb
+        && matches ga sa = ref_matches ra sa
+        && Observable.size ga = Observable_ref.size ra
+        && Observable.to_string ga = Observable_ref.to_string ra
+      in
+      let stack = ref [] and copies = ref [] in
+      List.iter (apply_op sa twin_a stack copies) extra_b;
+      agree && matches ga sa = ref_matches ra sa)
+
+(* Float tolerance, the box-sharing digest against the reference: close,
+   distant, signed zeros, infinities and NaN, in a block and as a scalar,
+   at two tolerances — by capture and [equal], and in place, where a NaN
+   cell that neither run wrote is the same box and must still differ
+   from itself. *)
+let test_digest_eps_matches_reference () =
+  let values = [ 1.0; 1.0 +. 1e-13; 1.0 +. 1e-7; 1.1; 0.0; -0.0; infinity; nan ] in
+  let store_with v =
+    let st = mk_store Store.Journal in
+    (match Store.read_global st 3 with
+    | Value.VPtr (b, _) -> Store.store st ~block:b ~off:1 (Value.VFloat v)
+    | _ -> Alcotest.fail "expected the array global");
+    st
+  in
+  let roots st = [ Store.read_global st 3 ] in
+  List.iter
+    (fun eps ->
+      List.iter
+        (fun x ->
+          List.iter
+            (fun y ->
+              let sx = store_with x and sy = store_with y in
+              (* one box per scalar list: matching [sx] against its own
+                 capture with [scx] meets the very boxes captured *)
+              let scx = [ Value.VFloat x ] and scy = [ Value.VFloat y ] in
+              let g = Observable.capture sx ~scalars:scx ~roots:(roots sx) in
+              let r = Observable_ref.capture sx ~scalars:scx ~roots:(roots sx) in
+              let name = Printf.sprintf "eps %g: %h vs %h" eps x y in
+              Alcotest.(check bool) (name ^ ", equal")
+                (Observable_ref.equal ~eps r (Observable_ref.capture sy ~scalars:scy ~roots:(roots sy)))
+                (Observable.equal ~eps g (Observable.capture sy ~scalars:scy ~roots:(roots sy)));
+              Alcotest.(check bool) (name ^ ", matches")
+                (Observable_ref.matches ~eps r sy ~scalars:scy ~roots:(roots sy))
+                (Observable.matches ~eps g sy ~scalars:scy ~roots:(roots sy));
+              List.iter
+                (fun (what, scalars) ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s, matches its own store (%s)" name what)
+                    (Observable_ref.matches ~eps r sx ~scalars ~roots:(roots sx))
+                    (Observable.matches ~eps g sx ~scalars ~roots:(roots sx)))
+                [ ("same scalar box", scx); ("a copy of the scalar", [ Value.VFloat x ]) ];
+              (* the block alone, where the cell is the captured box *)
+              Alcotest.(check bool) (name ^ ", a block matches its own store")
+                (Observable_ref.matches ~eps
+                   (Observable_ref.capture sx ~scalars:[] ~roots:(roots sx))
+                   sx ~scalars:[] ~roots:(roots sx))
+                (Observable.matches ~eps (Observable.capture sx ~scalars:[] ~roots:(roots sx)) sx ~scalars:[]
+                   ~roots:(roots sx)))
+            values)
+        values)
+    [ 1e-9; 1e-6 ]
 
 let test_stale_snapshot_rejected () =
   let st = mk_store Store.Journal in
@@ -720,6 +828,8 @@ let checkpoint_suites =
         QCheck_alcotest.to_alcotest prop_journal_matches_deep;
         QCheck_alcotest.to_alcotest prop_restore_round_trip;
         Alcotest.test_case "dangling canonicalizes" `Quick test_dangling_canonicalizes;
+        QCheck_alcotest.to_alcotest prop_digest_matches_reference;
+        Alcotest.test_case "digest tolerance matches the reference" `Quick test_digest_eps_matches_reference;
         Alcotest.test_case "stale/released rejected" `Quick test_stale_snapshot_rejected;
       ] );
   ]

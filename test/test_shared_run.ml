@@ -556,6 +556,94 @@ let test_fuel_sweep () =
   Alcotest.(check int) "every loop ran out of fuel at some budget" 3 (Hashtbl.length starved);
   Alcotest.(check bool) "some budget starves a loop but not its siblings" true !split
 
+(* One loop whose iterator pass the identity self-check and every
+   schedule share: the identity runs it on the main context, and each
+   replica starts after it and is first charged its instructions.  Every
+   budget from 0 to past the end of the run, at pool widths 1 and 2, so
+   the budget runs out at every instruction of the shared pass and
+   inside every replica's charge, as well as in the payload passes. *)
+let shared_pass_src =
+  {|
+  int a[24];
+  int b[24];
+  void main() {
+    int i;
+    int j;
+    j = 5;
+    for (i = 0; i < 24 && j > 0; i = i + 1) {
+      j = (j * 7 + i) % 11 + 1;
+      a[i] = a[i] + b[i] * 2 + i;
+    }
+    printi(a[5]);
+  }
+  |}
+
+let test_shared_pass_budgets () =
+  let info = info_of_source "<shared pass>" shared_pass_src in
+  let replay_steps =
+    match
+      Commutativity.test_loops Commutativity.default_config info (Commutativity.make_run_spec [])
+        (candidates info)
+    with
+    | [ Ok oc ] -> oc.oc_replay_steps
+    | results -> Alcotest.failf "expected one tested loop, got %d results" (List.length results)
+  in
+  (* the plain run's instructions, and those before the loop's header *)
+  let plain, before_loop =
+    let loop = (snd (List.hd (candidates info))).Dca_core.Iterator_rec.sep_loop in
+    let ctx = Dca_interp.Eval.create (Proginfo.program info) in
+    let at = ref (-1) in
+    Dca_interp.Eval.add_interceptor ctx ~fname:loop.Loops.l_func ~header:loop.Loops.l_header (fun ctx frame ->
+        if !at < 0 then at := Dca_interp.Eval.steps ctx;
+        match
+          Dca_interp.Eval.exec_upto ctx frame ~start:loop.Loops.l_header
+            ~stop:(fun b -> not (Loops.contains_block loop b))
+            ~control:None
+        with
+        | Dca_interp.Eval.Stopped_at e -> e
+        | Dca_interp.Eval.Returned _ -> Alcotest.fail "the loop returned");
+    Dca_interp.Eval.run_main ctx;
+    (Dca_interp.Eval.steps ctx, !at)
+  in
+  (* the shared run's [interp.instructions] *)
+  let instructions fuel pool =
+    let tele = Dca_support.Telemetry.Ctx.create ~counting:true () in
+    Dca_support.Telemetry.with_ctx tele (fun () ->
+        ignore
+          (Commutativity.test_loops ?pool Commutativity.default_config info
+             (Commutativity.make_run_spec ~fuel [])
+             (candidates info)));
+    List.assoc "interp.instructions" (Dca_support.Telemetry.Ctx.counters tele)
+  in
+  (* the instructions of the loop's tests when nothing runs out *)
+  let tests = instructions Commutativity.default_fuel None - plain in
+  let starved = ref 0 in
+  Dca_support.Pool.with_pool ~jobs:2 (fun pool2 ->
+      (* past the plain run, its golden recording (about one plain run)
+         and its replays *)
+      for fuel = 0 to (3 * plain) + replay_steps do
+        List.iter
+          (fun (width, pool) ->
+            List.iter
+              (fun (label, shared, own) ->
+                Alcotest.(check string) (Printf.sprintf "fuel %d, width %d: %s" fuel width label) own shared;
+                if width = 1 && starts_out_of_fuel own then incr starved;
+                if fuel >= before_loop && fuel < before_loop + tests then begin
+                  (* the tests stopped one past the budget, wherever the
+                     fuel ran out — in the shared pass, a replica's
+                     charge or a payload pass — and the plain program
+                     then went on with its own budget *)
+                  Alcotest.(check int)
+                    (Printf.sprintf "fuel %d, width %d: instructions" fuel width)
+                    (fuel + 1 - before_loop + min plain (fuel + 1))
+                    (instructions fuel pool)
+                end)
+              (compare_engines ~fuel ?pool info []))
+          [ (1, None); (2, Some pool2) ]
+      done);
+  (* every budget below the end of the replays starves the loop *)
+  Alcotest.(check bool) "the budget ran out inside the replays" true (!starved > replay_steps)
+
 let suites =
   [
     ( "shared-run",
@@ -565,6 +653,7 @@ let suites =
         Alcotest.test_case "generated programs match the reference" `Quick test_generated;
         Alcotest.test_case "edge programs match the reference" `Quick test_edges;
         Alcotest.test_case "fuel sweep matches the reference" `Quick test_fuel_sweep;
+        Alcotest.test_case "every budget of a shared iterator pass" `Quick test_shared_pass_budgets;
         Alcotest.test_case "a raising test is contained" `Quick test_raising_test_contained;
         Alcotest.test_case "footprints and the attribution pass" `Quick test_footprints;
       ] );
