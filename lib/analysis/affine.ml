@@ -60,16 +60,6 @@ let affine_scale k a =
 let affine_sub a b = affine_add a (affine_scale (-1) b)
 let affine_equal a b = a.coeffs = b.coeffs && a.const = b.const
 
-let pp_affine fmt a =
-  let term_str = function
-    | Tiv l, c -> Printf.sprintf "%d*iv(%s)" c l
-    | Tsym v, c -> Printf.sprintf "%d*v%d" c v
-    | Tglob g, c -> Printf.sprintf "%d*g%d" c g
-  in
-  Format.fprintf fmt "%s%s"
-    (String.concat " + " (List.map term_str a.coeffs))
-    (if a.const <> 0 || a.coeffs = [] then Printf.sprintf " + %d" a.const else "")
-
 (* ------------------------------------------------------------------ *)
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)

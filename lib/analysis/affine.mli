@@ -57,4 +57,3 @@ val counted_header : t -> Loops.loop -> bool
 
 val affine_equal : affine -> affine -> bool
 val affine_sub : affine -> affine -> affine
-val pp_affine : Format.formatter -> affine -> unit

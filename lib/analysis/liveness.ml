@@ -60,8 +60,6 @@ let analyze cfg =
 
 let live_in t b = t.live_in.(b)
 let live_out t b = t.live_out.(b)
-let block_uses t b = t.uses.(b)
-let block_defs t b = t.defs.(b)
 
 let loop_defs t (l : Loops.loop) =
   Intset.fold (fun b acc -> Intset.union acc t.defs.(b)) l.Loops.l_blocks Intset.empty
@@ -87,7 +85,5 @@ let loop_live_exit t (l : Loops.loop) =
   Intset.union live_at_exits ret_uses
 
 let loop_live_out t (l : Loops.loop) = Intset.inter (loop_defs t l) (loop_live_exit t l)
-
-let loop_live_in t (l : Loops.loop) = t.live_in.(l.Loops.l_header)
 
 let var_of_id t id = Hashtbl.find_opt t.vars id

@@ -22,11 +22,6 @@ val live_in : t -> int -> Dca_support.Intset.t
 
 val live_out : t -> int -> Dca_support.Intset.t
 
-val block_uses : t -> int -> Dca_support.Intset.t
-(** Upward-exposed uses of the block. *)
-
-val block_defs : t -> int -> Dca_support.Intset.t
-
 val loop_defs : t -> Loops.loop -> Dca_support.Intset.t
 (** Variable ids possibly defined by instructions of the loop. *)
 
@@ -40,10 +35,6 @@ val loop_live_out : t -> Loops.loop -> Dca_support.Intset.t
 (** Loop-defined variables live along some exit edge of the loop (or used
     by a [Ret] that exits the function from inside the loop):
     [loop_live_exit] restricted to [loop_defs]. *)
-
-val loop_live_in : t -> Loops.loop -> Dca_support.Intset.t
-(** Variables live at the loop header and not defined before use inside —
-    the values the loop consumes from outside. *)
 
 val var_of_id : t -> int -> Dca_ir.Ir.var option
 (** Recover the variable record from its id (for reporting). *)

@@ -96,19 +96,12 @@ let build cfg =
 
 let deps_of t node = try Hashtbl.find t.deps node with Not_found -> []
 
-let data_deps_of t node =
-  List.filter (function Instr _ -> true | Term _ -> false) (deps_of t node)
-
 let node_block t node = try Hashtbl.find t.node_blocks node with Not_found -> -1
 
 let instr t iid =
   match Hashtbl.find_opt t.instrs iid with
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Pdg.instr: unknown instruction %d" iid)
-
-let nodes_of_block t bid =
-  let blk = Cfg.block t.cfg bid in
-  List.map (fun i -> Instr i.Ir.iid) blk.Ir.instrs @ [ Term bid ]
 
 let defs_of_var t vid = try Hashtbl.find t.defs vid with Not_found -> []
 

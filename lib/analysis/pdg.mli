@@ -28,15 +28,11 @@ val build : Dca_ir.Cfg.t -> t
 val deps_of : t -> node -> node list
 (** Data and control dependencies of a node. *)
 
-val data_deps_of : t -> node -> node list
-
 val node_block : t -> node -> int
 (** Block the node belongs to. *)
 
 val instr : t -> int -> Dca_ir.Ir.instr
 (** Instruction record by id (must belong to this function). *)
-
-val nodes_of_block : t -> int -> node list
 
 val defs_of_var : t -> int -> node list
 (** Nodes (always [Instr]) defining the given variable id. *)

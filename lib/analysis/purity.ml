@@ -28,14 +28,6 @@ let builtin_summary (b : Ast.builtin) =
     (* drand/dseed: thread the generator state, modelled as memory. *)
     { s_reads_memory = true; s_writes_memory = true; s_io = false; s_calls_unknown = false }
 
-let call_targets f =
-  Array.to_list f.Ir.fblocks
-  |> List.concat_map (fun blk ->
-         List.filter_map
-           (fun i -> match i.Ir.idesc with Ir.Call (_, name, _) -> Some name | _ -> None)
-           blk.Ir.instrs)
-  |> List.sort_uniq compare
-
 (* Direct (call-free) effects of one instruction. *)
 let direct_effects = function
   | Ir.Load _ | Ir.Gload _ -> { bottom with s_reads_memory = true }

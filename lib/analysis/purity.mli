@@ -30,6 +30,3 @@ val io_free : t -> string -> bool
 
 val instr_does_io : t -> Dca_ir.Ir.idesc -> bool
 (** Does this instruction perform I/O, directly or through a call? *)
-
-val call_targets : Dca_ir.Ir.func -> string list
-(** Names called anywhere in the function body. *)

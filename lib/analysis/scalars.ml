@@ -107,7 +107,3 @@ let classify_loop cfg affine liveness (l : Loops.loop) =
         end
   in
   Intset.fold (fun vid acc -> (vid, classify vid) :: acc) defined [] |> List.rev
-
-let carried_scalars cfg affine liveness l =
-  classify_loop cfg affine liveness l
-  |> List.filter_map (fun (vid, c) -> if c = Carried then Some vid else None)

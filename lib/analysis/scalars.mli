@@ -20,10 +20,6 @@ val classify_loop :
 (** Classification of every frame variable defined inside the loop, keyed
     by variable id. *)
 
-val carried_scalars :
-  Dca_ir.Cfg.t -> Affine.t -> Liveness.t -> Loops.loop -> int list
-(** Variable ids classified as [Carried]. *)
-
 val reduction_op_to_string : reduction_op -> string
 
 val combine_pattern : int -> Dca_ir.Ir.instr -> reduction_op option

@@ -11,14 +11,6 @@ type proof =
   | Fission of { fs_proved : int; fs_residual : int; fs_reason : string }
   | Bail of string
 
-let proof_to_string = function
-  | Proved { pf_groups; pf_stores } ->
-      Printf.sprintf "proved: %d access group(s), %d store(s)" pf_groups pf_stores
-  | Fission { fs_proved; fs_residual; fs_reason } ->
-      Printf.sprintf "fission: %d group(s) proved, %d residual (%s)" fs_proved fs_residual
-        fs_reason
-  | Bail reason -> "bail: " ^ reason
-
 (* ------------------------------------------------------------------ *)
 (* Instruction-level obligations                                       *)
 (* ------------------------------------------------------------------ *)

@@ -42,8 +42,6 @@ type proof =
       (** a clean split exists but residual groups need the dynamic stage *)
   | Bail of string  (** no proof; the loop enters the dynamic stage whole *)
 
-val proof_to_string : proof -> string
-
 val prove : Proginfo.t -> Proginfo.func_info -> Loops.loop -> proof
 (** Attempt the proof for one loop.  Pure and allocation-light: safe to
     call from pool workers. *)

@@ -63,11 +63,7 @@ let advise ?(machine = Machine.default) info profile (results : Driver.loop_resu
       | Driver.Subsumed parent ->
           (Not_profitable (Printf.sprintf "enclosing loop %s is already parallel" parent), None)
       | Driver.Commutative -> (
-          let profitable =
-            match Dca_profiling.Depprof.loop_profile profile id with
-            | Some _ -> Planner.estimated_benefit ~machine profile id > 0.0
-            | None -> false
-          in
+          let profitable = Planner.benefit_of ~machine info profile id > 0.0 in
           let pragma =
             Codegen.pragma ~privates:(Planner.privates_of info id)
               ~reductions:(Planner.reductions_of info id)

@@ -9,7 +9,6 @@ type config = {
   cc_eps : float;
   cc_escalate : bool;
   cc_max_invocations : int;
-  cc_promote_rounds : int;
 }
 
 let default_config =
@@ -18,8 +17,9 @@ let default_config =
     cc_eps = 1e-6;
     cc_escalate = true;
     cc_max_invocations = 4;
-    cc_promote_rounds = 3;
   }
+
+let promote_rounds = 3
 
 type verdict = Commutative | Non_commutative of string | Untestable of string
 
@@ -51,15 +51,9 @@ type run_spec = {
   rs_checkpoint : Store.checkpoint_mode;
 }
 
-(* The single fuel default shared by every entry point (Session used to
-   carry its own 200M while the bare dynamic stage defaulted to 100M —
-   fuel-sensitive programs got different verdicts depending on the door
-   they came in through). *)
-let default_fuel = 200_000_000
-
 (* DCA_CHECKPOINT=deep selects the deep-copy oracle store; it is read
    here, where a spec is made, not per store. *)
-let make_run_spec ?(fuel = default_fuel) ?deadline_ns ?heap_words ?checkpoint input =
+let make_run_spec ?(fuel = Eval.default_fuel) ?deadline_ns ?heap_words ?checkpoint input =
   let checkpoint =
     match (checkpoint, Sys.getenv_opt "DCA_CHECKPOINT") with
     | Some m, _ -> m
@@ -100,18 +94,12 @@ let c_attribution_runs = Telemetry.counter "dca.attribution_runs"
 let c_instructions = Telemetry.counter "interp.instructions"
 
 (* Fault points of the dynamic stage.  [trap]/[fuel] actions map onto the
-   evaluator's own exceptions, so an injected fault exercises exactly the
-   degradation path a guest-program fault would: a trap under a permuted
-   replay is non-commutativity evidence, a golden-run trap makes the loop
-   untestable. *)
+   evaluator's own exceptions ({!Eval.hit_fault}), so an injected fault
+   exercises exactly the degradation path a guest-program fault would: a
+   trap under a permuted replay is non-commutativity evidence, a
+   golden-run trap makes the loop untestable. *)
 let fp_golden = Faultpoint.site "commutativity.golden"
 let fp_replay = Faultpoint.site "commutativity.replay"
-
-let fault_hit ?ctx site name =
-  match Faultpoint.hit ?ctx site with
-  | Faultpoint.Pass -> ()
-  | Faultpoint.Fire_trap -> raise (Eval.Trap (Faultpoint.injected_msg ?ctx name))
-  | Faultpoint.Fire_fuel -> raise Eval.Out_of_fuel
 
 (* A span whose end event carries [args ()], built only when tracing. *)
 let span_with_args ~cat name args f =
@@ -543,7 +531,7 @@ let record ctx frame prep shadow mode =
 
 (* A golden run: the recording, its role bits marked in [shadow]. *)
 let record_golden ctx frame prep shadow =
-  fault_hit fp_golden "commutativity.golden";
+  Eval.hit_fault fp_golden;
   record ctx frame prep shadow Mark
 
 (* The payload instructions that interfere with the iterator in the
@@ -629,11 +617,6 @@ let payload_pass ctx frame prep g sched =
     (Schedule.apply sched (iterations g));
   Array.iteri (fun j slot -> regs.(slot) <- slice_exit.(j)) prep.pr_slice_slots
 
-(* Re-execute the loop from the entry state under [sched]. *)
-let replay ctx frame prep g sched =
-  iterator_pass ctx frame prep g;
-  payload_pass ctx frame prep g sched
-
 (* ------------------------------------------------------------------ *)
 (* Mode A: loop-local testing via interception                         *)
 (* ------------------------------------------------------------------ *)
@@ -675,19 +658,6 @@ let widen_or_fail fi state violations =
     Ok ()
   end
 
-(* Sift out the schedules whose replay is redundant, keeping one
-   representative per distinct permutation.  At trip count n <= 1 every
-   preset induces the identity permutation, and distinct presets can
-   collide on small n (reverse = rotate-half at n = 2, seeded shuffles can
-   agree).  Replaying the identity permutation re-runs the self-check that
-   already passed, and replaying a duplicate permutation re-derives the
-   identical digest from the identical entry state — so neither can change
-   the decision.  Returns the representatives (in preset order, paired
-   with their permutation) and the number of sifted-out schedules.
-   The sifting itself lives in {!Schedule.sift} so the property tests
-   (and the fuzzer) can exercise it directly. *)
-let sift_schedules schedules n_iters = Schedule.sift schedules n_iters
-
 (* The state every replica of one invocation starts from: a fork of the
    context and a copy of the frame right after the invocation's iterator
    pass, and the instructions that pass executed. *)
@@ -710,7 +680,7 @@ let replay_replica ~eps ~start ai prep g digest sched =
   if traced then Telemetry.begin_span ~cat:"dynamic" name;
   let r =
     match
-      fault_hit ~ctx:(Schedule.to_string sched) fp_replay "commutativity.replay";
+      Eval.hit_fault ~ctx:(Schedule.to_string sched) fp_replay;
       Eval.charge ctx ai.ai_steps;
       payload_pass ctx frame prep g sched;
       matches_digest ~eps digest prep ctx frame
@@ -855,7 +825,11 @@ let test_invocation pool config fi state ctx frame =
              schedule shares, so when schedules will run, the state right
              after it is forked for their replicas *)
           restore0 ();
-          let schedules, skipped = sift_schedules config.cc_schedules (iterations g) in
+          (* only one representative per distinct permutation replays: the
+             identity permutation re-runs the self-check, and a duplicate
+             re-derives the identical digest from the identical entry
+             state, so neither can change the decision *)
+          let schedules, skipped = Schedule.sift config.cc_schedules (iterations g) in
           let steps0 = Eval.steps ctx in
           let count () =
             state.ts_replays <- state.ts_replays + 1;
@@ -901,20 +875,19 @@ let test_invocation pool config fi state ctx frame =
       Store.release st s0)
     (fun () ->
       restore0 ();
-      attempt config.cc_promote_rounds)
+      attempt promote_rounds)
 
 (* ------------------------------------------------------------------ *)
 (* Mode B: whole-program verification                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Run the entire program with every invocation of the loop executed under
-   [sched]; return its outputs. *)
-let whole_program_run (info : Proginfo.t) spec fi sep sched =
-  let prog = Proginfo.program info in
-  let ctx = context_of_spec spec prog in
-  let loop = sep.sep_loop in
-  let prep = prepare fi (liveout_of prog fi loop) sep in
-  let shadow = new_shadow prog in
+   [sched]; return its outputs.  The loop's tests prepared its final
+   separation [prep] and own the [shadow] its golden runs mark: the run
+   reuses both, as the loop-local test reuses them across invocations. *)
+let whole_program_run (info : Proginfo.t) spec prep shadow sched =
+  let ctx = context_of_spec spec (Proginfo.program info) in
+  let loop = prep.pr_sep.sep_loop in
   let handler ctx frame =
     let st = Eval.store ctx in
     let s0 = Store.snapshot st in
@@ -929,7 +902,8 @@ let whole_program_run (info : Proginfo.t) spec fi sep sched =
         let g = record_golden ctx frame prep shadow in
         if g.g_violation then raise (Replay_mismatch "separability violated in whole-program run");
         restore0 ();
-        replay ctx frame prep g sched;
+        iterator_pass ctx frame prep g;
+        payload_pass ctx frame prep g sched;
         (* continue the program from the permuted state *)
         g.g_exit_block)
   in
@@ -946,13 +920,16 @@ let whole_program_run (info : Proginfo.t) spec fi sep sched =
    compared with [golden_out], the plain program's outputs, in schedule
    order: the first schedule that decides is the verdict, and the runs
    after it never start. *)
-let escalate config info spec golden_out fi sep scheds =
+let escalate config info spec golden_out state scheds =
   let rec go = function
     | [] -> Commutative
     | sched :: rest -> (
         Telemetry.incr c_wp_schedule_runs;
         let name = if Telemetry.tracing () then "wp-run " ^ Schedule.to_string sched else "" in
-        match Telemetry.span ~cat:"dynamic" name (fun () -> whole_program_run info spec fi sep sched) with
+        match
+          Telemetry.span ~cat:"dynamic" name (fun () ->
+              whole_program_run info spec state.ts_prep state.ts_shadow sched)
+        with
         | out ->
             if Observable.outputs_equal ~eps:config.cc_eps golden_out out then go rest
             else
@@ -1131,7 +1108,7 @@ let finish config info spec golden_out sl ending =
         match base with
         | Commutative when escalated ->
             if config.cc_escalate then
-              escalate config info spec golden_out sl.sl_fi state.ts_prep.pr_sep state.ts_needs_escalation
+              escalate config info spec golden_out state state.ts_needs_escalation
             else Non_commutative "live-out digest differs (escalation disabled)"
         | v -> v
       with

@@ -46,10 +46,17 @@ type config = {
   cc_eps : float;  (** relative float tolerance of the digest comparison *)
   cc_escalate : bool;  (** whole-program verification on strict mismatch *)
   cc_max_invocations : int;  (** dynamic invocations tested per loop *)
-  cc_promote_rounds : int;  (** worklist-promotion retries *)
 }
 
 val default_config : config
+(** Every preset schedule ({!Schedule.presets}), escalation on, four
+    tested invocations per loop, and DCA's float tolerance: every other
+    consumer of that tolerance — the fuzzer's exhaustive oracle, the
+    ablations — reads [cc_eps] from here. *)
+
+val promote_rounds : int
+(** Worklist-promotion retries of one tested invocation, written into
+    every verdict-cache key's configuration digest. *)
 
 type verdict =
   | Commutative
@@ -96,14 +103,11 @@ type run_spec = {
           identical under both *)
 }
 
-val default_fuel : int
-(** 200 million instructions — the one fuel default shared by every
-    entry point ({!default_run_spec}, [Session]). *)
-
 val make_run_spec :
   ?fuel:int -> ?deadline_ns:int -> ?heap_words:int -> ?checkpoint:Dca_interp.Store.checkpoint_mode ->
   int list -> run_spec
-(** [make_run_spec input] with all resource bounds defaulted —
+(** [make_run_spec input] with all resource bounds defaulted (fuel:
+    {!Dca_interp.Eval.default_fuel}) —
     prefer this over record literals so new bounds don't ripple.
     [checkpoint] defaults to [Deep] if the [DCA_CHECKPOINT] environment
     variable is ["deep"] when the spec is made, else [Journal]. *)

@@ -129,10 +129,7 @@ let analyze_program ?(config = Commutativity.default_config)
     let label = Proginfo.loop_label info loop in
     Telemetry.incr c_examined;
     match
-      (match Faultpoint.hit ~ctx:label fp_loop with
-      | Faultpoint.Pass -> ()
-      | Faultpoint.Fire_trap -> raise (Eval.Trap (Faultpoint.injected_msg ~ctx:label "driver.loop"))
-      | Faultpoint.Fire_fuel -> raise Eval.Out_of_fuel);
+      Eval.hit_fault ~ctx:label fp_loop;
       Telemetry.span ~cat:"static" "examine" (fun () -> Candidate.examine info fi loop)
     with
     | Candidate.Rejected r ->

@@ -13,7 +13,9 @@ let apply t n =
       let prng = Prng.create (seed * 0x9E3779B9) in
       Prng.permutation prng n
 
-let presets ?(shuffles = 3) ?(seed = 2021) () =
+let default_shuffles = 3
+
+let presets ?(shuffles = default_shuffles) ?(seed = 2021) () =
   [ Reverse; Rotate ] @ List.init shuffles (fun k -> Shuffle (seed + k))
 
 let to_string = function

@@ -14,9 +14,12 @@ type t =
 val apply : t -> int -> int array
 (** [apply t n] is the permutation of [0 .. n-1] this schedule induces. *)
 
+val default_shuffles : int
+(** 3: the seeded shuffles {!presets} adds unless told otherwise. *)
+
 val presets : ?shuffles:int -> ?seed:int -> unit -> t list
 (** The testing set (identity excluded): reverse, rotate, then [shuffles]
-    seeded shuffles (default 3, seed 2021). *)
+    seeded shuffles (default {!default_shuffles}, seed 2021). *)
 
 val to_string : t -> string
 

@@ -40,6 +40,25 @@ module Options = struct
   let with_hierarchical h t = { t with hierarchical = h }
   let with_static s t = { t with static = s }
   let with_telemetry ctx t = { t with telemetry = Some ctx }
+
+  let of_settings ?jobs ?shuffles ?escalate ?hierarchical ?static ?deadline_ms ?heap_words () =
+    let c = Commutativity.default_config in
+    let config =
+      {
+        c with
+        Commutativity.cc_schedules = Schedule.presets ?shuffles ();
+        cc_escalate = Option.value escalate ~default:c.Commutativity.cc_escalate;
+      }
+    in
+    {
+      default with
+      jobs;
+      config = Some config;
+      deadline_ms;
+      heap_words;
+      hierarchical = Option.value hierarchical ~default:default.hierarchical;
+      static = Option.value static ~default:default.static;
+    }
 end
 
 type t = {

@@ -88,6 +88,26 @@ module Options : sig
   val with_hierarchical : bool -> t -> t
   val with_static : bool -> t -> t
   val with_telemetry : Dca_support.Telemetry.Ctx.t -> t -> t
+
+  val of_settings :
+    ?jobs:int ->
+    ?shuffles:int ->
+    ?escalate:bool ->
+    ?hierarchical:bool ->
+    ?static:bool ->
+    ?deadline_ms:int ->
+    ?heap_words:int ->
+    unit ->
+    t
+  (** The options of one analysis as a front end states it: the pool
+      width, the number of seeded shuffles among the schedules
+      ({!Schedule.presets}), whole-program escalation, hierarchical
+      exploration, the static fast path, and the deadline and heap
+      budgets.  An omitted setting keeps its default ({!default},
+      {!Commutativity.default_config}).  Every [dca] command and every
+      daemon request build their options here, so [dca analyze] and a
+      daemon request with the same settings get the same configuration,
+      hence the same verdict-cache keys. *)
 end
 
 type t

@@ -125,7 +125,7 @@ let float_tolerance () =
       {
         ep_bench = name;
         ep_exact = commutative_count (strict 0.0) bm;
-        ep_tolerant = commutative_count (strict 1e-6) bm;
+        ep_tolerant = commutative_count (strict Commutativity.default_config.Commutativity.cc_eps) bm;
       })
     [ "EP"; "CG"; "water-spatial"; "em3d" ]
 

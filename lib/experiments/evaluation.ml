@@ -15,9 +15,7 @@ let machine = Dca_parallel.Machine.default
 let evaluate ?(config = Commutativity.default_config) bm =
   let prog = Benchmark.compile bm in
   let info = Proginfo.analyze prog in
-  let spec =
-    Commutativity.make_run_spec ~fuel:200_000_000 bm.Benchmark.bm_input
-  in
+  let spec = Commutativity.make_run_spec bm.Benchmark.bm_input in
   let dca = Driver.analyze_program ~config ~spec info in
   let profile =
     Dca_profiling.Depprof.profile_program ~fuel:spec.Commutativity.rs_fuel
@@ -41,8 +39,6 @@ let evaluate_cached ?config bm =
       let ev = evaluate ?config bm in
       Hashtbl.replace cache bm.Benchmark.bm_name ev;
       ev
-
-let clear_cache () = Hashtbl.reset cache
 
 let total_loops ev = List.length ev.ev_dca
 let dca_commutative ev = Driver.commutative_ids ev.ev_dca

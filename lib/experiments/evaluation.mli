@@ -31,5 +31,3 @@ val coverage : t -> string list -> float
 
 val machine : Dca_parallel.Machine.t
 (** The simulated 72-core machine every figure uses. *)
-
-val clear_cache : unit -> unit

@@ -57,7 +57,6 @@ type config = {
   fz_static_xcheck : bool;
   fz_shrink : bool;
   fz_corpus : string option;
-  fz_eps : float;
 }
 
 let default_config =
@@ -71,7 +70,6 @@ let default_config =
     fz_static_xcheck = false;
     fz_shrink = true;
     fz_corpus = None;
-    fz_eps = 1e-6;
   }
 
 type result = { r_report : string; r_violations : violation list }
@@ -287,7 +285,7 @@ type program_outcome = {
 (* Cross-check one source string.  All failure modes are turned into
    violations or counted outcomes; exceptions escape only for internal
    errors. *)
-let check_source ?(eps = 1e-6) ?(jobs = 1) ?(metamorphic = true) ?(fault_mode = false)
+let check_source ?(jobs = 1) ?(metamorphic = true) ?(fault_mode = false)
     ?(static_xcheck = false) ~index source =
   let vio kind detail = { vi_program = index; vi_kind = kind; vi_detail = detail; vi_source = source } in
   match Parser.parse_program ~file:"<fuzz>" source with
@@ -322,7 +320,7 @@ let check_source ?(eps = 1e-6) ?(jobs = 1) ?(metamorphic = true) ?(fault_mode = 
             po_violations = roundtrip @ [ vio Generator_invalid msg ];
           }
       | Ok spec -> (
-          let oracle = Oracle.decide ~eps ~input:[] ast spec in
+          let oracle = Oracle.decide ~input:[] ast spec in
           match dca_run ~jobs ~line:spec.Oracle.sp_line source with
           | exception Loc.Error (l, msg) ->
               {
@@ -353,7 +351,7 @@ let check_source ?(eps = 1e-6) ?(jobs = 1) ?(metamorphic = true) ?(fault_mode = 
                             match oracle with
                             | Oracle.Unsupported _ -> []
                             | _ -> (
-                                match Oracle.check_witness ~eps ~input:[] ast spec perm with
+                                match Oracle.check_witness ~input:[] ast spec perm with
                                 | `Mismatch | `Error _ -> []
                                 | `Match ->
                                     [ vio (Bogus_witness (Schedule.to_string sched)) why ]))))
@@ -402,7 +400,7 @@ let check_source ?(eps = 1e-6) ?(jobs = 1) ?(metamorphic = true) ?(fault_mode = 
 (* Predicate: does [kind] still reproduce on this candidate AST?  Any
    breakage (parse/type error, lost marker, trap in the golden run) makes
    the candidate uninteresting. *)
-let still_fails ~eps ~kind (p : Ast.program) =
+let still_fails ~kind (p : Ast.program) =
   match
     let src = Ast_printer.program_to_string p in
     match kind with
@@ -423,13 +421,13 @@ let still_fails ~eps ~kind (p : Ast.program) =
             | Containment_breach -> containment_violations ~jobs:1 ~index:0 src <> []
             | Static_divergence ->
                 static_xcheck_violations ~jobs:1 ~index:0 ~line:spec.Oracle.sp_line
-                  ~oracle:(Oracle.decide ~eps ~input:[] ast spec)
+                  ~oracle:(Oracle.decide ~input:[] ast spec)
                   src
                 <> []
             | False_non_commutative -> (
                 match dca_run ~jobs:1 ~line:spec.Oracle.sp_line src with
                 | _, Some (Driver.Non_commutative _) ->
-                    Oracle.decide ~eps ~input:[] ast spec = Oracle.Commutative
+                    Oracle.decide ~input:[] ast spec = Oracle.Commutative
                 | _ -> false)
             | Bogus_witness _ -> (
                 match dca_run ~jobs:1 ~line:spec.Oracle.sp_line src with
@@ -437,10 +435,10 @@ let still_fails ~eps ~kind (p : Ast.program) =
                     match witness_schedule why with
                     | None -> false
                     | Some sched -> (
-                        match Oracle.decide ~eps ~input:[] ast spec with
+                        match Oracle.decide ~input:[] ast spec with
                         | Oracle.Unsupported _ -> false
                         | _ ->
-                            Oracle.check_witness ~eps ~input:[] ast spec
+                            Oracle.check_witness ~input:[] ast spec
                               (Schedule.apply sched spec.Oracle.sp_trip)
                             = `Match))
                 | _ -> false)
@@ -455,16 +453,16 @@ let still_fails ~eps ~kind (p : Ast.program) =
   | r -> r
   | exception _ -> false
 
-let shrink_violation ~eps v =
+let shrink_violation v =
   match v.vi_kind with
   | Generator_invalid -> v
   | kind -> (
       match Parser.parse_program ~file:"<shrink>" v.vi_source with
       | exception _ -> v
       | ast ->
-          if not (still_fails ~eps ~kind ast) then v
+          if not (still_fails ~kind ast) then v
           else
-            let minimal = Shrink.program ~keep:(still_fails ~eps ~kind) ~max_evals:300 ast in
+            let minimal = Shrink.program ~keep:(still_fails ~kind) ~max_evals:300 ast in
             { v with vi_source = Ast_printer.program_to_string minimal })
 
 (* ------------------------------------------------------------------ *)
@@ -518,7 +516,7 @@ let run cfg =
     List.iter (fun r -> bump recipe_counts (Gen_program.recipe_to_string r)) g.Gen_program.g_recipes;
     bump trip_counts g.Gen_program.g_trip;
     let out =
-      check_source ~eps:cfg.fz_eps ~jobs:cfg.fz_jobs ~metamorphic:cfg.fz_metamorphic
+      check_source ~jobs:cfg.fz_jobs ~metamorphic:cfg.fz_metamorphic
         ~fault_mode:cfg.fz_fault_mode ~static_xcheck:cfg.fz_static_xcheck ~index
         g.Gen_program.g_source
     in
@@ -540,7 +538,7 @@ let run cfg =
     | _, Some (Driver.Untestable _ | Driver.Rejected _ | Driver.Aborted _) -> incr no_claim
     | _ -> ());
     let shrunk =
-      if cfg.fz_shrink then List.map (shrink_violation ~eps:cfg.fz_eps) out.po_violations
+      if cfg.fz_shrink then List.map shrink_violation out.po_violations
       else out.po_violations
     in
     List.iter (write_repro cfg) shrunk;

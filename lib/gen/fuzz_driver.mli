@@ -74,12 +74,12 @@ type config = {
           that keeps the prover honest *)
   fz_shrink : bool;
   fz_corpus : string option;  (** write shrunk reproducers here *)
-  fz_eps : float;
 }
 
 val default_config : config
 (** seed 42, count 100, max-iters 4, jobs 1, metamorphic and shrinking
-    on, fault mode and static-xcheck off, no corpus directory, eps 1e-6. *)
+    on, fault mode and static-xcheck off, no corpus directory.  The
+    oracle compares outputs under DCA's own tolerance. *)
 
 type result = { r_report : string; r_violations : violation list }
 
@@ -95,7 +95,6 @@ type program_outcome = {
 }
 
 val check_source :
-  ?eps:float ->
   ?jobs:int ->
   ?metamorphic:bool ->
   ?fault_mode:bool ->

@@ -145,7 +145,11 @@ let is_identity a =
   Array.iteri (fun i x -> if x <> i then ok := false) a;
   !ok
 
-let decide ?(eps = 1e-6) ?fuel ~input (p : Ast.program) spec =
+(* DCA's own tolerance: the oracle is a sound cross-check of DCA's
+   verdicts only while the two compare outputs alike. *)
+let eps = Dca_core.Commutativity.default_config.Dca_core.Commutativity.cc_eps
+
+let decide ?fuel ~input (p : Ast.program) spec =
   if spec.sp_trip > max_trip then
     Unsupported (Printf.sprintf "trip count %d exceeds the oracle bound %d" spec.sp_trip max_trip)
   else if spec.sp_trip <= 1 then Commutative
@@ -166,7 +170,7 @@ let decide ?(eps = 1e-6) ?fuel ~input (p : Ast.program) spec =
         in
         sweep (permutations spec.sp_trip)
 
-let check_witness ?(eps = 1e-6) ?fuel ~input (p : Ast.program) spec perm =
+let check_witness ?fuel ~input (p : Ast.program) spec perm =
   if Array.length perm <> spec.sp_trip then `Error "witness length does not match trip count"
   else
     match run_outputs ?fuel ~input (unroll p spec (Array.init spec.sp_trip (fun i -> i))) with

@@ -47,16 +47,14 @@ type verdict =
       (** witness permutation: its outputs differ (or its run traps) *)
   | Unsupported of string  (** trip count over {!max_trip}, golden run failed, … *)
 
-val decide :
-  ?eps:float -> ?fuel:int -> input:int list -> Ast.program -> spec -> verdict
+val decide : ?fuel:int -> input:int list -> Ast.program -> spec -> verdict
 (** Exhaustive sweep in lexicographic permutation order, stopping at the
     first witness.  Output streams compare with
-    {!Dca_interp.Observable.outputs_equal} under [eps] (default 1e-6) —
-    the same tolerance DCA's digest comparison uses, so float-reduction
+    {!Dca_interp.Observable.outputs_equal} under DCA's own tolerance
+    ([Commutativity.default_config]'s [cc_eps]), so float-reduction
     rounding noise does not masquerade as non-commutativity. *)
 
 val check_witness :
-  ?eps:float ->
   ?fuel:int ->
   input:int list ->
   Ast.program ->

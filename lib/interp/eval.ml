@@ -91,6 +91,13 @@ let default_fuel = 200_000_000
 let guard_interval = 4096
 let fp_step = Dca_support.Faultpoint.site "eval.step"
 
+let hit_fault ?ctx site =
+  let module Faultpoint = Dca_support.Faultpoint in
+  match Faultpoint.hit ?ctx site with
+  | Faultpoint.Pass -> ()
+  | Faultpoint.Fire_trap -> raise (Trap (Faultpoint.injected_msg ?ctx (Faultpoint.site_name site)))
+  | Faultpoint.Fire_fuel -> raise Out_of_fuel
+
 let trap fmt = Printf.ksprintf (fun msg -> raise (Trap msg)) fmt
 
 let undefined frame (v : Ir.var) =
@@ -119,11 +126,7 @@ let emit_write ctx loc iid = match ctx.isink with Some s -> s.Events.on_write lo
    deadline and the heap budget if set. *)
 let guard_check ctx =
   ctx.next_guard <- ctx.nsteps + guard_interval;
-  (match Dca_support.Faultpoint.hit fp_step with
-  | Dca_support.Faultpoint.Pass -> ()
-  | Dca_support.Faultpoint.Fire_trap ->
-      trap "%s" (Dca_support.Faultpoint.injected_msg "eval.step")
-  | Dca_support.Faultpoint.Fire_fuel -> raise Out_of_fuel);
+  hit_fault fp_step;
   if ctx.deadline <> max_int && Dca_support.Telemetry.now_ns () > ctx.deadline then
     raise Deadline_exceeded;
   if ctx.heap_limit <> max_int && (Gc.quick_stat ()).Gc.heap_words > ctx.heap_limit then

@@ -64,10 +64,24 @@ val guard_interval : int
     instructions (one integer compare on the fast path), so a guard can
     overshoot by at most one interval. *)
 
+val default_fuel : int
+(** 200 million instructions: the fuel bound of every evaluator and run
+    spec that does not set its own. *)
+
+val hit_fault : ?ctx:string -> Dca_support.Faultpoint.site -> unit
+(** Pass through a fault point of guest execution, mapping what fires
+    onto the evaluator's own exceptions: a [trap] action raises {!Trap}
+    with the injected-fault message, a [fuel] action {!Out_of_fuel}.  A
+    [raise] action raises {!Dca_support.Faultpoint.Injected} and a
+    [delay] waits, as {!Dca_support.Faultpoint.hit} does.  Every fault
+    point whose injected failure should degrade like a guest fault goes
+    through here: the periodic step guard, the dynamic stage's golden
+    runs and replays, and the driver's per-loop containment. *)
+
 val create :
   ?fuel:int -> ?deadline_ns:int -> ?heap_words:int -> ?checkpoint:Store.checkpoint_mode ->
   ?input:int list -> Dca_ir.Ir.program -> ctx
-(** Default fuel: 200 million instructions.  [deadline_ns] is a relative
+(** Default fuel: {!default_fuel}.  [deadline_ns] is a relative
     wall-clock budget converted to an absolute monotonic deadline at
     creation; [heap_words] bounds major-heap growth over the heap size
     at creation.  Both are inherited by {!fork} (absolute, so every

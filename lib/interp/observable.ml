@@ -7,28 +7,8 @@ open Value
    (and kept as is when the ids agree), and a dangling pointer to
    [VUndef].  A cell that no later run writes therefore stays the very
    box the capture holds, which is what lets {!matches} settle it with
-   one physical comparison.  [obs_hash] summarizes every exactly-compared
-   ingredient — value tags, int and pointer payloads, scalar count and
-   per-block lengths, but NOT float payloads (those compare with a
-   relative tolerance) — so digests of genuinely different states are
-   told apart by one integer comparison before any cell walk. *)
-type t = { obs_scalars : Value.t array; obs_blocks : Value.t array array; obs_hash : int }
-
-let hash_mix h k = (h * 0x01000193) lxor k
-
-let hash_value h = function
-  | VInt n -> hash_mix (hash_mix h 1) n
-  | VFloat _ -> hash_mix h 2  (* eps-tolerant payload: tag only *)
-  | VPtr (b, o) -> hash_mix (hash_mix (hash_mix h 3) b) o
-  | VNull -> hash_mix h 4
-  | VUndef -> hash_mix h 5
-
-let hash_values h values =
-  let h = ref (hash_mix h (Array.length values)) in
-  for i = 0 to Array.length values - 1 do
-    h := hash_value !h values.(i)
-  done;
-  !h
+   one physical comparison. *)
+type t = { obs_scalars : Value.t array; obs_blocks : Value.t array array }
 
 (* The canonical renaming of one walk: blocks are numbered in first-visit
    order, and [w_order] lists them by canonical id.  The tables are
@@ -112,10 +92,7 @@ let capture st ~scalars ~roots =
     !blocks.(!k) <- cells;
     incr k
   done;
-  let obs_blocks = Array.sub !blocks 0 !k in
-  let h = hash_values (hash_mix 0x811c9dc5 (Array.length obs_scalars)) obs_scalars in
-  let h = Array.fold_left hash_values (hash_mix h !k) obs_blocks in
-  { obs_scalars; obs_blocks; obs_hash = h }
+  { obs_scalars; obs_blocks = Array.sub !blocks 0 !k }
 
 let float_close eps a b =
   a = b
@@ -129,29 +106,6 @@ let value_equal eps a b =
   | VNull, VNull | VUndef, VUndef -> true
   | _ -> false
 
-(* Cell-wise walk with early exit on the first mismatch. *)
-let cells_equal eps c1 c2 =
-  Array.length c1 = Array.length c2
-  &&
-  let rec go i = i >= Array.length c1 || (value_equal eps c1.(i) c2.(i) && go (i + 1)) in
-  go 0
-
-(* The prefilter is a sound inequality test: captures that compare equal
-   agree on every non-float ingredient, hence on the hash — so differing
-   hashes (or counts, or lengths) decide "not equal" without walking a
-   single cell.  Equal hashes still need the eps-aware walk. *)
-let equal ?(eps = 1e-9) t1 t2 =
-  t1.obs_hash = t2.obs_hash
-  && Array.length t1.obs_scalars = Array.length t2.obs_scalars
-  && Array.length t1.obs_blocks = Array.length t2.obs_blocks
-  && cells_equal eps t1.obs_scalars t2.obs_scalars
-  &&
-  let rec go i =
-    i >= Array.length t1.obs_blocks
-    || (cells_equal eps t1.obs_blocks.(i) t2.obs_blocks.(i) && go (i + 1))
-  in
-  go 0
-
 (* In-place comparison: walk the live store in the exact traversal order
    {!capture} uses and compare cell-by-cell against a previously captured
    digest, without materializing a second capture.  This is the replay hot
@@ -162,13 +116,14 @@ let equal ?(eps = 1e-9) t1 t2 =
    physically, and pointers, whose canonical ids depend on this walk, go
    to the value compare.
 
-   Equivalence with [equal (capture st ...) golden]: both traverse scalars
-   then queued blocks in first-visit order, so when every compared cell
-   agrees the canonical numbering of the live heap coincides with the
-   golden's and the two are isomorphic; on the first disagreement —
-   payload, block count, or block length — the result is [false] exactly
-   where the digest comparison would have found differing cells. *)
-let matches ?(eps = 1e-9) golden st ~scalars ~roots =
+   Equivalence with comparing [golden] against a capture of the live
+   state cell by cell: both traverse scalars then queued blocks in
+   first-visit order, so when every compared cell agrees the canonical
+   numbering of the live heap coincides with the golden's and the two
+   are isomorphic; on the first disagreement — payload, block count, or
+   block length — the result is [false] exactly where that cell-wise
+   comparison would have found differing cells. *)
+let matches ~eps golden st ~scalars ~roots =
   let w = start_walk st in
   let value_matches g v =
     match v with
@@ -205,28 +160,7 @@ let matches ?(eps = 1e-9) golden st ~scalars ~roots =
   in
   scalars_ok && drain 0
 
-let size t =
-  Array.length t.obs_scalars + Array.fold_left (fun acc c -> acc + Array.length c) 0 t.obs_blocks
-
-let cell_to_string = function
-  | VInt n -> string_of_int n
-  | VFloat f -> Printf.sprintf "%.12g" f
-  | VPtr (b, o) -> Printf.sprintf "&%d.%d" b o
-  | VNull -> "null"
-  | VUndef -> "undef"
-
-let to_string t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "scalars: ";
-  Buffer.add_string buf (String.concat ", " (List.map cell_to_string (Array.to_list t.obs_scalars)));
-  Array.iteri
-    (fun i cells ->
-      Buffer.add_string buf (Printf.sprintf "\nblock %d: " i);
-      Buffer.add_string buf (String.concat ", " (Array.to_list (Array.map cell_to_string cells))))
-    t.obs_blocks;
-  Buffer.contents buf
-
-let outputs_equal ?(eps = 1e-9) a b =
+let outputs_equal ~eps a b =
   let line_equal x y =
     x = y
     ||

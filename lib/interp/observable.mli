@@ -33,26 +33,20 @@ val capture : Store.t -> scalars:Value.t list -> roots:Value.t list -> t
     pointer roots (global aggregates, live-out global pointers), also in a
     fixed order. *)
 
-val equal : ?eps:float -> t -> t -> bool
-(** Structural equality with relative float tolerance (default 1e-9). *)
-
-val matches : ?eps:float -> t -> Store.t -> scalars:Value.t list -> roots:Value.t list -> bool
-(** [matches golden st ~scalars ~roots] is [equal golden (capture st
-    ~scalars ~roots)] without materializing the second capture: the live
-    state is walked in capture order and compared cell-by-cell against
-    [golden], allocating nothing but the argument lists.  A non-pointer
-    cell that is physically the box [golden] holds matches at once (a
-    NaN excepted); every other cell goes to the value comparison.  This
+val matches : eps:float -> t -> Store.t -> scalars:Value.t list -> roots:Value.t list -> bool
+(** [matches ~eps golden st ~scalars ~roots] holds when the live state
+    [capture st ~scalars ~roots] would record equals [golden] cell by
+    cell — ints, pointers (canonical ids) and undefined exactly, floats
+    within the relative tolerance [eps] — without materializing that
+    capture: the live state is walked in capture order and compared
+    against [golden], allocating nothing but the argument lists.  A
+    non-pointer cell that is physically the box [golden] holds matches
+    at once (a NaN excepted); every other cell goes to the value
+    comparison.  This
     is the replay hot path — one digest is captured per golden run and
     every schedule replay checks the state it left behind against it. *)
 
-val size : t -> int
-(** Number of captured cells (diagnostics). *)
-
-val to_string : t -> string
-(** Canonical rendering, for reports and debugging. *)
-
-val outputs_equal : ?eps:float -> string list -> string list -> bool
+val outputs_equal : eps:float -> string list -> string list -> bool
 (** Tolerant comparison of program output streams: lines that both parse
     as numbers compare with relative tolerance, others byte-wise.  Used by
     the whole-program escalation of the verifier. *)

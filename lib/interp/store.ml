@@ -28,15 +28,17 @@ let jdummy = Jglobal (-1, VUndef)
    store.  [flush_telemetry] drains them into the process-wide diagnostic
    counters. *)
 type stats = {
-  mutable st_snapshots : int;
-  mutable st_restores : int;
-  mutable st_journal_entries : int;
-  mutable st_journal_peak : int;
-  mutable st_blocks_privatized : int;
-  mutable st_cells_dirtied : int;
-  mutable st_snapshot_depth_peak : int;
+  mutable st_snapshots : int;  (** {!snapshot} calls *)
+  mutable st_restores : int;  (** {!restore} calls *)
+  mutable st_journal_entries : int;  (** undo-journal entries pushed *)
+  mutable st_journal_peak : int;  (** longest the journal ever grew *)
+  mutable st_blocks_privatized : int;  (** barrier-installed private copies *)
+  mutable st_cells_dirtied : int;  (** total cells across those copies *)
+  mutable st_snapshot_depth_peak : int;  (** deepest live-snapshot nesting *)
   mutable st_watermark_hits : int;
-  mutable st_forks : int;
+      (** privatizations forced by post-fork copy-on-write sharing
+          (block stamp below the [shared_below] fork watermark) *)
+  mutable st_forks : int;  (** [1] when this store was itself created by {!copy} *)
 }
 
 let fresh_stats () =
@@ -402,8 +404,6 @@ let copy t =
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let stats t = t.stats
 
 let d_snapshots = Telemetry.counter ~kind:Telemetry.Diag "store.snapshots"
 let d_restores = Telemetry.counter ~kind:Telemetry.Diag "store.restores"

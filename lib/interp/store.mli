@@ -29,7 +29,7 @@
 
     {2 Statistics}
 
-    Every store counts its own checkpointing traffic in a {!stats}
+    Every store counts its own checkpointing traffic in a statistics
     record (plain fields bumped on events that already copy arrays or
     push journal entries — the per-write fast path is untouched):
     snapshots and restores taken, undo-journal entries pushed and the
@@ -113,28 +113,6 @@ val heap_blocks : t -> int
 (** Number of live blocks (diagnostics). *)
 
 (** {1 Statistics} *)
-
-type stats = {
-  mutable st_snapshots : int;  (** {!snapshot} calls *)
-  mutable st_restores : int;  (** {!restore} calls *)
-  mutable st_journal_entries : int;  (** undo-journal entries pushed *)
-  mutable st_journal_peak : int;  (** longest the journal ever grew *)
-  mutable st_blocks_privatized : int;  (** barrier-installed private copies *)
-  mutable st_cells_dirtied : int;  (** total cells across those copies *)
-  mutable st_snapshot_depth_peak : int;  (** deepest live-snapshot nesting *)
-  mutable st_watermark_hits : int;
-      (** privatizations forced by post-fork copy-on-write sharing
-          (block stamp below the [shared_below] fork watermark) *)
-  mutable st_forks : int;
-      (** [1] when this store was itself created by {!copy}, [0]
-          otherwise — recorded on the replica, not the parent, so
-          concurrent forks of a quiescent parent never race on the
-          parent's stats.  Summed over flushed stores this counts the
-          replicas forked. *)
-}
-
-val stats : t -> stats
-(** The store's live statistics record (not a copy). *)
 
 val flush_telemetry : t -> unit
 (** Add this store's statistics to the process-wide

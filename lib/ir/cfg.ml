@@ -64,14 +64,3 @@ let exit_blocks t =
     t.rpo
 
 let block t b = t.f.fblocks.(b)
-
-let instrs_in_order t = List.concat_map (fun b -> t.f.fblocks.(b).instrs) t.rpo
-
-let pp_dot fmt t =
-  Format.fprintf fmt "digraph %s {@." t.f.fname;
-  List.iter
-    (fun b ->
-      List.iter (fun s -> Format.fprintf fmt "  b%d -> b%d;@." b s) t.succs.(b))
-    t.rpo;
-  Format.fprintf fmt "}@."
-

@@ -25,10 +25,3 @@ val exit_blocks : t -> int list
 (** Reachable blocks terminated by [Ret]. *)
 
 val block : t -> int -> Ir.block
-
-val instrs_in_order : t -> Ir.instr list
-(** All instructions of reachable blocks in reverse postorder. *)
-
-val pp_dot : Format.formatter -> t -> unit
-(** Graphviz dump for debugging. *)
-

@@ -82,7 +82,6 @@ let rec size t = function
 
 let field_offset t sname i = (find t sname).sl_offsets.(i)
 let field_type t sname i = (find t sname).sl_types.(i)
-let num_fields t sname = Array.length (find t sname).sl_offsets
 
 let rec cell_kinds t = function
   | Tint -> [| KInt |]

@@ -22,8 +22,6 @@ val field_offset : t -> string -> int -> int
 
 val field_type : t -> string -> int -> Ast.ty
 
-val num_fields : t -> string -> int
-
 val cell_kinds : t -> Ast.ty -> cellkind array
 (** Kinds of the cells of one element of the type, used to zero-initialize
     fresh blocks with correctly-typed values. *)

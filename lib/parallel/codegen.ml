@@ -61,3 +61,21 @@ let annotate_source info ~source plan =
            lp.Plan.lp_loop_id (pragma_line lp)))
     !unplaced;
   Buffer.contents buf
+
+(* A name declared in a loop's body is block-scoped in the exported C,
+   hence private already, and leaves the loop's [private] clause. *)
+let export_c info ~file ~source plan =
+  let ast = Dca_frontend.Parser.parse_program ~file source in
+  let pragmas =
+    List.filter_map
+      (fun lp ->
+        match Proginfo.loop_by_id info lp.Plan.lp_loop_id with
+        | Some (_, loop) ->
+            let line = loop.Loops.l_loc.Dca_frontend.Loc.line in
+            let inner = Dca_frontend.C_export.body_declared_names ast ~line in
+            let privates = List.filter (fun n -> not (List.mem n inner)) lp.Plan.lp_private in
+            Some (line, pragma ~privates ~reductions:lp.Plan.lp_reductions)
+        | None -> None)
+      plan.Plan.plan_loops
+  in
+  Dca_frontend.C_export.export ~pragmas ast

@@ -11,6 +11,13 @@ val annotate_source :
     be recovered are listed in a trailing comment instead of silently
     dropped. *)
 
+val export_c : Dca_analysis.Proginfo.t -> file:string -> source:string -> Plan.t -> string
+(** The program as compilable C99 ({!Dca_frontend.C_export}) with a real
+    OpenMP pragma above every planned loop: its {!pragma}, whose
+    [private] clause leaves out the names declared in the loop's body
+    (block-scoped in C, so private already).  [info] must be the
+    analysis of [source]. *)
+
 val pragma :
   privates:string list -> reductions:(string * Dca_analysis.Scalars.reduction_op) list -> string
 (** The one OpenMP pragma renderer: [#pragma omp parallel for

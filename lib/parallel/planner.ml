@@ -66,7 +66,7 @@ let privates_of info loop_id =
              | _ -> None)
       |> List.sort_uniq compare
 
-let benefit_of info machine profile loop_id =
+let benefit_of ~machine info profile loop_id =
   match Depprof.loop_profile profile loop_id with
   | None -> neg_infinity
   | Some lp ->
@@ -87,7 +87,7 @@ let select ~machine info profile ~detected ~strategy =
     | Among ids -> List.filter (fun id -> List.mem id ids) detected
   in
   let scored =
-    List.map (fun id -> (id, benefit_of info machine profile id)) pool
+    List.map (fun id -> (id, benefit_of ~machine info profile id)) pool
     |> List.filter (fun (_, b) -> b > 0.0)
     |> List.sort (fun (_, b1) (_, b2) -> compare b2 b1)
   in
@@ -112,9 +112,3 @@ let select ~machine info profile ~detected ~strategy =
     }
   in
   { Plan.plan_loops = List.map mk_plan chosen }
-
-let estimated_benefit ~machine profile loop_id =
-  match Depprof.loop_profile profile loop_id with
-  | None -> neg_infinity
-  | Some lp ->
-      float_of_int lp.Depprof.lp_total_cost -. parallel_cost ~machine lp ~reductions:0

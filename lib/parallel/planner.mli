@@ -35,7 +35,11 @@ val parallel_cost :
 (** Simulated parallel cost of the loop's whole dynamic extent, scaled
     from the recorded invocations to the loop's profiled totals. *)
 
-val estimated_benefit :
-  machine:Machine.t -> Dca_profiling.Depprof.profile -> string -> float
+val benefit_of :
+  machine:Machine.t -> Dca_analysis.Proginfo.t -> Dca_profiling.Depprof.profile -> string -> float
 (** Sequential cost minus simulated parallel cost of the loop's dynamic
-    extent (in work units); negative = unprofitable. *)
+    extent (in work units), its reduction clauses' merges included;
+    [neg_infinity] for a loop the profile never entered.  {!select}
+    plans exactly the loops with a positive benefit that win their
+    conflicts, and the advisor calls a loop profitable on the same
+    test. *)

@@ -60,7 +60,3 @@ let simulate ?extra_parallel ~machine info profile plan =
         par_after_loops *. (1.0 -. f) +. (par_after_loops *. f /. w)
   in
   { sp_seq = seq; sp_par = par; sp_speedup = seq /. par; sp_loops = stats }
-
-let sequential_result profile =
-  let seq = float_of_int profile.Depprof.pr_total_cost in
-  { sp_seq = seq; sp_par = seq; sp_speedup = 1.0; sp_loops = [] }

@@ -31,6 +31,3 @@ val simulate :
   Dca_profiling.Depprof.profile ->
   Plan.t ->
   result
-
-val sequential_result : Dca_profiling.Depprof.profile -> result
-(** The trivial speedup-1 result (for tools that parallelize nothing). *)

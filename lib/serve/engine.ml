@@ -110,30 +110,15 @@ let resolve_program = function
           else Error (Printf.sprintf "'%s' is neither a built-in benchmark nor a file" name))
   | Protocol.Inline { file; source; input } -> Ok (file, source, input)
 
-(* The request's analysis options, built exactly the way `dca analyze`
-   builds them so the daemon and the one-shot CLI share one key space. *)
+(* The request's analysis options, built by the function every `dca`
+   command builds its own with, so the daemon and the one-shot CLI share
+   one key space. *)
 let options_of_request t (rq : Protocol.request) =
-  let config =
-    {
-      Commutativity.default_config with
-      Commutativity.cc_schedules =
-        Schedule.presets ~shuffles:(Option.value rq.Protocol.rq_shuffles ~default:3) ();
-      cc_escalate = not rq.Protocol.rq_no_escalate;
-    }
-  in
-  let base =
-    Session.Options.(
-      default |> with_config config
-      |> with_hierarchical rq.Protocol.rq_hierarchical
-      |> with_static (not rq.Protocol.rq_no_static))
-  in
-  let set v f o = match v with None -> o | Some v -> f v o in
-  base
-  |> set
-       (match rq.Protocol.rq_jobs with None -> t.default_jobs | j -> j)
-       Session.Options.with_jobs
-  |> set rq.Protocol.rq_deadline_ms Session.Options.with_deadline_ms
-  |> set rq.Protocol.rq_heap_words Session.Options.with_heap_words
+  Session.Options.of_settings
+    ?jobs:(match rq.Protocol.rq_jobs with None -> t.default_jobs | j -> j)
+    ?shuffles:rq.Protocol.rq_shuffles ~escalate:(not rq.Protocol.rq_no_escalate)
+    ~hierarchical:rq.Protocol.rq_hierarchical ~static:(not rq.Protocol.rq_no_static)
+    ?deadline_ms:rq.Protocol.rq_deadline_ms ?heap_words:rq.Protocol.rq_heap_words ()
 
 (* ------------------------------------------------------------------ *)
 (* Cached analysis                                                     *)

@@ -261,5 +261,4 @@ let of_string_result s = match of_string s with v -> Ok v | exception Parse_erro
 let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 let to_int_opt = function Int n -> Some n | _ -> None
 let to_str_opt = function Str s -> Some s | _ -> None
-let to_bool_opt = function Bool b -> Some b | _ -> None
 let to_list_opt = function List xs -> Some xs | _ -> None

@@ -32,5 +32,4 @@ val member : string -> t -> t option
 
 val to_int_opt : t -> int option
 val to_str_opt : t -> string option
-val to_bool_opt : t -> bool option
 val to_list_opt : t -> t list option

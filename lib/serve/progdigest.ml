@@ -133,7 +133,7 @@ let config_digest ~hierarchical ?(static = true) (c : Commutativity.config) =
     (Printf.sprintf "schedules=%s eps=%h escalate=%b inv=%d promote=%d hier=%b static=%s"
        (String.concat "," (List.map Schedule.to_string c.Commutativity.cc_schedules))
        c.Commutativity.cc_eps c.Commutativity.cc_escalate c.Commutativity.cc_max_invocations
-       c.Commutativity.cc_promote_rounds hierarchical
+       Commutativity.promote_rounds hierarchical
        (if static then string_of_int Dca_analysis.Staticproof.version else "off"))
 
 let loop_key t ~config_digest ~spec_digest ~func ~loop_id =

@@ -197,6 +197,8 @@ let site name =
           Hashtbl.add sites name s;
           s)
 
+let site_name s = s.s_name
+
 let known_sites () =
   Mutex.protect mutex (fun () -> Hashtbl.fold (fun n _ acc -> n :: acc) sites [])
   |> List.sort compare

@@ -132,6 +132,8 @@ val site : string -> site
 (** Find-or-create the named site (top-level [let] at the instrumented
     module, like {!Telemetry.counter}). *)
 
+val site_name : site -> string
+
 val known_sites : unit -> string list
 (** Names registered so far, sorted — registration happens at module
     initialization of the instrumented libraries. *)

@@ -29,7 +29,6 @@ let dedup_keep_order eq l =
   go [] l
 
 let sum_int = List.fold_left ( + ) 0
-let sum_float = List.fold_left ( +. ) 0.0
 
 let max_float = function
   | [] -> invalid_arg "Listx.max_float: empty list"

@@ -17,7 +17,6 @@ val dedup_keep_order : ('a -> 'a -> bool) -> 'a list -> 'a list
     order.  Quadratic; used on small lists only. *)
 
 val sum_int : int list -> int
-val sum_float : float list -> float
 val max_float : float list -> float
 (** Maximum of a non-empty list; raises [Invalid_argument] on []. *)
 

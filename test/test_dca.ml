@@ -478,6 +478,33 @@ let test_advisor_reduction_pragma () =
   in
   Alcotest.(check bool) "total reduction clause suggested" true has_reduction_pragma
 
+(* The advisor asks the planner whether a loop pays: on every registry
+   program, a loop advised to be parallelized has a positive planner
+   benefit, reduction merges included — the test [Planner.select] plans
+   by, so the advisory and the plan never disagree on profitability. *)
+let test_advisor_agrees_with_planner () =
+  List.iter
+    (fun bm ->
+      Session.with_session
+        ~options:Session.Options.(default |> with_jobs 1)
+        (Session.Benchmark bm)
+        (fun s ->
+          let info = Session.proginfo s and profile = Session.profile s in
+          List.iter
+            (fun a ->
+              match a.Advisor.ad_recommendation with
+              | Advisor.Parallelize | Advisor.Parallelize_with_review _ ->
+                  let id = a.Advisor.ad_loop.Loops.l_id in
+                  let benefit =
+                    Dca_parallel.Planner.benefit_of ~machine:Dca_parallel.Machine.default info profile id
+                  in
+                  if not (benefit > 0.0) then
+                    Alcotest.failf "%s %s is advised parallel, but its planner benefit is %g"
+                      bm.Dca_progs.Benchmark.bm_name a.Advisor.ad_label benefit
+              | Advisor.Not_profitable _ | Advisor.Keep_sequential _ -> ())
+            (Session.advise s)))
+    Dca_progs.Registry.all
+
 let test_codegen_annotation () =
   let prog = Dca_ir.Lower.compile ~file:"<test>" advisory_src in
   let info = Proginfo.analyze prog in
@@ -533,6 +560,7 @@ let extension_suites =
         Alcotest.test_case "hierarchical subsumption" `Quick test_hierarchical_subsumes;
         Alcotest.test_case "advisor recommendations" `Quick test_advisor_recommendations;
         Alcotest.test_case "advisor reduction pragma" `Quick test_advisor_reduction_pragma;
+        Alcotest.test_case "advisor agrees with the planner" `Slow test_advisor_agrees_with_planner;
         Alcotest.test_case "codegen annotation" `Quick test_codegen_annotation;
         Alcotest.test_case "ir verify benchmarks" `Quick test_ir_verify_all_benchmarks;
         Alcotest.test_case "ir verify catches corruption" `Quick test_ir_verify_catches_bad_target;

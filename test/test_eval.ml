@@ -175,8 +175,7 @@ let heap_hash st =
 
 let regs_string regs = String.concat "," (Array.to_list (Array.map Value.to_string regs))
 
-(* [Eval.create]'s default *)
-let default_fuel = 200_000_000
+let default_fuel = Dca_interp.Eval.default_fuel
 
 module Harness (E : EVAL) = struct
   let ending ctx f =

@@ -206,26 +206,34 @@ let test_snapshot_restore () =
       Alcotest.(check bool) "heap restored" true (Store.load st ~block:b ~off:0 = Value.VInt 10)
   | _ -> Alcotest.fail "expected array global pointer")
 
+(* Digests compare under DCA's own tolerance, as the dynamic stage's do. *)
+let eps = Dca_core.Commutativity.default_config.Dca_core.Commutativity.cc_eps
+
+let final_store src =
+  let ctx = Eval.create (compile src) in
+  Eval.run_main ctx;
+  Eval.store ctx
+
+(* Captures and comparisons of the state reachable from global 0. *)
+let capture_through_global0 st = Observable.capture st ~scalars:[] ~roots:[ Store.read_global st 0 ]
+
+let matches_through_global0 ~golden st =
+  Observable.matches ~eps golden st ~scalars:[] ~roots:[ Store.read_global st 0 ]
+
 (* Observable captures: isomorphic heaps must compare equal regardless of
    allocation order. *)
 let test_observable_isomorphic () =
   let build order =
-    let src =
-      Printf.sprintf
-        {|
+    final_store
+      (Printf.sprintf
+         {|
         struct node { int val; struct node *next; }
         struct node *head;
         void main() {
           %s
         }
         |}
-        order
-    in
-    let p = compile src in
-    let ctx = Eval.create p in
-    Eval.run_main ctx;
-    let st = Eval.store ctx in
-    Observable.capture st ~scalars:[] ~roots:[ Store.read_global st 0 ]
+         order)
   in
   (* same final list 1 -> 2, built with different allocation orders *)
   let a =
@@ -246,39 +254,25 @@ let test_observable_isomorphic () =
       n1->val = 1; n2->val = 2; n1->next = n2; n2->next = null; head = n1;
       |}
   in
-  Alcotest.(check bool) "isomorphic heaps equal" true (Observable.equal a b)
+  Alcotest.(check bool) "isomorphic heaps equal" true
+    (matches_through_global0 ~golden:(capture_through_global0 a) b)
 
 let test_observable_differs () =
-  let capture_of src =
-    let p = compile src in
-    let ctx = Eval.create p in
-    Eval.run_main ctx;
-    let st = Eval.store ctx in
-    Observable.capture st ~scalars:[] ~roots:[ Store.read_global st 0 ]
-  in
-  let a = capture_of "int a[3]; void main() { a[1] = 5; }" in
-  let b = capture_of "int a[3]; void main() { a[1] = 6; }" in
-  Alcotest.(check bool) "different states differ" false (Observable.equal a b)
+  let a = final_store "int a[3]; void main() { a[1] = 5; }" in
+  let b = final_store "int a[3]; void main() { a[1] = 6; }" in
+  Alcotest.(check bool) "different states differ" false
+    (matches_through_global0 ~golden:(capture_through_global0 a) b)
 
 let test_observable_float_tolerance () =
-  let mk v =
-    Observable.capture
-      (Eval.store (Eval.create (compile "void main() { }")))
-      ~scalars:[ Value.VFloat v ] ~roots:[]
-  in
-  Alcotest.(check bool) "close floats equal" true
-    (Observable.equal (mk 1.0) (mk (1.0 +. 1e-13)));
-  Alcotest.(check bool) "distant floats differ" false (Observable.equal (mk 1.0) (mk 1.1))
+  let st = final_store "void main() { }" in
+  let golden = Observable.capture st ~scalars:[ Value.VFloat 1.0 ] ~roots:[] in
+  let matches v = Observable.matches ~eps golden st ~scalars:[ Value.VFloat v ] ~roots:[] in
+  Alcotest.(check bool) "close floats equal" true (matches (1.0 +. 1e-13));
+  Alcotest.(check bool) "distant floats differ" false (matches 1.1)
 
-(* [Observable.matches] must decide exactly like capture-then-equal, on
-   isomorphic heaps (canonical renaming) as well as genuinely different
-   states. *)
+(* [Observable.matches] on isomorphic heaps (canonical renaming) as well
+   as genuinely different states. *)
 let test_observable_matches () =
-  let run src =
-    let ctx = Eval.create (compile src) in
-    Eval.run_main ctx;
-    Eval.store ctx
-  in
   let list_src order =
     Printf.sprintf
       {|
@@ -289,7 +283,7 @@ let test_observable_matches () =
       order
   in
   let a =
-    run
+    final_store
       (list_src
          {|
          struct node *n1 = new struct node;
@@ -298,7 +292,7 @@ let test_observable_matches () =
          |})
   in
   let b =
-    run
+    final_store
       (list_src
          {|
          struct node *n2 = new struct node;
@@ -308,27 +302,23 @@ let test_observable_matches () =
          n1->val = 1; n2->val = 2; n1->next = n2; n2->next = null; head = n1;
          |})
   in
-  let golden = Observable.capture a ~scalars:[] ~roots:[ Store.read_global a 0 ] in
-  Alcotest.(check bool) "matches self" true
-    (Observable.matches golden a ~scalars:[] ~roots:[ Store.read_global a 0 ]);
-  Alcotest.(check bool) "matches isomorphic heap" true
-    (Observable.matches golden b ~scalars:[] ~roots:[ Store.read_global b 0 ]);
+  let golden = capture_through_global0 a in
+  Alcotest.(check bool) "matches self" true (matches_through_global0 ~golden a);
+  Alcotest.(check bool) "matches isomorphic heap" true (matches_through_global0 ~golden b);
   (match Store.read_global b 0 with
   | Value.VPtr (blk, _) -> Store.store b ~block:blk ~off:0 (Value.VInt 42)
   | _ -> Alcotest.fail "expected pointer global");
-  Alcotest.(check bool) "mutated heap differs" false
-    (Observable.matches golden b ~scalars:[] ~roots:[ Store.read_global b 0 ])
+  Alcotest.(check bool) "mutated heap differs" false (matches_through_global0 ~golden b)
 
-(* Property: on random array states, [matches] and capture-then-[equal]
-   agree (both verdicts, not just the positive case). *)
+(* Property: on random array states, [matches] decides like the
+   cell-based reference (test/observable_ref.ml), in place and by capture
+   then [equal] (both verdicts, not just the positive case). *)
 let prop_matches_agrees_with_equal =
   QCheck.Test.make ~count:200 ~name:"Observable.matches = capture+equal"
     QCheck.(pair (list (int_range 0 7)) (list (int_range 0 7)))
     (fun (pokes_a, pokes_b) ->
       let mk pokes =
-        let ctx = Eval.create (compile "int a[8]; int total; void main() { }") in
-        Eval.run_main ctx;
-        let st = Eval.store ctx in
+        let st = final_store "int a[8]; int total; void main() { }" in
         (match Store.read_global st 0 with
         | Value.VPtr (blk, _) ->
             List.iteri (fun i off -> Store.store st ~block:blk ~off (Value.VInt (i + off))) pokes
@@ -339,19 +329,17 @@ let prop_matches_agrees_with_equal =
       let sa = mk pokes_a and sb = mk pokes_b in
       let (sc_a, rt_a), (sc_b, rt_b) = (liveout sa, liveout sb) in
       let golden = Observable.capture sa ~scalars:sc_a ~roots:rt_a in
-      let verdict = Observable.matches golden sb ~scalars:sc_b ~roots:rt_b in
+      let verdict = Observable.matches ~eps golden sb ~scalars:sc_b ~roots:rt_b in
       let ref_golden = Observable_ref.capture sa ~scalars:sc_a ~roots:rt_a in
-      verdict = Observable.equal golden (Observable.capture sb ~scalars:sc_b ~roots:rt_b)
-      (* and the cell-based reference decides the same *)
-      && verdict = Observable_ref.matches ref_golden sb ~scalars:sc_b ~roots:rt_b
+      verdict = Observable_ref.matches ~eps ref_golden sb ~scalars:sc_b ~roots:rt_b
       && verdict
-         = Observable_ref.equal ref_golden (Observable_ref.capture sb ~scalars:sc_b ~roots:rt_b))
+         = Observable_ref.equal ~eps ref_golden (Observable_ref.capture sb ~scalars:sc_b ~roots:rt_b))
 
 let test_outputs_equal_tolerant () =
   Alcotest.(check bool) "tolerant" true
-    (Observable.outputs_equal [ "1.00000000000001"; "x" ] [ "1.0"; "x" ]);
-  Alcotest.(check bool) "different text" false (Observable.outputs_equal [ "a" ] [ "b" ]);
-  Alcotest.(check bool) "different lengths" false (Observable.outputs_equal [ "1" ] [ "1"; "2" ])
+    (Observable.outputs_equal ~eps [ "1.00000000000001"; "x" ] [ "1.0"; "x" ]);
+  Alcotest.(check bool) "different text" false (Observable.outputs_equal ~eps [ "a" ] [ "b" ]);
+  Alcotest.(check bool) "different lengths" false (Observable.outputs_equal ~eps [ "1" ] [ "1"; "2" ])
 
 (* A plain run allocates little more than the values it computes: at
    most 4 minor words per executed instruction — a boxed int result is 2
@@ -682,8 +670,9 @@ let prop_restore_round_trip =
       first && stores_agree sj sd)
 
 (* Pointers into blocks allocated after the snapshot dangle once restored;
-   Observable.capture canonicalizes them to CUndef, so a digest taken
-   through a dangling pointer equals one taken through VUndef. *)
+   Observable.capture canonicalizes them to VUndef, so a digest taken
+   through a dangling pointer matches the state seen through VUndef, and
+   the other way round. *)
 let test_dangling_canonicalizes () =
   List.iter
     (fun mode ->
@@ -697,31 +686,30 @@ let test_dangling_canonicalizes () =
       Alcotest.(check bool) "block dangles" true (Store.block_size st b = None);
       let obs = Observable.capture st ~scalars:[ dangling ] ~roots:[] in
       let undef = Observable.capture st ~scalars:[ Value.VUndef ] ~roots:[] in
-      Alcotest.(check bool) "dangling pointer digests as undef" true (Observable.equal obs undef);
-      (* the cell-based reference decides the same, for captures and for
-         in-place matches in either direction *)
+      Alcotest.(check bool) "dangling pointer digests as undef" true
+        (Observable.matches ~eps obs st ~scalars:[ Value.VUndef ] ~roots:[]);
+      (* the cell-based reference decides the same, for in-place matches
+         in either direction *)
       let ref_obs = Observable_ref.capture st ~scalars:[ dangling ] ~roots:[] in
       let ref_undef = Observable_ref.capture st ~scalars:[ Value.VUndef ] ~roots:[] in
       List.iter
         (fun (what, (got : bool), (want : bool)) -> Alcotest.(check bool) ("reference: " ^ what) want got)
         [
-          ("equal", Observable.equal obs undef, Observable_ref.equal ref_obs ref_undef);
           ( "dangling matches undef",
-            Observable.matches obs st ~scalars:[ Value.VUndef ] ~roots:[],
-            Observable_ref.matches ref_obs st ~scalars:[ Value.VUndef ] ~roots:[] );
+            Observable.matches ~eps obs st ~scalars:[ Value.VUndef ] ~roots:[],
+            Observable_ref.matches ~eps ref_obs st ~scalars:[ Value.VUndef ] ~roots:[] );
           ( "undef matches dangling",
-            Observable.matches undef st ~scalars:[ dangling ] ~roots:[],
-            Observable_ref.matches ref_undef st ~scalars:[ dangling ] ~roots:[] );
-          ("rendering", Observable.to_string obs = Observable_ref.to_string ref_obs, true);
+            Observable.matches ~eps undef st ~scalars:[ dangling ] ~roots:[],
+            Observable_ref.matches ~eps ref_undef st ~scalars:[ dangling ] ~roots:[] );
         ])
     [ Store.Journal; Store.Deep ]
 
 (* The box-sharing digest against the cell-based reference
    (test/observable_ref.ml) on random stores — ints, floats, pointers,
-   and pointers left dangling by restores: both give the same [equal],
-   [matches], size and rendering.  A capture is also matched against its
-   own store after further mutation, where every cell the mutation did
-   not write is still the very box the capture holds. *)
+   and pointers left dangling by restores: both [matches] decide the
+   same, each capture against either store.  A capture is also matched
+   against its own store after further mutation, where every cell the
+   mutation did not write is still the very box the capture holds. *)
 let prop_digest_matches_reference =
   QCheck.Test.make ~count:300 ~name:"Observable = Observable_ref on random stores"
     QCheck.(
@@ -738,14 +726,12 @@ let prop_digest_matches_reference =
       let ref_capture st = Observable_ref.capture st ~scalars:(scalars st) ~roots:(roots st) in
       let (sa, twin_a), (sb, _) = (build (common @ extra_a), build (common @ extra_b)) in
       let ga = capture sa and gb = capture sb and ra = ref_capture sa and rb = ref_capture sb in
-      let matches g st = Observable.matches g st ~scalars:(scalars st) ~roots:(roots st) in
-      let ref_matches r st = Observable_ref.matches r st ~scalars:(scalars st) ~roots:(roots st) in
+      let matches g st = Observable.matches ~eps g st ~scalars:(scalars st) ~roots:(roots st) in
+      let ref_matches r st = Observable_ref.matches ~eps r st ~scalars:(scalars st) ~roots:(roots st) in
       let agree =
-        Observable.equal ga gb = Observable_ref.equal ra rb
-        && matches ga sb = ref_matches ra sb
+        matches ga sb = ref_matches ra sb
+        && matches gb sa = ref_matches rb sa
         && matches ga sa = ref_matches ra sa
-        && Observable.size ga = Observable_ref.size ra
-        && Observable.to_string ga = Observable_ref.to_string ra
       in
       let stack = ref [] and copies = ref [] in
       List.iter (apply_op sa twin_a stack copies) extra_b;
@@ -753,9 +739,9 @@ let prop_digest_matches_reference =
 
 (* Float tolerance, the box-sharing digest against the reference: close,
    distant, signed zeros, infinities and NaN, in a block and as a scalar,
-   at two tolerances — by capture and [equal], and in place, where a NaN
-   cell that neither run wrote is the same box and must still differ
-   from itself. *)
+   at two tolerances — in place against the reference's capture and
+   [equal] and its in-place [matches], where a NaN cell that neither run
+   wrote is the same box and must still differ from itself. *)
 let test_digest_eps_matches_reference () =
   let values = [ 1.0; 1.0 +. 1e-13; 1.0 +. 1e-7; 1.1; 0.0; -0.0; infinity; nan ] in
   let store_with v =
@@ -781,7 +767,7 @@ let test_digest_eps_matches_reference () =
               let name = Printf.sprintf "eps %g: %h vs %h" eps x y in
               Alcotest.(check bool) (name ^ ", equal")
                 (Observable_ref.equal ~eps r (Observable_ref.capture sy ~scalars:scy ~roots:(roots sy)))
-                (Observable.equal ~eps g (Observable.capture sy ~scalars:scy ~roots:(roots sy)));
+                (Observable.matches ~eps g sy ~scalars:scy ~roots:(roots sy));
               Alcotest.(check bool) (name ^ ", matches")
                 (Observable_ref.matches ~eps r sy ~scalars:scy ~roots:(roots sy))
                 (Observable.matches ~eps g sy ~scalars:scy ~roots:(roots sy));

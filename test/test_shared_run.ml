@@ -18,7 +18,7 @@ let ref_config (c : Commutativity.config) =
     cc_eps = c.Commutativity.cc_eps;
     cc_escalate = c.Commutativity.cc_escalate;
     cc_max_invocations = c.Commutativity.cc_max_invocations;
-    cc_promote_rounds = c.Commutativity.cc_promote_rounds;
+    cc_promote_rounds = Commutativity.promote_rounds;
   }
 
 let raised e = "raised " ^ Printexc.to_string e
@@ -616,7 +616,7 @@ let test_shared_pass_budgets () =
     List.assoc "interp.instructions" (Dca_support.Telemetry.Ctx.counters tele)
   in
   (* the instructions of the loop's tests when nothing runs out *)
-  let tests = instructions Commutativity.default_fuel None - plain in
+  let tests = instructions Dca_interp.Eval.default_fuel None - plain in
   let starved = ref 0 in
   Dca_support.Pool.with_pool ~jobs:2 (fun pool2 ->
       (* past the plain run, its golden recording (about one plain run)
