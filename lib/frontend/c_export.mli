@@ -14,9 +14,6 @@
 
 val export : ?pragmas:(int * string) list -> Ast.program -> string
 
-val export_source : ?pragmas:(int * string) list -> file:string -> string -> string
-(** Parse (and type-check) first, then export. *)
-
 val body_declared_names : Ast.program -> line:int -> string list
 (** Names declared inside the body of the loop statement starting at the
     given source line.  In the exported C these are block-scoped and hence

@@ -92,7 +92,9 @@ type t = {
 
 let magic = "DCAV2"
 
-let create ?dir ?(capacity = 4096) ?(on_degrade = fun _ -> ()) () =
+let default_capacity = 4096
+
+let create ?dir ?(capacity = default_capacity) ?(on_degrade = fun _ -> ()) () =
   (match dir with
   | Some d when not (Sys.file_exists d) -> (
       try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())

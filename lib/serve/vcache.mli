@@ -38,10 +38,13 @@ type entry = {
 
 type t
 
+val default_capacity : int
+(** In-memory entries when {!create} is given no [capacity]: 4096. *)
+
 val create : ?dir:string -> ?capacity:int -> ?on_degrade:(string -> unit) -> unit -> t
 (** [dir] enables the on-disk level (created if missing); without it the
     cache is memory-only.  [capacity] bounds the in-memory level
-    (default 4096 entries); disk is unbounded.  [on_degrade] fires
+    (default {!default_capacity} entries); disk is unbounded.  [on_degrade] fires
     exactly once, on the first failed disk write (ENOSPC, EIO, read-only
     directory, or an injected [vcache.write] fault), with the failure
     message — [dca_cache_degraded_total] ticks and the cache runs
