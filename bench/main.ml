@@ -416,29 +416,35 @@ let run_interp () =
 (* ------------------------------------------------------------------ *)
 
 (* Drives the serve engine in-process (no socket: the cache, not the
-   transport, is what is being measured).  Three paths on LU:
+   transport, is what is being measured).  Four paths on LU:
      cold        — empty cache, every loop pays the dynamic stage
      warm        — same engine again, every loop from the in-memory LRU
      disk-warm   — a fresh engine over the same cache directory, every
                    loop promoted from disk (a daemon restart)
-   The warm and disk-warm reports must be byte-identical to the cold
-   one — the deterministic-merge guarantee extended across the cache. *)
+     after-edit  — LU by name right after LU with a dead store in main:
+                   the edit re-tests main's loops and its own escalated
+                   verdicts, and the unedited program's must still be
+                   cached
+   The warm, disk-warm and after-edit reports must be byte-identical to
+   the cold one — the deterministic-merge guarantee extended across the
+   cache. *)
 let run_serve () =
   section "Serve daemon: verdict-cache cold vs warm";
   let open Dca_serve in
   let dir = Filename.temp_file "dca-bench-cache" "" in
   Sys.remove dir;
-  let rq =
-    {
-      Protocol.default_request with
-      Protocol.rq_op = Protocol.Analyze;
-      rq_program = Some (Protocol.Named "LU");
-      rq_jobs = Some 2;
-    }
-  in
-  let analyze engine =
+  let analyze ?(program = Protocol.Named "LU") engine =
     let t0 = Telemetry.now_ns () in
-    match Engine.handle engine { rq with Protocol.rq_id = Telemetry.now_ns () land 0xffff } with
+    match
+      Engine.handle engine
+        {
+          Protocol.default_request with
+          Protocol.rq_id = Telemetry.now_ns () land 0xffff;
+          rq_op = Protocol.Analyze;
+          rq_program = Some program;
+          rq_jobs = Some 2;
+        }
+    with
     | { Protocol.rp_status = Protocol.Ok; rp_report = Some report; rp_hits; rp_misses; _ } ->
         (float_of_int (Telemetry.now_ns () - t0), report, rp_hits, rp_misses)
     | { Protocol.rp_error; _ } ->
@@ -457,6 +463,34 @@ let run_serve () =
   (* daemon restart: a fresh engine, cache served from disk *)
   let engine2 = Engine.create ~cache_dir:dir ~jobs:2 () in
   let disk_ns, disk_report, disk_hits, _ = analyze engine2 in
+  (* the edit goes on main's brace line, so no loop label moves *)
+  let edited_lu =
+    let lu = Option.get (Dca_progs.Registry.find "LU") in
+    let src = lu.Dca_progs.Benchmark.bm_source and main = "void main() {" in
+    let rec after_main i =
+      if String.sub src i (String.length main) = main then i + String.length main
+      else after_main (i + 1)
+    in
+    let at = after_main 0 in
+    Protocol.Inline
+      {
+        file = "LU.mc";
+        source =
+          String.sub src 0 at ^ " int dca_bench_edit; dca_bench_edit = 1;"
+          ^ String.sub src at (String.length src - at);
+        input = lu.Dca_progs.Benchmark.bm_input;
+      }
+  in
+  let after_edit =
+    Array.init reps (fun _ ->
+        ignore (analyze ~program:edited_lu engine2);
+        analyze engine2)
+  in
+  let after_edit_ns = median (Array.map (fun (ns, _, _, _) -> ns) after_edit) in
+  let after_edit_identical =
+    Array.for_all (fun (_, r, _, _) -> String.equal r cold_report) after_edit
+  in
+  let _, _, after_edit_hits, after_edit_misses = after_edit.(0) in
   Engine.close engine2;
   (* Requests/sec over real sockets under mixed warm/cold traffic: four
      persistent-connection clients, each alternating a pre-warmed
@@ -565,21 +599,25 @@ let run_serve () =
       ("serve_cold_LU_ns", cold_ns);
       ("serve_warm_LU_ns", warm_ns);
       ("serve_disk_warm_LU_ns", disk_ns);
+      ("serve_after_edit_LU_ns", after_edit_ns);
       ("serve_warm_speedup", cold_ns /. warm_ns);
       ("serve_disk_warm_speedup", cold_ns /. disk_ns);
       ("serve_cold_misses", float_of_int cold_misses);
       ("serve_warm_hits", float_of_int warm_hits);
       ("serve_disk_warm_hits", float_of_int disk_hits);
+      ("serve_after_edit_hits", float_of_int after_edit_hits);
+      ("serve_after_edit_misses", float_of_int after_edit_misses);
       ("serve_warm_report_identical", if warm_identical then 1.0 else 0.0);
       ( "serve_disk_report_identical",
         if String.equal disk_report cold_report then 1.0 else 0.0 );
+      ("serve_after_edit_report_identical", if after_edit_identical then 1.0 else 0.0);
       ("serve_requests_per_sec_serial", rps_serial);
       ("serve_requests_per_sec_concurrent", rps_concurrent);
       ("serve_concurrent_speedup_pct", 100.0 *. rps_concurrent /. rps_serial);
       ("serve_concurrent_reports_identical", if concurrent_identical then 1.0 else 0.0);
     ]
   in
-  List.iter (fun (name, v) -> Printf.printf "  %-30s %14.0f\n%!" name v) entries;
+  List.iter (fun (name, v) -> Printf.printf "  %-34s %14.0f\n%!" name v) entries;
   let oc = open_out "BENCH_serve.json" in
   output_string oc "{\n";
   let rec emit = function
@@ -592,11 +630,11 @@ let run_serve () =
   output_string oc "}\n";
   close_out oc;
   Printf.printf
-    "  wrote BENCH_serve.json (warm %.0fx, disk-warm %.0fx, identical: %b; %.1f -> %.1f req/s \
-     concurrent, identical: %b)\n\
+    "  wrote BENCH_serve.json (warm %.0fx, disk-warm %.0fx, after-edit %.0fx, identical: %b; \
+     %.1f -> %.1f req/s concurrent, identical: %b)\n\
      %!"
-    (cold_ns /. warm_ns) (cold_ns /. disk_ns)
-    (warm_identical && String.equal disk_report cold_report)
+    (cold_ns /. warm_ns) (cold_ns /. disk_ns) (cold_ns /. after_edit_ns)
+    (warm_identical && String.equal disk_report cold_report && after_edit_identical)
     rps_serial rps_concurrent concurrent_identical
 
 (* ------------------------------------------------------------------ *)

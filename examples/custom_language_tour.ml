@@ -52,14 +52,14 @@ let () =
   let fi = Proginfo.func_info info "main" in
   List.iter
     (fun l ->
-      let live_out = Liveness.loop_live_out fi.Proginfo.fi_live l in
+      let live_out = Liveness.loop_live_out (Proginfo.live fi) l in
       Printf.printf "4. loop %s: header b%d, %d blocks, live-out scalars: %s\n"
         l.Loops.l_id l.Loops.l_header
         (Dca_support.Intset.cardinal l.Loops.l_blocks)
         (String.concat ", "
            (List.filter_map
               (fun vid ->
-                Option.map (fun v -> v.Ir.vname) (Liveness.var_of_id fi.Proginfo.fi_live vid))
+                Option.map (fun v -> v.Ir.vname) (Liveness.var_of_id (Proginfo.live fi) vid))
               (Dca_support.Intset.elements live_out))))
     (Loops.loops fi.Proginfo.fi_forest);
 

@@ -53,10 +53,10 @@ let instruction_bail prog (instrs : Ir.instr list) =
      commutativity cannot lean on a tolerance, so only integer
      reductions (exact wrap-around arithmetic) are accepted. *)
 let scalar_bail (fi : Proginfo.func_info) (loop : Loops.loop) =
-  let live_out = Liveness.loop_live_out fi.Proginfo.fi_live loop in
-  let classes = Scalars.classify_loop fi.Proginfo.fi_cfg fi.Proginfo.fi_affine fi.Proginfo.fi_live loop in
+  let live_out = Liveness.loop_live_out (Proginfo.live fi) loop in
+  let classes = Scalars.classify_loop fi.Proginfo.fi_cfg (Proginfo.affine fi) (Proginfo.live fi) loop in
   let name vid =
-    match Liveness.var_of_id fi.Proginfo.fi_live vid with
+    match Liveness.var_of_id (Proginfo.live fi) vid with
     | Some v -> v.Ir.vname
     | None -> Printf.sprintf "#%d" vid
   in
@@ -67,7 +67,7 @@ let scalar_bail (fi : Proginfo.func_info) (loop : Loops.loop) =
       | Scalars.Private when Dca_support.Intset.mem vid live_out ->
           Some (Printf.sprintf "private scalar '%s' is live out (last-value order-dependent)" (name vid))
       | Scalars.Reduction _ -> (
-          match Liveness.var_of_id fi.Proginfo.fi_live vid with
+          match Liveness.var_of_id (Proginfo.live fi) vid with
           | Some v when v.Ir.vty = Dca_frontend.Ast.Tint -> None
           | _ ->
               Some
@@ -153,7 +153,7 @@ let store_reads_residual instrs residual_loads =
 (* ------------------------------------------------------------------ *)
 
 let prove (info : Proginfo.t) (fi : Proginfo.func_info) (loop : Loops.loop) =
-  let affine = fi.Proginfo.fi_affine in
+  let affine = Proginfo.affine fi in
   if not (Affine.counted_header affine loop) then
     Bail "not a well-formed counted loop (single induction variable, invariant bound)"
   else

@@ -16,7 +16,7 @@ let name = "DepProfiling"
 
 let filters_of fi (loop : Loops.loop) =
   let classes =
-    Scalars.classify_loop fi.Proginfo.fi_cfg fi.Proginfo.fi_affine fi.Proginfo.fi_live loop
+    Scalars.classify_loop fi.Proginfo.fi_cfg (Proginfo.affine fi) (Proginfo.live fi) loop
   in
   let tolerated =
     List.filter_map
@@ -27,7 +27,7 @@ let filters_of fi (loop : Loops.loop) =
       classes
     |> Intset.of_list
   in
-  let rmws = Memred.find fi.Proginfo.fi_cfg fi.Proginfo.fi_affine loop in
+  let rmws = Memred.find fi.Proginfo.fi_cfg (Proginfo.affine fi) loop in
   {
     Dynamic_common.fl_scalar_ok = (fun vid -> Intset.mem vid tolerated);
     fl_rmw_pairs = Memred.iid_pairs rmws;

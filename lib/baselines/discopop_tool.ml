@@ -18,13 +18,13 @@ let name = "DiscoPoP"
 
 let filters_of fi (loop : Loops.loop) =
   let basic_iv =
-    match Affine.induction_var fi.Proginfo.fi_affine loop with
+    match Affine.induction_var (Proginfo.affine fi) loop with
     | Some (v, _) -> Intset.singleton v.Dca_ir.Ir.vid
     | None -> Intset.empty
   in
   (* sum/product scalar reductions only *)
   let classes =
-    Scalars.classify_loop fi.Proginfo.fi_cfg fi.Proginfo.fi_affine fi.Proginfo.fi_live loop
+    Scalars.classify_loop fi.Proginfo.fi_cfg (Proginfo.affine fi) (Proginfo.live fi) loop
   in
   let sum_reds =
     List.filter_map
@@ -37,7 +37,7 @@ let filters_of fi (loop : Loops.loop) =
   in
   let tolerated = Intset.union basic_iv sum_reds in
   let rmws =
-    Memred.find fi.Proginfo.fi_cfg fi.Proginfo.fi_affine loop
+    Memred.find fi.Proginfo.fi_cfg (Proginfo.affine fi) loop
     |> List.filter (fun r ->
            match r.Memred.rmw_op with
            | Scalars.Rsum | Scalars.Rprod -> true

@@ -22,7 +22,7 @@ let classify info fi (loop : Loops.loop) : Tool.verdict =
     with
     | Some callee -> Tool.Not_parallel (Printf.sprintf "impure call to %s" callee)
     | None ->
-        if not (Affine.counted_header fi.Proginfo.fi_affine loop) then
+        if not (Affine.counted_header (Proginfo.affine fi) loop) then
           Tool.Not_parallel "not a counted loop"
         else begin
           match
@@ -32,7 +32,7 @@ let classify info fi (loop : Loops.loop) : Tool.verdict =
           | None -> begin
               (* exempt register-promotable global-scalar reductions only *)
               let rmws =
-                Memred.find fi.Proginfo.fi_cfg fi.Proginfo.fi_affine loop
+                Memred.find fi.Proginfo.fi_cfg (Proginfo.affine fi) loop
                 |> List.filter (fun r ->
                        match r.Memred.rmw_kind with
                        | Memred.Global_scalar _ -> true

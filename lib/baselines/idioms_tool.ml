@@ -23,11 +23,11 @@ let classify info fi (loop : Loops.loop) : Tool.verdict =
     with
     | Some callee -> Tool.Not_parallel (Printf.sprintf "impure call to %s" callee)
     | None ->
-        if not (Affine.counted_header fi.Proginfo.fi_affine loop) then
+        if not (Affine.counted_header (Proginfo.affine fi) loop) then
           Tool.Not_parallel "not a counted loop"
         else begin
           let classes =
-            Scalars.classify_loop fi.Proginfo.fi_cfg fi.Proginfo.fi_affine fi.Proginfo.fi_live loop
+            Scalars.classify_loop fi.Proginfo.fi_cfg (Proginfo.affine fi) (Proginfo.live fi) loop
           in
           let scalar_reductions =
             List.exists (fun (_, c) -> match c with Scalars.Reduction _ -> true | _ -> false) classes
@@ -35,7 +35,7 @@ let classify info fi (loop : Loops.loop) : Tool.verdict =
           match Static_common.scalar_blocker fi loop ~reductions_ok:(fun _ -> true) with
           | Some why -> Tool.Not_parallel why
           | None -> begin
-              let rmws = Memred.find fi.Proginfo.fi_cfg fi.Proginfo.fi_affine loop in
+              let rmws = Memred.find fi.Proginfo.fi_cfg (Proginfo.affine fi) loop in
               (* a genuine accumulation idiom: a scalar reduction, a global
                  accumulator, a histogram (data-dependent subscript), or an
                  array cell whose subscript does not vary with this loop —

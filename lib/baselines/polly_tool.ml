@@ -26,14 +26,14 @@ let classify info fi (loop : Loops.loop) : Tool.verdict =
     | Some why -> Tool.Not_parallel why
     | None -> begin
         let rmws =
-          Memred.find fi.Proginfo.fi_cfg fi.Proginfo.fi_affine loop
+          Memred.find fi.Proginfo.fi_cfg (Proginfo.affine fi) loop
           |> List.filter (fun r ->
                  match (r.Memred.rmw_kind, r.Memred.rmw_op) with
                  | Memred.Global_scalar _, (Scalars.Rsum | Scalars.Rprod) -> true
                  | _ -> false)
         in
         (* every access must be affine inside a SCoP *)
-        let accesses = Affine.accesses_of_loop fi.Proginfo.fi_affine loop in
+        let accesses = Affine.accesses_of_loop (Proginfo.affine fi) loop in
         match List.find_opt (fun a -> a.Affine.acc_subscript = None) accesses with
         | Some a ->
             Tool.Not_parallel

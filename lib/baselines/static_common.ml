@@ -12,7 +12,7 @@ let calls_in fi (l : Loops.loop) =
 
 (* The loop and all loops nested inside it are well-formed counted loops. *)
 let rec nest_is_counted fi (l : Loops.loop) =
-  Affine.counted_header fi.Proginfo.fi_affine l
+  Affine.counted_header (Proginfo.affine fi) l
   && List.for_all
        (fun cid ->
          match Loops.find fi.Proginfo.fi_forest cid with
@@ -24,7 +24,7 @@ let rec nest_is_counted fi (l : Loops.loop) =
    handle.  [reductions_ok] filters which reduction ops the tool exploits. *)
 let scalar_blocker fi (l : Loops.loop) ~reductions_ok =
   let classes =
-    Scalars.classify_loop fi.Proginfo.fi_cfg fi.Proginfo.fi_affine fi.Proginfo.fi_live l
+    Scalars.classify_loop fi.Proginfo.fi_cfg (Proginfo.affine fi) (Proginfo.live fi) l
   in
   List.find_map
     (fun (vid, cls) ->
@@ -49,7 +49,7 @@ let memory_blocker fi (l : Loops.loop) ~exempt_rmws ~allow_unknown_roots =
     List.mem (ia, ib) pairs || List.mem (ib, ia) pairs
     || (ia = ib && List.mem ia stores)
   in
-  let accesses = Affine.accesses_of_loop fi.Proginfo.fi_affine l in
+  let accesses = Affine.accesses_of_loop (Proginfo.affine fi) l in
   let unknown = List.find_opt (fun a -> a.Affine.acc_root = Affine.Runknown) accesses in
   match unknown with
   | Some a when not allow_unknown_roots ->

@@ -155,7 +155,7 @@ type liveout = {
 }
 
 let liveout_of (prog : Ir.program) fi loop =
-  let live = fi.Proginfo.fi_live in
+  let live = Proginfo.live fi in
   let local_slots vids =
     Array.of_list
       (List.filter_map
@@ -210,7 +210,7 @@ let prepare fi liveout sep =
   let _, slice_slots =
     Intset.fold
       (fun iid ((seen, slots) as acc) ->
-        match Ir.def_of (Pdg.instr fi.Proginfo.fi_pdg iid).Ir.idesc with
+        match Ir.def_of (Pdg.instr (Proginfo.pdg fi) iid).Ir.idesc with
         | Some v when (not v.Ir.vglobal) && not (Intset.mem v.Ir.vid seen) ->
             (Intset.add v.Ir.vid seen, v.Ir.vslot :: slots)
         | _ -> acc)

@@ -54,7 +54,7 @@ let body_reachability cfg (l : Loops.loop) =
 let loop_instrs fi (l : Loops.loop) = Loops.instrs_of fi.Proginfo.fi_cfg l
 
 let build fi (l : Loops.loop) (slice_nodes : Pdg.Nodeset.t) =
-  let pdg = fi.Proginfo.fi_pdg in
+  let pdg = Proginfo.pdg fi in
   let cfg = fi.Proginfo.fi_cfg in
   let slice =
     Pdg.Nodeset.fold
@@ -173,7 +173,7 @@ let build fi (l : Loops.loop) (slice_nodes : Pdg.Nodeset.t) =
   }
 
 let closure fi (l : Loops.loop) seeds =
-  let pdg = fi.Proginfo.fi_pdg in
+  let pdg = Proginfo.pdg fi in
   let within n = Intset.mem (Pdg.node_block pdg n) l.Loops.l_blocks in
   Pdg.backward_closure pdg ~within seeds
 

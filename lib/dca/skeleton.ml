@@ -23,7 +23,7 @@ let shape_to_string = function
 let pointer_chasing (fi : Proginfo.func_info) (sep : Iterator_rec.separation) =
   Dca_support.Intset.exists
     (fun iid ->
-      match (Pdg.instr fi.Proginfo.fi_pdg iid).Ir.idesc with
+      match (Pdg.instr (Proginfo.pdg fi) iid).Ir.idesc with
       | Ir.Load (d, _) -> ( match d.Ir.vty with Dca_frontend.Ast.Tptr _ -> true | _ -> false)
       | _ -> false)
     sep.Iterator_rec.sep_slice
@@ -32,7 +32,7 @@ let classify info fi (outcome : Commutativity.outcome) =
   let sep = outcome.Commutativity.oc_separation in
   let loop = sep.Iterator_rec.sep_loop in
   let reductions = Dca_parallel.Planner.reductions_of info loop.Loops.l_id in
-  let rmws = Memred.find fi.Proginfo.fi_cfg fi.Proginfo.fi_affine loop in
+  let rmws = Memred.find fi.Proginfo.fi_cfg (Proginfo.affine fi) loop in
   let histogram =
     List.exists
       (fun r ->
@@ -48,7 +48,7 @@ let classify info fi (outcome : Commutativity.outcome) =
       (fun iid ->
         (not (List.mem iid rmw_iids))
         &&
-        match (Pdg.instr fi.Proginfo.fi_pdg iid).Ir.idesc with
+        match (Pdg.instr (Proginfo.pdg fi) iid).Ir.idesc with
         | Ir.Store _ | Ir.Gstore _ -> true
         | _ -> false)
       sep.Iterator_rec.sep_payload

@@ -28,14 +28,14 @@ let reductions_of info loop_id =
   | None -> []
   | Some (fi, loop) ->
       let classes =
-        Scalars.classify_loop fi.Proginfo.fi_cfg fi.Proginfo.fi_affine fi.Proginfo.fi_live loop
+        Scalars.classify_loop fi.Proginfo.fi_cfg (Proginfo.affine fi) (Proginfo.live fi) loop
       in
       List.filter_map
         (fun (vid, c) ->
           match c with
           | Scalars.Reduction op ->
               let name =
-                match Liveness.var_of_id fi.Proginfo.fi_live vid with
+                match Liveness.var_of_id (Proginfo.live fi) vid with
                 | Some v -> v.Dca_ir.Ir.vname
                 | None -> Printf.sprintf "v%d" vid
               in
@@ -50,17 +50,17 @@ let reductions_of info loop_id =
                 let name = prog.Dca_ir.Ir.p_globals.(slot).Dca_ir.Ir.g_var.Dca_ir.Ir.vname in
                 Some (name, r.Memred.rmw_op)
             | Memred.Array_cell _ -> None)
-          (Memred.find fi.Proginfo.fi_cfg fi.Proginfo.fi_affine loop)
+          (Memred.find fi.Proginfo.fi_cfg (Proginfo.affine fi) loop)
 
 let privates_of info loop_id =
   match Proginfo.loop_by_id info loop_id with
   | None -> []
   | Some (fi, loop) ->
-      Scalars.classify_loop fi.Proginfo.fi_cfg fi.Proginfo.fi_affine fi.Proginfo.fi_live loop
+      Scalars.classify_loop fi.Proginfo.fi_cfg (Proginfo.affine fi) (Proginfo.live fi) loop
       |> List.filter_map (fun (vid, c) ->
              match c with
              | Scalars.Private -> (
-                 match Liveness.var_of_id fi.Proginfo.fi_live vid with
+                 match Liveness.var_of_id (Proginfo.live fi) vid with
                  | Some v when not v.Dca_ir.Ir.vtemp -> Some v.Dca_ir.Ir.vname
                  | _ -> None)
              | _ -> None)

@@ -195,12 +195,11 @@ let analyze_with_cache t s (rq : Protocol.request) =
         | _ ->
             incr misses;
             if cache_on then
-              Vcache.store t.cache (key_of r.Driver.lr_loop)
+              Vcache.store t.cache ~prog_digest (key_of r.Driver.lr_loop)
                 {
                   Vcache.e_decision = r.Driver.lr_decision;
                   e_outcome = r.Driver.lr_outcome;
                   e_provenance = r.Driver.lr_provenance;
-                  e_prog_digest = prog_digest;
                 });
         {
           Protocol.li_label = r.Driver.lr_label;

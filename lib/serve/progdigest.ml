@@ -21,9 +21,10 @@
    price of incrementality, and the same class of approximation as the
    paper's input sampling (§IV-E: verdicts hold for the executions
    observed).  Two mitigations: the run-spec digest pins the input
-   stream, and entries whose outcome used whole-program verification
-   record the whole-program digest and are invalidated when *any*
-   function changes (see Vcache). *)
+   stream, and an entry whose outcome used whole-program verification
+   is keyed by the whole-program digest as well, so a change to *any*
+   function gives it a key of its own and the earlier version keeps
+   its entry (see Vcache). *)
 
 open Dca_ir
 

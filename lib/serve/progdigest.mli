@@ -13,9 +13,10 @@
     established by running the whole program, so an edit outside the
     loop's call closure can in principle change the invocation context
     the loop is tested under.  The cache accepts this approximation for
-    plain entries; entries whose outcome used whole-program verification
-    are additionally pinned to the whole-program digest (see
-    {!Vcache}). *)
+    plain entries.  An entry whose outcome used whole-program
+    verification is keyed by the whole-program digest too, not
+    invalidated by it: {!Vcache} stores it under a key pinned to
+    {!program_digest}, so each version of a program finds its own. *)
 
 type t
 

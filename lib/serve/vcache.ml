@@ -20,17 +20,25 @@
 
    Disk format (all bytes after the header are Marshal output):
 
-     DCAV2\n<hex md5 of payload>\n<payload>
+     DCAV3\n<hex md5 of payload>\n<payload>
 
    The magic names the payload's layout: Marshal checks no types, so a
-   change to any type an entry holds (DCAV2: [Loops.loop] gained its
-   membership table) takes a new magic, and an entry of an older layout
-   reads as corrupt.  The digest line makes torn writes and bit rot
-   detectable: any
-   mismatch, short file, bad magic, or Marshal failure counts in
+   change to any type an entry holds (DCAV3: the entry lost its program
+   digest) takes a new magic, and an entry of an older layout reads as
+   corrupt.  The digest line makes torn writes and bit rot detectable:
+   any mismatch, short file, bad magic, or Marshal failure counts in
    [cache.corrupt] and degrades to a recompute — never a crash.  Writes
    go through a temp file + rename, so a concurrently reading process
    sees either the old entry or the new one, never a torn one.
+
+   An escalated verdict (one decided by whole-program verification)
+   depends on the whole program, which the loop key does not cover, so
+   it is stored under a pinned key: the digest of the loop key and the
+   whole-program digest.  Verdicts of several versions of a program live
+   side by side, and an edit's re-test never displaces the verdict of
+   the version before it.  A probe tries the loop key and then the
+   pinned key, in memory and then on disk; a non-escalated verdict is
+   served to any program the loop key matches.
 
    The cache's facts — memory and disk hits, misses, stores, evictions,
    corrupt entries, the degrade latch, and the resident-entry gauge —
@@ -61,9 +69,6 @@ type entry = {
   e_decision : Driver.decision;
   e_outcome : Commutativity.outcome option;
   e_provenance : Report.provenance;
-  e_prog_digest : string;
-      (* whole-program digest at creation: entries whose outcome used
-         whole-program verification are only valid while it matches *)
 }
 
 let counter ?gauge name = Telemetry.counter ~kind:Telemetry.Diag ?gauge name
@@ -90,7 +95,7 @@ type t = {
   mutable degraded : bool;  (* disk writes disabled after the first failure *)
 }
 
-let magic = "DCAV2"
+let magic = "DCAV3"
 
 let default_capacity = 4096
 
@@ -203,38 +208,38 @@ let disk_write t key payload =
           (try Sys.remove (file ^ ".tmp") with Sys_error _ -> ());
           t.on_degrade (Printexc.to_string e))
 
-(* An entry that escalated to whole-program verification had its verdict
-   decided by the *whole* program's outputs, so the per-function closure
-   key under-approximates its dependencies: demand the whole-program
-   digest too. *)
-let valid ~prog_digest entry =
-  match entry.e_outcome with
-  | Some oc when oc.Commutativity.oc_escalated -> entry.e_prog_digest = prog_digest
-  | _ -> true
+(* Where an escalated verdict lives: hex and 32 characters, like a loop
+   key, so it names a file the same way. *)
+let pinned_key key ~prog_digest = Digest.to_hex (Digest.string (key ^ "|" ^ prog_digest))
 
 let find t ~prog_digest key =
+  (* the loop key, and then the key pinned to this program *)
+  let either probe =
+    let at k = Option.map (fun v -> (k, v)) (probe k) in
+    match at key with None -> at (pinned_key key ~prog_digest) | hit -> hit
+  in
   Mutex.protect t.lock (fun () ->
-      match Option.map (fun s -> (s, decode s.payload)) (Hashtbl.find_opt t.mem key) with
-      | Some (s, entry) when valid ~prog_digest entry ->
+      match either (Hashtbl.find_opt t.mem) with
+      | Some (_, s) ->
           s.last <- tick t;
           add t c_mem_hits 1;
-          Some entry
-      | Some _ ->
-          Hashtbl.remove t.mem key;
-          add t g_entries (-1);
-          add t c_misses 1;
-          None
+          Some (decode s.payload)
       | None -> (
-          match disk_read t key with
-          | Some (payload, entry) when valid ~prog_digest entry ->
+          match either (disk_read t) with
+          | Some (k, (payload, entry)) ->
               add t c_disk_hits 1;
-              mem_insert t key payload;
+              mem_insert t k payload;
               Some entry
-          | _ ->
+          | None ->
               add t c_misses 1;
               None))
 
-let store t key entry =
+let store t ~prog_digest key entry =
+  let key =
+    match entry.e_outcome with
+    | Some oc when oc.Commutativity.oc_escalated -> pinned_key key ~prog_digest
+    | _ -> key
+  in
   let payload = Marshal.to_string entry [] in
   Mutex.protect t.lock (fun () ->
       add t c_stores 1;

@@ -8,6 +8,14 @@
     label) is {e not} cached; it is rebuilt from the fresh static
     analysis of every request.
 
+    An entry whose outcome escalated to whole-program verification
+    depends on the whole program, not only on the loop's call closure
+    that the loop key covers: it is stored under a key pinned to the
+    whole-program digest, so the verdicts of several versions of one
+    program live side by side and a version that comes back after an
+    edit is served again.  Every other entry is served to any program
+    its loop key matches.
+
     On-disk entries carry a payload digest: any corruption (torn write,
     truncation, bit rot, format drift) is detected on read, counted in
     [cache.corrupt], and degrades to a recompute — never a crash.
@@ -29,11 +37,6 @@ type entry = {
   e_decision : Dca_core.Driver.decision;
   e_outcome : Dca_core.Commutativity.outcome option;
   e_provenance : Dca_core.Report.provenance;
-  e_prog_digest : string;
-      (** whole-program digest when the entry was created.  Entries whose
-          outcome escalated to whole-program verification depend on the
-          whole program and are only served while this still matches
-          (per-function keys under-approximate their dependencies). *)
 }
 
 type t
@@ -55,13 +58,16 @@ val create : ?dir:string -> ?capacity:int -> ?on_degrade:(string -> unit) -> uni
     context the cache counts into. *)
 
 val find : t -> prog_digest:string -> string -> entry option
-(** Probe both levels for a key ({!Progdigest.loop_key}).  A disk hit is
-    promoted into memory.  [prog_digest] is the current whole-program
-    digest, used to invalidate escalated entries. *)
+(** Probe for a loop key ({!Progdigest.loop_key}) and then for the key
+    it pins to [prog_digest], the current whole-program digest
+    ({!Progdigest.program_digest}): both in memory, then both on disk.
+    A disk hit is promoted into memory. *)
 
-val store : t -> string -> entry -> unit
-(** Insert into both levels.  A disk-write failure (full disk, read-only
-    directory, injected fault) is swallowed and latches the degrade:
-    this and all later stores are memory-only, the reply is never
-    affected.  Disk {e reads} keep working — a read-only directory still
-    serves the entries it already holds. *)
+val store : t -> prog_digest:string -> string -> entry -> unit
+(** Insert into both levels, under the loop key, or under the key it
+    pins to [prog_digest] when the entry's outcome escalated.  A
+    disk-write failure (full disk, read-only directory, injected fault)
+    is swallowed and latches the degrade: this and all later stores are
+    memory-only, the reply is never affected.  Disk {e reads} keep
+    working — a read-only directory still serves the entries it already
+    holds. *)

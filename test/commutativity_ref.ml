@@ -157,11 +157,11 @@ let is_mem_loc = function
    digest construction (golden run) and the in-place comparison every
    replay performs against the golden digest. *)
 let digest_liveout fi loop ctx frame =
-  let live = Liveness.loop_live_out fi.Proginfo.fi_live loop in
+  let live = Liveness.loop_live_out (Proginfo.live fi) loop in
   let scalar_values =
     Intset.elements live
     |> List.filter_map (fun vid ->
-           match Liveness.var_of_id fi.Proginfo.fi_live vid with
+           match Liveness.var_of_id (Proginfo.live fi) vid with
            | Some v when not v.Ir.vglobal -> Some frame.Eval.regs.(v.Ir.vslot)
            | _ -> None)
   in
@@ -171,9 +171,9 @@ let digest_liveout fi loop ctx frame =
      root the digest walk too.  Loop-defined pointers are already in
      [scalar_values] (capture dereferences every pointer cell). *)
   let exit_ptr_roots =
-    Intset.elements (Intset.diff (Liveness.loop_live_exit fi.Proginfo.fi_live loop) live)
+    Intset.elements (Intset.diff (Liveness.loop_live_exit (Proginfo.live fi) loop) live)
     |> List.filter_map (fun vid ->
-           match Liveness.var_of_id fi.Proginfo.fi_live vid with
+           match Liveness.var_of_id (Proginfo.live fi) vid with
            | Some v when not v.Ir.vglobal -> (
                match frame.Eval.regs.(v.Ir.vslot) with
                | Value.VPtr _ as p -> Some p
@@ -365,7 +365,7 @@ let replay ctx frame fi sep g sched =
   let slice_vars =
     Intset.fold
       (fun iid acc ->
-        match Ir.def_of (Pdg.instr fi.Proginfo.fi_pdg iid).Ir.idesc with
+        match Ir.def_of (Pdg.instr (Proginfo.pdg fi) iid).Ir.idesc with
         | Some v when not v.Ir.vglobal -> if List.exists (fun v' -> v'.Ir.vid = v.Ir.vid) acc then acc else v :: acc
         | _ -> acc)
       sep.sep_slice []

@@ -242,10 +242,10 @@ let test_liveness_loop_live_out () =
   let f = fi info "main" in
   match Loops.loops f.Proginfo.fi_forest with
   | [ l ] ->
-      let live_out = Liveness.loop_live_out f.Proginfo.fi_live l in
+      let live_out = Liveness.loop_live_out (Proginfo.live f) l in
       let names =
         Intset.elements live_out
-        |> List.filter_map (fun vid -> Liveness.var_of_id f.Proginfo.fi_live vid)
+        |> List.filter_map (fun vid -> Liveness.var_of_id (Proginfo.live f) vid)
         |> List.map (fun v -> v.Ir.vname)
       in
       Alcotest.(check bool) "acc live out" true (List.mem "acc" names);
@@ -255,7 +255,7 @@ let test_liveness_loop_live_out () =
 let test_liveness_straightline () =
   let info = info_of "void main() { int a = 1; int b = a + 2; int c = b * b; printi(c); }" in
   let f = fi info "main" in
-  let live = Liveness.live_in f.Proginfo.fi_live (Cfg.entry f.Proginfo.fi_cfg) in
+  let live = Liveness.live_in (Proginfo.live f) (Cfg.entry f.Proginfo.fi_cfg) in
   Alcotest.(check bool) "nothing live at entry" true (Intset.is_empty live)
 
 (* --------------------------------------------------------------- *)
@@ -282,7 +282,7 @@ let test_control_dependence () =
       (fun b -> b <> Cfg.entry cfg && List.length (Cfg.succs cfg b) = 1 && Cfg.preds cfg b = [ Cfg.entry cfg ])
       (Cfg.reverse_postorder cfg)
   in
-  let parents = Pdg.control_parents f.Proginfo.fi_pdg then_block in
+  let parents = Pdg.control_parents (Proginfo.pdg f) then_block in
   Alcotest.(check (list int)) "controlled by entry" [ Cfg.entry cfg ] parents
 
 let test_backward_slice_for_loop () =
@@ -293,7 +293,7 @@ let test_backward_slice_for_loop () =
   let f = fi info "main" in
   match Loops.loops f.Proginfo.fi_forest with
   | [ l ] ->
-      let pdg = f.Proginfo.fi_pdg in
+      let pdg = Proginfo.pdg f in
       let within n = Intset.mem (Pdg.node_block pdg n) l.Loops.l_blocks in
       let seeds = List.map (fun (src, _) -> Pdg.Term src) l.Loops.l_exiting in
       let slice = Pdg.backward_closure pdg ~within seeds in
@@ -351,7 +351,7 @@ let single_loop_env src =
 
 let test_affine_induction () =
   let f, l = single_loop_env "int a[8]; void main() { int i; for (i = 0; i < 8; i = i + 1) { a[i] = 1; } }" in
-  match Affine.induction_var f.Proginfo.fi_affine l with
+  match Affine.induction_var (Proginfo.affine f) l with
   | Some (v, step) ->
       Alcotest.(check string) "iv" "i" v.Ir.vname;
       Alcotest.(check int) "step" 1 step
@@ -359,13 +359,13 @@ let test_affine_induction () =
 
 let test_affine_downward () =
   let f, l = single_loop_env "int a[8]; void main() { int i; for (i = 7; i >= 0; i = i - 1) { a[i] = 1; } }" in
-  match Affine.induction_var f.Proginfo.fi_affine l with
+  match Affine.induction_var (Proginfo.affine f) l with
   | Some (_, step) -> Alcotest.(check int) "negative step" (-1) step
   | None -> Alcotest.fail "no induction variable found"
 
 let test_counted_header_global_bound () =
   let f, l = single_loop_env "int n; int a[8]; void main() { n = 8; int i; for (i = 0; i < n; i = i + 1) { a[i] = 1; } }" in
-  Alcotest.(check bool) "counted with global bound" true (Affine.counted_header f.Proginfo.fi_affine l)
+  Alcotest.(check bool) "counted with global bound" true (Affine.counted_header (Proginfo.affine f) l)
 
 let test_not_counted_plds () =
   let f, l =
@@ -376,7 +376,7 @@ let test_not_counted_plds () =
       void main() { struct node *p = head; while (p) { p = p->next; } }
       |}
   in
-  Alcotest.(check bool) "plds loop not counted" false (Affine.counted_header f.Proginfo.fi_affine l)
+  Alcotest.(check bool) "plds loop not counted" false (Affine.counted_header (Proginfo.affine f) l)
 
 let test_access_roots () =
   let f, l =
@@ -390,7 +390,7 @@ let test_access_roots () =
       }
       |}
   in
-  let accesses = Affine.accesses_of_loop f.Proginfo.fi_affine l in
+  let accesses = Affine.accesses_of_loop (Proginfo.affine f) l in
   let heap = List.filter (fun a -> match a.Affine.acc_root with Affine.Rglobal _ -> true | _ -> false) accesses in
   Alcotest.(check bool) "at least load+store resolved to globals" true (List.length heap >= 2);
   let roots =
@@ -407,7 +407,7 @@ let test_nonaffine_subscript () =
     single_loop_env
       "int a[64]; int key[64]; void main() { int i; for (i = 0; i < 64; i = i + 1) { a[key[i]] = 1; } }"
   in
-  let accesses = Affine.accesses_of_loop f.Proginfo.fi_affine l in
+  let accesses = Affine.accesses_of_loop (Proginfo.affine f) l in
   let stores = List.filter (fun a -> a.Affine.acc_write) accesses in
   Alcotest.(check bool) "indirect store has no affine subscript" true
     (List.exists (fun a -> a.Affine.acc_subscript = None) stores)
@@ -559,11 +559,11 @@ let prop_concrete_dep_never_refuted =
 
 let classify_in src =
   let f, l = single_loop_env src in
-  let classes = Scalars.classify_loop f.Proginfo.fi_cfg f.Proginfo.fi_affine f.Proginfo.fi_live l in
+  let classes = Scalars.classify_loop f.Proginfo.fi_cfg (Proginfo.affine f) (Proginfo.live f) l in
   fun name ->
     List.find_map
       (fun (vid, c) ->
-        match Liveness.var_of_id f.Proginfo.fi_live vid with
+        match Liveness.var_of_id (Proginfo.live f) vid with
         | Some v when v.Ir.vname = name -> Some c
         | _ -> None)
       classes
@@ -620,7 +620,7 @@ let test_reduction_var_used_elsewhere_is_carried () =
 
 let memred_in src =
   let f, l = single_loop_env src in
-  Memred.find f.Proginfo.fi_cfg f.Proginfo.fi_affine l
+  Memred.find f.Proginfo.fi_cfg (Proginfo.affine f) l
 
 let test_memred_histogram () =
   let rmws =
@@ -660,7 +660,7 @@ let test_memred_wavefront_pair_found_but_harmless () =
     single_loop_env
       "float r[18]; void main() { int i; for (i = 1; i < 17; i = i + 1) { r[i] = r[i] + 0.5 * r[i - 1]; } }"
   in
-  let rmws = Memred.find f.Proginfo.fi_cfg f.Proginfo.fi_affine l in
+  let rmws = Memred.find f.Proginfo.fi_cfg (Proginfo.affine f) l in
   (* the pair may be recognized ... *)
   ignore rmws;
   (* ... but the dependence test with pair-wise exemption still reports the
@@ -671,9 +671,36 @@ let test_memred_wavefront_pair_found_but_harmless () =
     let ia = a.Affine.acc_iid and ib = b.Affine.acc_iid in
     List.mem (ia, ib) pairs || List.mem (ib, ia) pairs || (ia = ib && List.mem ia stores)
   in
-  let accesses = Affine.accesses_of_loop f.Proginfo.fi_affine l in
+  let accesses = Affine.accesses_of_loop (Proginfo.affine f) l in
   Alcotest.(check bool) "wavefront dependence survives exemption" true
     (Deptest.loop_has_dependence ~loop_id:l.Loops.l_id ~exempt accesses <> None)
+
+(* --------------------------------------------------------------- *)
+(* Analyses on first read                                            *)
+(* --------------------------------------------------------------- *)
+
+(* Two domains first-read one function's analyses at once, on a fresh
+   [Proginfo.t] each round: no read raises (a bare concurrent
+   [Lazy.force] raises [Lazy.Undefined]), and both get the values the
+   analyses compute eagerly. *)
+let test_proginfo_concurrent_first_read () =
+  let prog = Dca_progs.Benchmark.compile (Option.get (Dca_progs.Registry.find "LU")) in
+  let eager =
+    let f = fi (Proginfo.analyze prog) "main" in
+    ( Liveness.analyze f.Proginfo.fi_cfg,
+      Affine.analyze f.Proginfo.fi_cfg f.Proginfo.fi_forest,
+      Pdg.build f.Proginfo.fi_cfg )
+  in
+  let pool = Pool.create ~jobs:2 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      for _ = 1 to 100 do
+        let f = fi (Proginfo.analyze prog) "main" in
+        Pool.map pool (fun () -> (Proginfo.live f, Proginfo.affine f, Proginfo.pdg f)) [ (); () ]
+        |> List.iter (fun read ->
+               Alcotest.(check bool) "equal to the eager analyses" true (read = eager))
+      done)
 
 let suites =
   [
@@ -729,4 +756,6 @@ let suites =
         Alcotest.test_case "prefix sum rejected" `Quick test_memred_prefix_sum_rejected;
         Alcotest.test_case "wavefront" `Quick test_memred_wavefront_pair_found_but_harmless;
       ] );
+    ( "proginfo",
+      [ Alcotest.test_case "concurrent first read" `Quick test_proginfo_concurrent_first_read ] );
   ]

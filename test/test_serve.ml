@@ -233,19 +233,18 @@ let test_digest_edit_granularity () =
 (* Verdict cache                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let entry ?(prog = "P") decision =
-  { Vcache.e_decision = decision; e_outcome = None; e_provenance = Report.Dynamic; e_prog_digest = prog }
+let entry decision = { Vcache.e_decision = decision; e_outcome = None; e_provenance = Report.Dynamic }
 
 let test_vcache_memory () =
   let ctx, c = in_fresh_ctx (fun () -> Vcache.create ~capacity:2 ()) in
-  Vcache.store c "k1" (entry Driver.Commutative);
-  Vcache.store c "k2" (entry (Driver.Non_commutative "digest mismatch"));
+  Vcache.store c ~prog_digest:"P" "k1" (entry Driver.Commutative);
+  Vcache.store c ~prog_digest:"P" "k2" (entry (Driver.Non_commutative "digest mismatch"));
   (match Vcache.find c ~prog_digest:"P" "k1" with
   | Some e -> Alcotest.(check bool) "k1 decision" true (e.Vcache.e_decision = Driver.Commutative)
   | None -> Alcotest.fail "k1 missing");
   (* k2 is now least-recently-used; inserting k3 evicts it *)
   ignore (Vcache.find c ~prog_digest:"P" "k1");
-  Vcache.store c "k3" (entry Driver.Commutative);
+  Vcache.store c ~prog_digest:"P" "k3" (entry Driver.Commutative);
   Alcotest.(check int) "capacity held" 2 (cell ctx "cache.mem_entries");
   Alcotest.(check bool) "LRU evicted k2" true (Vcache.find c ~prog_digest:"P" "k2" = None);
   Alcotest.(check bool) "k1 survived" true (Vcache.find c ~prog_digest:"P" "k1" <> None);
@@ -254,7 +253,7 @@ let test_vcache_memory () =
 let test_vcache_disk_persistence () =
   let dir = fresh_dir "vcache" in
   let _, c1 = in_fresh_ctx (fun () -> Vcache.create ~dir ()) in
-  Vcache.store c1 "k1" (entry Driver.Commutative);
+  Vcache.store c1 ~prog_digest:"P" "k1" (entry Driver.Commutative);
   (* a second instance over the same directory: a daemon restart *)
   let ctx, c2 = in_fresh_ctx (fun () -> Vcache.create ~dir ()) in
   (match Vcache.find c2 ~prog_digest:"P" "k1" with
@@ -268,8 +267,8 @@ let test_vcache_disk_persistence () =
 let test_vcache_corruption_degrades () =
   let dir = fresh_dir "vcache" in
   let _, c1 = in_fresh_ctx (fun () -> Vcache.create ~dir ()) in
-  Vcache.store c1 "k1" (entry Driver.Commutative);
-  Vcache.store c1 "k2" (entry Driver.Commutative);
+  Vcache.store c1 ~prog_digest:"P" "k1" (entry Driver.Commutative);
+  Vcache.store c1 ~prog_digest:"P" "k2" (entry Driver.Commutative);
   (* flip payload bytes in one entry, truncate the other *)
   let f1 = Filename.concat dir "k1.v" and f2 = Filename.concat dir "k2.v" in
   let oc = open_out_gen [ Open_wronly ] 0o644 f1 in
@@ -277,15 +276,18 @@ let test_vcache_corruption_degrades () =
   output_string oc "XXX";
   close_out oc;
   let oc = open_out_bin f2 in
-  output_string oc "DCAV2\ntru";
+  output_string oc "DCAV3\ntru";
   close_out oc;
   let ctx, c2 = in_fresh_ctx (fun () -> Vcache.create ~dir ()) in
   Alcotest.(check bool) "flipped entry rejected" true (Vcache.find c2 ~prog_digest:"P" "k1" = None);
   Alcotest.(check bool) "truncated entry rejected" true (Vcache.find c2 ~prog_digest:"P" "k2" = None);
   Alcotest.(check int) "both counted corrupt" 2 (cell ctx "cache.corrupt")
 
-(* Escalated entries were verified against whole-program output, so they
-   are only served while the whole-program digest still matches. *)
+(* An escalated entry was verified against the whole program's output,
+   so it is stored under a key pinned to the whole-program digest: the
+   entries of two versions under one loop key live side by side, each
+   found by its own digest only, also after a restart from disk.  A
+   plain entry is served to any version. *)
 let test_vcache_escalated_pinned () =
   (* borrow a real outcome from a tiny analysis, then mark it escalated *)
   let outcome =
@@ -300,27 +302,34 @@ let test_vcache_escalated_pinned () =
         | Some o -> o
         | None -> Alcotest.fail "no dynamic outcome")
   in
-  let _, c = in_fresh_ctx (fun () -> Vcache.create ()) in
-  Vcache.store c "esc"
+  let with_outcome escalated decision =
     {
-      Vcache.e_decision = Driver.Commutative;
-      e_outcome = Some { outcome with Commutativity.oc_escalated = true };
+      Vcache.e_decision = decision;
+      e_outcome = Some { outcome with Commutativity.oc_escalated = escalated };
       e_provenance = Report.Dynamic;
-      e_prog_digest = "P1";
-    };
-  Vcache.store c "plain"
-    {
-      Vcache.e_decision = Driver.Commutative;
-      e_outcome = Some { outcome with Commutativity.oc_escalated = false };
-      e_provenance = Report.Dynamic;
-      e_prog_digest = "P1";
-    };
-  Alcotest.(check bool) "escalated served while program matches" true
-    (Vcache.find c ~prog_digest:"P1" "esc" <> None);
-  Alcotest.(check bool) "escalated dropped when program changed" true
-    (Vcache.find c ~prog_digest:"P2" "esc" = None);
-  Alcotest.(check bool) "plain entry survives program change" true
-    (Vcache.find c ~prog_digest:"P2" "plain" <> None)
+    }
+  in
+  let p1 = Driver.Commutative and p2 = Driver.Non_commutative "differs in P2" in
+  let dir = fresh_dir "vcache" in
+  let _, c = in_fresh_ctx (fun () -> Vcache.create ~dir ()) in
+  Vcache.store c ~prog_digest:"P1" "esc" (with_outcome true p1);
+  Vcache.store c ~prog_digest:"P2" "esc" (with_outcome true p2);
+  Vcache.store c ~prog_digest:"P1" "plain" (with_outcome false p1);
+  let decision c prog key =
+    Option.map (fun e -> e.Vcache.e_decision) (Vcache.find c ~prog_digest:prog key)
+  in
+  let check_versions c =
+    Alcotest.(check bool) "P1's escalated entry found by P1" true (decision c "P1" "esc" = Some p1);
+    Alcotest.(check bool) "P2's escalated entry found by P2" true (decision c "P2" "esc" = Some p2);
+    Alcotest.(check bool) "no escalated entry for P3" true (decision c "P3" "esc" = None);
+    Alcotest.(check bool) "plain entry served to P2" true (decision c "P2" "plain" = Some p1)
+  in
+  check_versions c;
+  (* a daemon restart: both versions come back from disk *)
+  let ctx, c2 = in_fresh_ctx (fun () -> Vcache.create ~dir ()) in
+  check_versions c2;
+  Alcotest.(check int) "three entries read from disk" 3 (cell ctx "cache.disk_hits");
+  Alcotest.(check int) "P3 missed" 1 (cell ctx "cache.misses")
 
 (* Four domains hammering one cache with disjoint keys: every store,
    hit, and miss must be counted exactly once — the counters are exact
@@ -331,7 +340,7 @@ let test_vcache_concurrent_stats_exact () =
   let worker d () =
     for i = 0 to per_domain - 1 do
       let key = Printf.sprintf "k%d.%d" d i in
-      Vcache.store c key (entry Driver.Commutative);
+      Vcache.store c ~prog_digest:"P" key (entry Driver.Commutative);
       (match Vcache.find c ~prog_digest:"P" key with
       | Some _ -> ()
       | None -> Alcotest.failf "lost our own store of %s" key);
@@ -367,11 +376,11 @@ let test_vcache_write_failure_degrades () =
       let ctx, c =
         in_fresh_ctx (fun () -> Vcache.create ~dir ~on_degrade:(fun _ -> incr degrades) ())
       in
-      Vcache.store c "k1" (entry Driver.Commutative);
+      Vcache.store c ~prog_digest:"P" "k1" (entry Driver.Commutative);
       Alcotest.(check int) "on_degrade fired once" 1 !degrades;
       Alcotest.(check int) "degrade counted" 1 (cell ctx "dca_cache_degraded_total");
       (* later stores go memory-only without another degrade event *)
-      Vcache.store c "k2" (entry Driver.Commutative);
+      Vcache.store c ~prog_digest:"P" "k2" (entry Driver.Commutative);
       Alcotest.(check int) "no second degrade" 1 !degrades;
       Alcotest.(check int) "one degrade total" 1 (cell ctx "dca_cache_degraded_total");
       Alcotest.(check bool) "k1 served from memory" true
@@ -381,7 +390,7 @@ let test_vcache_write_failure_degrades () =
       Alcotest.(check int) "nothing reached the disk" 0 (on_disk ());
       (* degradation is per-instance: a restart re-probes the disk *)
       let ctx2, c2 = in_fresh_ctx (fun () -> Vcache.create ~dir ()) in
-      Vcache.store c2 "k3" (entry Driver.Commutative);
+      Vcache.store c2 ~prog_digest:"P" "k3" (entry Driver.Commutative);
       Alcotest.(check int) "fresh instance writes the disk again" 1 (on_disk ());
       Alcotest.(check int) "fresh instance not degraded" 0
         (cell ctx2 "dca_cache_degraded_total"))
@@ -610,7 +619,7 @@ let test_engine_corrupt_entry_recomputes () =
     (fun f ->
       if Filename.check_suffix f ".v" then begin
         let oc = open_out_bin (Filename.concat dir f) in
-        output_string oc "DCAV2\ndeadbeef\ngarbage";
+        output_string oc "DCAV3\ndeadbeef\ngarbage";
         close_out oc
       end)
     (Sys.readdir dir);
@@ -622,6 +631,63 @@ let test_engine_corrupt_entry_recomputes () =
       Alcotest.(check int) "nothing served from poison" 0 rp.Protocol.rp_hits;
       Alcotest.(check string) "recomputed reply identical" cold (report_of rp);
       Alcotest.(check bool) "corruption detected" true (cell ctx "cache.corrupt" > 0))
+
+(* A helper whose loop escalates: its live-out [last] differs under a
+   permutation, and the program's output does not.  [edit] goes into
+   [main], which has no loop, so the helper's loop key stays put while
+   the whole-program digest moves. *)
+let escalating_helper edit =
+  Printf.sprintf
+    {|
+int a[8];
+int last;
+void helper() {
+  int i;
+  for (i = 0; i < 8; i = i + 1) { a[i] = a[i] + 1; last = i; }
+}
+void main() {%s
+  helper();
+  printi(a[3]);
+}
+|}
+    edit
+
+(* The first hit after an edit: the escalated verdict of the unedited
+   program is still there after the edit's re-test, so the original,
+   sent again, is answered from cache with the cold reply. *)
+let test_engine_first_hit_after_edit () =
+  let engine = Engine.create () in
+  Fun.protect
+    ~finally:(fun () -> Engine.close engine)
+    (fun () ->
+      let original = analyze_rq (escalating_helper "") in
+      let cold = handle_ok engine original in
+      Alcotest.(check bool) "the helper's loop escalated" true
+        (List.exists
+           (fun line -> Filename.check_suffix line ", escalated]")
+           (String.split_on_char '\n' (report_of cold)));
+      let edit = handle_ok engine (analyze_rq (escalating_helper " int dead; dead = 1;")) in
+      Alcotest.(check int) "the edit re-tests the escalated loop" 1 edit.Protocol.rp_misses;
+      let again = handle_ok engine original in
+      Alcotest.(check int) "the original misses nothing" 0 again.Protocol.rp_misses;
+      Alcotest.(check int) "the original hits its loop" 1 again.Protocol.rp_hits;
+      Alcotest.(check string) "the cold reply" (report_of cold) (report_of again))
+
+(* A request the cache answers in full computes no function's liveness,
+   affine facts or PDG: the analysed-functions counter of the daemon's
+   context does not move. *)
+let test_engine_all_hits_analyse_nothing () =
+  let ctx = Telemetry.Ctx.create ~counting:true () in
+  let engine = Telemetry.with_ctx ctx (fun () -> Engine.create ()) in
+  Fun.protect
+    ~finally:(fun () -> Engine.close engine)
+    (fun () ->
+      ignore (handle_ok engine (analyze_rq (two_funcs 2)));
+      Alcotest.(check int) "cold: fa and fb analysed, loop-free main not" 2
+        (cell ctx "analysis.functions");
+      let warm = handle_ok engine (analyze_rq (two_funcs 2)) in
+      Alcotest.(check int) "warm: all hits" 0 warm.Protocol.rp_misses;
+      Alcotest.(check int) "warm: no function analysed" 2 (cell ctx "analysis.functions"))
 
 let is_aborted li = has_prefix "aborted" li.Protocol.li_decision
 
@@ -1717,6 +1783,9 @@ let suites =
         Alcotest.test_case "fault request runs concurrently" `Quick
           test_engine_fault_request_runs_concurrently;
         Alcotest.test_case "serve fault sites registered" `Quick test_fault_sites_registered;
+        Alcotest.test_case "first hit after an edit" `Quick test_engine_first_hit_after_edit;
+        Alcotest.test_case "all hits analyse no function" `Quick
+          test_engine_all_hits_analyse_nothing;
       ] );
     ( "serve.server",
       [
